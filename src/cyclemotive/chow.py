@@ -7,9 +7,10 @@ Three routes to the same numbers are kept deliberately separate:
 
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
-  with no binomials at all;
-* series: coefficient extraction from (1-t)^(-v) expanded as a geometric
-  series.
+  with no binomials at all, as a table built bottom-up over the ambient
+  dimension;
+* series: coefficient extraction from (1-t)^(-v), built from its
+  logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
 The test suite's job is to confirm they collide.
 """
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .errors import DomainError
 from .ffcount import CongruenceReport, PrimePower, gaussian_binomial
@@ -56,29 +59,45 @@ def chow_invariant_closed(idx: ChowIndex) -> int:
     return comb(v + idx.d - 1, idx.d)
 
 
-@cache
-def _lam(p: int, d: int, n: int) -> int:
-    # fixed-point recursion; the only base facts are: the empty cycle is a
-    # point, a point has one cycle of each degree, and there are no
-    # positive-degree cycles of dimension above the ambient space
-    if d == 0:
-        return 1
-    if p > n:
-        return 0
-    if p == 0:
-        if n == 0:
-            return 1
-        # zero-cycles: degree splits over a hyperplane and the point off it
-        return sum(_lam(0, d - j, n - 1) for j in range(d + 1))
-    # positive dimension: cycles split into the part inside a hyperplane
-    # and a cone, whose base is one dimension lower
-    return sum(_lam(p, i, n - 1) * _lam(p - 1, d - i, n - 1) for i in range(d + 1))
+def _lam_row(p: int, n: int, d: int) -> list[int]:
+    """[lambda(p, e, n) for e <= d], built bottom-up over the ambient
+    dimension by the fixed-point recursion.
+
+    The only base facts are: the empty cycle is a point, a point has one
+    cycle of each degree, and there are no positive-degree cycles of
+    dimension above the ambient space.  Zero-cycles split their degree over
+    a hyperplane and the point off it, so each p = 0 row is the running sum
+    of the row below.  In positive dimension a cycle splits into the part
+    inside a hyperplane and a cone whose base is one dimension lower, so the
+    row is the truncated convolution of those two rows below.
+    """
+    empty = [1] + [0] * d
+    # rows[k - low] is the row of cycle dimension k in the current ambient
+    # dimension j; only the dimensions k >= p - (n - j) are needed above it
+    low = max(0, p - n)
+    rows = [[1] * (d + 1) if k == 0 else empty for k in range(low, p + 1)]
+    for j in range(1, n + 1):
+        low_j = max(0, p - (n - j))
+        new = []
+        for k in range(low_j, p + 1):
+            if k > j:
+                new.append(empty)
+            elif k == 0:
+                new.append(list(accumulate(rows[k - low])))
+            else:
+                inside, cone = rows[k - low], rows[k - 1 - low]
+                new.append([
+                    sum(map(mul, inside, reversed(cone[: e + 1])))
+                    for e in range(d + 1)
+                ])
+        rows, low = new, low_j
+    return rows[-1]
 
 
 def chow_invariant_recursive(idx: ChowIndex) -> int:
     """Same number as chow_invariant_closed, computed purely by the
     hyperplane/cone degree convolution.  No binomials anywhere."""
-    return _lam(idx.p, idx.d, idx.n)
+    return _lam_row(idx.p, idx.n, idx.d)[idx.d]
 
 
 def chow_series(p: int, n: int, order: int) -> MultiSeries:
@@ -208,6 +227,7 @@ def _recursive_series(p: int, n: int, m: int, order: int) -> MultiSeries:
         cone_terms = [((), 1)]
 
     kappa_index = slot_index.get((0, p))
+    pulled_row = _lam_row(p, m, order)
 
     out: dict[tuple[int, ...], int] = {}
     for beta, cb in inside.terms.items():
@@ -224,7 +244,7 @@ def _recursive_series(p: int, n: int, m: int, order: int) -> MultiSeries:
             for extra in range(order - degree_bg + 1):
                 if extra and kappa_index is None:
                     break
-                pulled = _lam(p, extra, m)
+                pulled = pulled_row[extra]
                 if pulled == 0:
                     continue
                 final = list(merged)

@@ -418,13 +418,17 @@ def _expr_from_data(data) -> MotiveExpr:
         if kind == "elliptic":
             return ELLIPTIC
         if kind == "custom":
-            terms = {
-                (int(p), int(q)): int(c) for p, q, c in data["e_poly"]
-            }
+            countable = data["countable"]
+            if not isinstance(countable, bool):
+                raise ParseError(
+                    f"field 'countable' must be true or false, got {countable!r}"
+                )
+            terms: dict[tuple[int, int], int] = {}
+            for p, q, c in data["e_poly"]:
+                key = (int(p), int(q))
+                terms[key] = terms.get(key, 0) + int(c)
             return SmoothProjectiveLeaf(
-                str(data.get("name", "custom")),
-                Poly2(terms),
-                bool(data["countable"]),
+                str(data.get("name", "custom")), Poly2(terms), countable
             )
     except KeyError as exc:
         raise ParseError(f"leaf {kind!r} is missing field {exc}") from None

@@ -143,14 +143,6 @@ class Poly2:
         return obj
 
 
-def poly_add(a: Poly2, b: Poly2) -> Poly2:
-    return a + b
-
-
-def poly_mul(a: Poly2, b: Poly2) -> Poly2:
-    return a * b
-
-
 def specialize(a: Poly2, u0: int, v0: int) -> int:
     """Exact evaluation at integer arguments (u0, v0)."""
     return sum(c * u0**p * v0**q for (p, q), c in a.terms.items())
@@ -516,12 +508,16 @@ def expand_inverse_product(
     (with repetition, factors of multiplicity c supplying c distinguishable
     copies) whose exponents sum to alpha.
 
-    The expansion is pure series arithmetic: each inverse factor is the
-    truncated geometric series 1 + x^m + x^(2m) + ..., raised to its
-    multiplicity by repeated squaring.  No binomial shortcut is taken, so
-    closed-form coefficient identities remain independent checks.
+    The expansion is pure series arithmetic.  For each factor the
+    coefficients a_j of f = (1 - t)^(-c) in one variable t = x^m come from
+    its logarithmic derivative f'/f = c/(1 - t), i.e. the Euler-transform
+    recurrence j*a_j = c*(a_0 + ... + a_(j-1)) with a_0 = 1 and exact
+    integer division; that list is then folded into the product in one
+    pass.  The cost is linear in the order whatever the multiplicity, and
+    no binomial shortcut is taken, so closed-form coefficient identities
+    remain independent checks.
     """
-    result = MultiSeries.one(arity, order)
+    terms = dict(MultiSeries.one(arity, order).terms)
     for exponent, multiplicity in factors:
         m = tuple(int(x) for x in exponent)
         if len(m) != arity:
@@ -533,13 +529,19 @@ def expand_inverse_product(
         if multiplicity < 1:
             raise DomainError(f"factor multiplicity must be >= 1, got {multiplicity}")
         step = sum(m)
-        geometric = MultiSeries(
-            arity,
-            order,
-            {tuple(j * x for x in m): 1 for j in range(order // step + 1)},
-        )
-        result = result * geometric**multiplicity
-    return result
+        powers = [1]
+        running = 1
+        for j in range(1, order // step + 1):
+            powers.append(multiplicity * running // j)
+            running += powers[-1]
+        out: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            key = e
+            for a in powers[: (order - sum(e)) // step + 1]:
+                out[key] = out.get(key, 0) + c * a
+                key = tuple(x + y for x, y in zip(key, m))
+        terms = out
+    return MultiSeries(arity, order, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,12 @@ def test_recursion_equals_closed_form_grid():
                 assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
 
 
+def test_recursion_deep_ambient_space():
+    # the bottom-up table has no recursion depth limit
+    idx = ChowIndex(0, 7, 2000)
+    assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
+
+
 def test_series_examples():
     s = chow_series(1, 2, 2)
     assert [s.coefficient((d,)) for d in range(3)] == [1, 3, 6]
@@ -80,6 +86,14 @@ def test_series_matches_closed_form_grid():
             s = chow_series(p, n, 8)
             for d in range(9):
                 assert s.coefficient((d,)) == chow_invariant_closed(ChowIndex(p, d, n))
+
+
+def test_series_huge_multiplicity():
+    # v = C(31, 16) is about 3e8; the expansion must not scale with v
+    s = chow_series(15, 30, 3)
+    assert [s.coefficient((d,)) for d in range(4)] == [
+        chow_invariant_closed(ChowIndex(15, d, 30)) for d in range(4)
+    ]
 
 
 def test_series_partial_sums():

@@ -111,6 +111,12 @@ def test_chow_value_and_series_together(capsys):
     assert out.splitlines() == ["6", "1,3,6,10,15"]
 
 
+def test_chow_recursive_deep_ambient_space(capsys):
+    code, out, _ = run(capsys, "chow", "-p", "0", "-d", "1", "-n", "3000",
+                       "--method", "recursive")
+    assert (code, out) == (0, "3001\n")
+
+
 def test_chow_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "chow_invariant_recursive", lambda idx: -1)
     code, out, err = run(capsys, "chow", "-p", "1", "-d", "2", "-n", "3",

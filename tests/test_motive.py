@@ -220,6 +220,25 @@ def test_expr_json_errors():
         expr_from_json('{"args": [1]}')
 
 
+def test_custom_leaf_countable_must_be_json_boolean():
+    for flag in ("false", "true", 0, 1, None):
+        leaf = {"leaf": "custom", "e_poly": [[0, 0, 1]], "countable": flag}
+        with pytest.raises(ParseError):
+            expr_from_json(json.dumps(leaf))
+
+
+def test_custom_leaf_repeated_monomials_are_summed():
+    leaf = {
+        "leaf": "custom",
+        "name": "quadric",
+        "e_poly": [[0, 0, 1], [1, 1, 1], [2, 2, 1], [1, 1, 1]],
+        "countable": True,
+    }
+    assert expr_from_json(json.dumps(leaf)) == SmoothProjectiveLeaf(
+        "quadric", parse_poly2("1+2uv+u^2*v^2"), True
+    )
+
+
 leaves = st.one_of(
     st.just(Point()),
     st.builds(AffineSpace, st.integers(0, 3)),

@@ -176,6 +176,33 @@ def test_single_factor_expansion_is_geometric(e, order):
     assert s == MultiSeries(2, order, expected)
 
 
+@st.composite
+def inverse_products(draw):
+    arity = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).filter(
+        lambda m: 1 <= sum(m) <= 3
+    )
+    factors = draw(st.lists(
+        st.tuples(exponents.map(tuple), st.integers(1, 12)), min_size=1, max_size=3
+    ))
+    return arity, draw(st.integers(0, 10)), factors
+
+
+@given(inverse_products())
+@settings(deadline=None)
+def test_expansion_equals_product_of_geometric_powers(case):
+    """Reference: each truncated geometric series raised to its
+    multiplicity with MultiSeries multiplication and powering."""
+    arity, order, factors = case
+    expected = MultiSeries.one(arity, order)
+    for m, c in factors:
+        geometric = MultiSeries(
+            arity, order, {tuple(j * x for x in m): 1 for j in range(order // sum(m) + 1)}
+        )
+        expected = expected * geometric**c
+    assert expand_inverse_product(factors, arity=arity, order=order) == expected
+
+
 @given(small_polys)
 @settings(max_examples=200)
 def test_poly2_text_round_trip(a):
