@@ -8,7 +8,8 @@ Three routes to the same numbers are kept deliberately separate:
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
   with no binomials at all, as a table built bottom-up over the ambient
-  dimension;
+  dimension; each convolution of two rows is one big-integer product of
+  the rows packed into integers (Kronecker substitution);
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -17,11 +18,12 @@ The test suite's job is to confirm they collide.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
-from operator import mul
+from operator import add, itemgetter
 
 from .errors import DomainError
 from .ffcount import CongruenceReport, PrimePower, gaussian_binomial
@@ -59,6 +61,30 @@ def chow_invariant_closed(idx: ChowIndex) -> int:
     return comb(v + idx.d - 1, idx.d)
 
 
+def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
+    """[sum(a[i] * b[e - i] for i <= e) for e <= d] for rows of at least
+    d + 1 non-negative integers, as one big-integer product (Kronecker
+    substitution).
+
+    Each row is packed into an int, one fixed-width slot per coefficient.
+    A product coefficient is a sum of at most d + 1 terms a[i] * b[j], so a
+    slot of bits(max a) + bits(max b) + bits(d + 1) bits holds it with no
+    carry into the next, and the slots of the packed product are the
+    coefficients of the row product.
+    """
+    a, b = a[: d + 1], b[: d + 1]
+    width = (max(a).bit_length() + max(b).bit_length() + (d + 1).bit_length() + 7) // 8
+
+    def pack(row: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in row), "little")
+
+    data = (pack(a) * pack(b)).to_bytes((len(a) + len(b)) * width, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, (d + 1) * width, width)
+    ]
+
+
 def _lam_row(p: int, n: int, d: int) -> list[int]:
     """[lambda(p, e, n) for e <= d], built bottom-up over the ambient
     dimension by the fixed-point recursion.
@@ -69,7 +95,8 @@ def _lam_row(p: int, n: int, d: int) -> list[int]:
     a hyperplane and the point off it, so each p = 0 row is the running sum
     of the row below.  In positive dimension a cycle splits into the part
     inside a hyperplane and a cone whose base is one dimension lower, so the
-    row is the truncated convolution of those two rows below.
+    row is the truncated convolution of those two rows below, computed as
+    one integer product by _truncated_product.
     """
     empty = [1] + [0] * d
     # rows[k - low] is the row of cycle dimension k in the current ambient
@@ -85,11 +112,7 @@ def _lam_row(p: int, n: int, d: int) -> list[int]:
             elif k == 0:
                 new.append(list(accumulate(rows[k - low])))
             else:
-                inside, cone = rows[k - low], rows[k - 1 - low]
-                new.append([
-                    sum(map(mul, inside, reversed(cone[: e + 1])))
-                    for e in range(d + 1)
-                ])
+                new.append(_truncated_product(rows[k - low], rows[k - 1 - low], d))
         rows, low = new, low_j
     return rows[-1]
 
@@ -198,61 +221,104 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     cycle pulled in from the second factor alone at component (0, p).
     The coefficient at a multidegree is the convolution over all such
     splittings.  Base of the induction: a point times the second factor.
+    The induction is a table built bottom-up over n, one per call.
     """
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
     return _recursive_series(p, n, m, order)
 
 
-@cache
 def _recursive_series(p: int, n: int, m: int, order: int) -> MultiSeries:
-    if p < 0:
-        raise DomainError("cycle dimension must be >= 0")
-    if n == 0:
-        return _formula_series(p, 0, m, order)
+    # series[k - low] holds the terms for cycle dimension k with the first
+    # factor of dimension j; only the dimensions k >= p - (n - j) are needed
+    # above it.  The table lives for one call.
+    low = max(0, p - n)
+    series = [_formula_series(k, 0, m, order).terms for k in range(low, p + 1)]
+    pulled_rows = [_lam_row(k, m, order) for k in range(low, p + 1)]
+    for j in range(1, n + 1):
+        low_j = max(0, p - (n - j))
+        series = [
+            _product_step(
+                k, j, m, order,
+                inside=series[k - low],
+                cone_base=series[k - 1 - low] if k >= 1 else None,
+                pulled_row=pulled_rows[k - low],
+            )
+            for k in range(low_j, p + 1)
+        ]
+        pulled_rows, low = pulled_rows[low_j - low :], low_j
+    return MultiSeries(len(multidegree_slots(p, n, m)), order, series[-1])
 
+
+def _spread(
+    terms: Mapping[tuple[int, ...], int],
+    slots: list[tuple[int, int]],
+    slot_index: dict[tuple[int, int], int],
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """(degree, exponents, coefficient) for each term, its slots moved to
+    their places in slot_index, in ascending degree."""
+    places = [slot_index[s] for s in slots]
+    spread = []
+    for exponents, c in terms.items():
+        moved = [0] * len(slot_index)
+        for i, e in zip(places, exponents):
+            moved[i] = e
+        spread.append((sum(exponents), tuple(moved), c))
+    spread.sort(key=itemgetter(0))
+    return spread
+
+
+def _product_step(
+    p: int,
+    n: int,
+    m: int,
+    order: int,
+    inside: Mapping[tuple[int, ...], int],
+    cone_base: Mapping[tuple[int, ...], int] | None,
+    pulled_row: list[int],
+) -> dict[tuple[int, ...], int]:
+    """One induction step: the series for (p, n, m) from the inside series
+    (p, n-1, m), the cone base (p-1, n-1, m) and the row of cycles pulled
+    in from the second factor at component (0, p)."""
     cur_slots = multidegree_slots(p, n, m)
     slot_index = {slot: i for i, slot in enumerate(cur_slots)}
     arity = len(cur_slots)
 
-    inside = _recursive_series(p, n - 1, m, order)
-    inside_map = [slot_index[s] for s in multidegree_slots(p, n - 1, m)]
-
-    if p >= 1:
-        cone_base = _recursive_series(p - 1, n - 1, m, order)
-        cone_map = [slot_index[(k + 1, l)] for (k, l) in multidegree_slots(p - 1, n - 1, m)]
-        cone_terms = cone_base.terms.items()
+    inside_terms = _spread(inside, multidegree_slots(p, n - 1, m), slot_index)
+    if cone_base is not None:
+        cone_slots = [(k + 1, l) for (k, l) in multidegree_slots(p - 1, n - 1, m)]
+        cone_terms = _spread(cone_base, cone_slots, slot_index)
     else:
-        cone_map = []
-        cone_terms = [((), 1)]
+        cone_terms = [(0, (0,) * arity, 1)]
+    cone_degrees = [degree for degree, _, _ in cone_terms]
 
+    # inside x cone first ...
+    joint: dict[tuple[int, ...], int] = {}
+    for degree_b, beta, cb in inside_terms:
+        fitting = bisect_right(cone_degrees, order - degree_b)
+        for _, gamma, cg in islice(cone_terms, fitting):
+            key = tuple(map(add, beta, gamma))
+            joint[key] = joint.get(key, 0) + cb * cg
+
+    # ... then the cycles pulled in along the (0, p) slot: one truncated
+    # row product per line of joint terms that differ only in that slot
     kappa_index = slot_index.get((0, p))
-    pulled_row = _lam_row(p, m, order)
-
-    out: dict[tuple[int, ...], int] = {}
-    for beta, cb in inside.terms.items():
-        degree_b = sum(beta)
-        for gamma, cg in cone_terms:
-            degree_bg = degree_b + sum(gamma)
-            if degree_bg > order:
-                continue
-            merged = [0] * arity
-            for i, e in zip(inside_map, beta):
-                merged[i] += e
-            for i, e in zip(cone_map, gamma):
-                merged[i] += e
-            for extra in range(order - degree_bg + 1):
-                if extra and kappa_index is None:
-                    break
-                pulled = pulled_row[extra]
-                if pulled == 0:
-                    continue
-                final = list(merged)
-                if extra:
-                    final[kappa_index] += extra
-                key = tuple(final)
-                out[key] = out.get(key, 0) + cb * cg * pulled
-    return MultiSeries(arity, order, out)
+    if kappa_index is None:
+        out = {key: c * pulled_row[0] for key, c in joint.items()}
+    else:
+        lines: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        for key, c in joint.items():
+            head, tail = key[:kappa_index], key[kappa_index + 1 :]
+            line = lines.get((head, tail))
+            if line is None:
+                line = lines[head, tail] = [0] * (order - sum(head) - sum(tail) + 1)
+            line[key[kappa_index]] = c
+        out = {}
+        for (head, tail), line in lines.items():
+            for e, c in enumerate(_truncated_product(line, pulled_row, len(line) - 1)):
+                if c:
+                    out[head + (e,) + tail] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import isqrt
 
 from .errors import BudgetError, DomainError
 from .ring import LPoly
@@ -69,7 +70,8 @@ class PrimePower:
     def from_int(cls, q: int) -> "PrimePower":
         if q < 2:
             raise DomainError(f"field size must be >= 2, got {q}")
-        p = next(d for d in range(2, q + 1) if q % d == 0)
+        # a q with no divisor up to its square root is prime
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
         e = 0
         m = q
         while m % p == 0:
@@ -150,10 +152,10 @@ def rref_cell_census(
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not is_prime(q):
-        raise DomainError(f"brute force needs a prime field size, got {q}")
     if q > BRUTE_FORCE_MAX_Q:
         raise DomainError(f"brute force is capped at q <= {BRUTE_FORCE_MAX_Q}, got {q}")
+    if not is_prime(q):
+        raise DomainError(f"brute force needs a prime field size, got {q}")
     patterns = list(combinations(range(n), k))
     work = sum(q ** _free_positions(n, piv) for piv in patterns)
     limit = _resolve_budget(budget)

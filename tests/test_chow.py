@@ -1,8 +1,10 @@
 """Cycle-space invariants: three routes, product series, congruences."""
 
 import math
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclemotive.chow import (
     ChowIndex,
@@ -19,6 +21,7 @@ from cyclemotive.chow import (
     multidegree_slots,
     unit_multidegree,
 )
+from cyclemotive.chow import _lam_row, _truncated_product
 from cyclemotive.errors import DomainError
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
 from cyclemotive.ring import Laurent1, expand_inverse_product
@@ -69,6 +72,42 @@ def test_recursion_deep_ambient_space():
     # the bottom-up table has no recursion depth limit
     idx = ChowIndex(0, 7, 2000)
     assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
+
+
+def _schoolbook_product(a, b, d):
+    return [sum(a[i] * b[e - i] for i in range(e + 1)) for e in range(d + 1)]
+
+
+@st.composite
+def row_pairs(draw):
+    d = draw(st.integers(0, 40))
+    entry = st.one_of(st.just(0), st.integers(0, 15), st.integers(0, 2**4000))
+    a = draw(st.lists(entry, min_size=d + 1, max_size=d + 3))
+    b = draw(st.lists(entry, min_size=d + 1, max_size=d + 3))
+    return a, b, d
+
+
+@settings(deadline=None)
+@given(row_pairs())
+def test_packed_product_equals_schoolbook(rows):
+    a, b, d = rows
+    assert _truncated_product(a, b, d) == _schoolbook_product(a, b, d)
+
+
+def test_lam_rows_equal_schoolbook_table():
+    # table[n][p] = [lambda(p, e, n) for e <= 30], by the plain hyperplane
+    # and cone recursion with schoolbook convolutions
+    top = 30
+    table = [[[1] * (top + 1)] + [[1] + [0] * top] * 6]
+    for n in range(1, 9):
+        below = table[-1]
+        table.append([list(accumulate(below[0]))] + [
+            _schoolbook_product(below[p], below[p - 1], top) for p in range(1, 7)
+        ])
+    for n in range(9):
+        for p in range(7):
+            for d in range(top + 1):
+                assert _lam_row(p, n, d) == table[n][p][: d + 1]
 
 
 def test_series_examples():
@@ -222,6 +261,13 @@ def test_product_recursive_equals_formula_grid():
                 assert euler_chow_product_recursive(
                     p, n, m, 5
                 ) == euler_chow_product_formula(p, n, m, 5)
+
+
+def test_product_recursive_equals_formula_deep_shapes():
+    for (p, n, m, order) in [(1, 2, 2, 42), (2, 2, 2, 24), (3, 3, 4, 12)]:
+        assert euler_chow_product_recursive(
+            p, n, m, order
+        ) == euler_chow_product_formula(p, n, m, order)
 
 
 def test_product_domain():

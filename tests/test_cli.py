@@ -49,6 +49,12 @@ def test_motive_count_p2(capsys):
     assert out == "7\n"
 
 
+def test_motive_count_large_prime_field(capsys):
+    q = 2147483647
+    code, out, _ = run(capsys, "motive", "--measure", f"count:{q}", P2_EXPR)
+    assert (code, out) == (0, f"{q * q + q + 1}\n")
+
+
 def test_motive_default_measure_is_epoly(capsys):
     code, out, _ = run(capsys, "motive", P2_EXPR)
     assert code == 0

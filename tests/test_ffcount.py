@@ -138,6 +138,8 @@ def test_kernel_parity():
 
 def test_prime_power():
     assert PrimePower.from_int(8) == PrimePower(8, 2, 3)
+    # the factor search stops at the square root
+    assert PrimePower.from_int(2147483647) == PrimePower(2147483647, 2147483647, 1)
     assert PrimePower.from_int(7).is_prime
     assert not PrimePower.from_int(9).is_prime
     with pytest.raises(DomainError):
@@ -147,6 +149,11 @@ def test_prime_power():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
+
+
+def test_census_checks_field_cap_before_primality():
+    with pytest.raises(DomainError, match="capped"):
+        rref_cell_census(1, 2, 10**30 + 57)
 
 
 def test_toric_count_examples():
