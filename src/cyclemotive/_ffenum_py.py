@@ -1,10 +1,9 @@
-"""Pure-Python enumeration kernel for finite-field subspace counting.
+"""Enumeration kernel for finite-field subspace counting.
 
-Drop-in twin of the compiled module cyclemotive._ffenum; the caller picks
-whichever imported.  Kept dependency-free and allocation-light so the
-brute-force oracle stays honest: every candidate matrix is materialized and
-checked against the reduced-row-echelon predicate, never counted by
-formula.
+The inner loop of ffcount's brute-force oracle, and its only kernel.  Kept
+dependency-free and allocation-light so the oracle stays honest: every
+candidate matrix is materialized and checked against the
+reduced-row-echelon predicate, never counted by formula.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .motive import (
     eval_measure,
     expr_from_json,
     measure_from_string,
+    parse_q_m,
 )
 from .ring import (
     LPoly,
@@ -91,18 +92,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _parse_q_m(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(",")
-    try:
-        q = int(parts[0])
-        m = int(parts[1]) if len(parts) > 1 else 1
-    except (ValueError, IndexError):
-        raise ParseError(f"{flag} expects q[,m], got {text!r}") from None
-    if len(parts) > 2:
-        raise ParseError(f"{flag} expects q[,m], got {text!r}")
-    return q, m
-
-
 def cmd_motive(args) -> int:
     measure = measure_from_string(args.measure)
     expr = expr_from_json(_read_text(args.file))
@@ -147,7 +136,7 @@ def cmd_chow(args) -> int:
             lines.append(f"htilde {format_laurent1(img)}")
 
         if args.congruence:
-            q, m = _parse_q_m(args.congruence, "--congruence")
+            q, m = parse_q_m(args.congruence, "--congruence")
             report = chow_congruence_targets(idx, q, m)
             output["congruence"] = report.to_json()
             if report.testable:
@@ -233,7 +222,7 @@ def cmd_toric(args) -> int:
         lines.append(text)
     if args.count:
         requested = True
-        q, m = _parse_q_m(args.count, "--count")
+        q, m = parse_q_m(args.count, "--count")
         value = toric_count(fan, q, m)
         output["count"] = value
         lines.append(str(value))

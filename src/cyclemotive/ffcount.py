@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -24,27 +23,13 @@ from .errors import BudgetError, DomainError
 from .ring import LPoly
 from .toric import Fan, fan_validate
 
-try:
-    from . import _ffenum as _compiled
-except ImportError:
-    _compiled = None
 from . import _ffenum_py
 
-KERNEL = "compiled" if _compiled is not None else "python"
+KERNEL = "python"  # name of the one enumeration kernel (_ffenum_py)
 
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV = "CYCLEMOTIVE_BUDGET"
 BRUTE_FORCE_MAX_Q = 7
-
-
-def _cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
-    if (
-        _compiled is not None
-        and n <= _compiled.MAX_SIDE
-        and len(pivots) <= _compiled.MAX_SIDE
-    ):
-        return _compiled.cell_count(n, pivots, q)
-    return _ffenum_py.cell_count(n, pivots, q)
 
 
 def is_prime(n: int) -> bool:
@@ -102,19 +87,25 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return numerator // denominator
 
 
-@cache
 def gaussian_binomial_poly(n: int, k: int) -> LPoly:
     """The same count as a polynomial in the field size, built solely from
     the Pascal-type recursion [n,k] = [n-1,k-1] + q^k [n-1,k].
 
     Independent of gaussian_binomial: no products of q-number quotients
-    appear, so agreement of the two routes is a real check.
+    appear, so agreement of the two routes is a real check.  The table is
+    filled bottom-up and lives for this call only: row j holds [j+r, j]
+    for r = 0..n-k, starting from [r, 0] = [j, j] = 1.
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0 or k == n:
-        return LPoly.one()
-    return gaussian_binomial_poly(n - 1, k - 1) + LPoly.monomial(k) * gaussian_binomial_poly(n - 1, k)
+    row = [LPoly.one()] * (n - k + 1)
+    for j in range(1, k + 1):
+        q_j = LPoly.monomial(j)
+        next_row = [LPoly.one()]
+        for r in range(1, n - k + 1):
+            next_row.append(row[r] + q_j * next_row[r - 1])
+        row = next_row
+    return row[n - k]
 
 
 def _free_positions(n: int, pivots: tuple[int, ...]) -> int:
@@ -163,7 +154,7 @@ def rref_cell_census(
         raise BudgetError(
             f"enumeration needs {work} candidate matrices, budget is {limit}"
         )
-    return {piv: _cell_count(n, piv, q) for piv in patterns}
+    return {piv: _ffenum_py.cell_count(n, piv, q) for piv in patterns}
 
 
 def grassmannian_count_brute(k: int, n: int, q: int, budget: int | None = None) -> int:

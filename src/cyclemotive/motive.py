@@ -263,19 +263,22 @@ def count_at(q: int, m: int = 1) -> Measure:
     return Measure("count", q=q, m=m)
 
 
+def parse_q_m(text: str, what: str) -> tuple[int, int]:
+    """Parse the q[,m] spelling of the field with q^m elements (m defaults
+    to 1); `what` names the input in the error message."""
+    parts = text.split(",")
+    if len(parts) <= 2:
+        try:
+            return int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+        except ValueError:
+            pass
+    raise ParseError(f"{what} expects q[,m], got {text!r}")
+
+
 def measure_from_string(text: str) -> Measure:
     """Parse the CLI spelling: one of the plain tags or count:q[,m]."""
     if text.startswith("count:"):
-        body = text[len("count:"):]
-        parts = body.split(",")
-        try:
-            q = int(parts[0])
-            m = int(parts[1]) if len(parts) > 1 else 1
-        except (ValueError, IndexError):
-            raise ParseError(f"cannot parse count measure {text!r}") from None
-        if len(parts) > 2:
-            raise ParseError(f"cannot parse count measure {text!r}")
-        return count_at(q, m)
+        return count_at(*parse_q_m(text[len("count:"):], "count measure"))
     return Measure(text)
 
 
@@ -384,6 +387,14 @@ def expr_from_json(source: str | Mapping) -> MotiveExpr:
     return _expr_from_data(data)
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer taken as it is: floats, strings and booleans are
+    refused rather than rounded or converted."""
+    if type(value) is not int:
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _expr_from_data(data) -> MotiveExpr:
     if not isinstance(data, Mapping):
         raise ParseError(f"expression node must be an object, got {data!r}")
@@ -404,15 +415,15 @@ def _expr_from_data(data) -> MotiveExpr:
         if kind == "point":
             return Point()
         if kind == "affine_space":
-            return AffineSpace(int(data["n"]))
+            return AffineSpace(_json_int(data["n"], "n"))
         if kind == "torus":
-            return Torus(int(data["n"]))
+            return Torus(_json_int(data["n"], "n"))
         if kind == "proj_space":
-            return ProjSpace(int(data["n"]))
+            return ProjSpace(_json_int(data["n"], "n"))
         if kind == "grassmannian":
-            return Grassmannian(int(data["k"]), int(data["n"]))
+            return Grassmannian(_json_int(data["k"], "k"), _json_int(data["n"], "n"))
         if kind == "cellular":
-            return Cellular(tuple(int(c) for c in data["cells"]))
+            return Cellular(tuple(_json_int(c, "cells") for c in data["cells"]))
         if kind == "toric_fan":
             return ToricFan(toric.fan_from_json(data["fan"]))
         if kind == "elliptic":
@@ -425,8 +436,8 @@ def _expr_from_data(data) -> MotiveExpr:
                 )
             terms: dict[tuple[int, int], int] = {}
             for p, q, c in data["e_poly"]:
-                key = (int(p), int(q))
-                terms[key] = terms.get(key, 0) + int(c)
+                key = (_json_int(p, "e_poly"), _json_int(q, "e_poly"))
+                terms[key] = terms.get(key, 0) + _json_int(c, "e_poly")
             return SmoothProjectiveLeaf(
                 str(data.get("name", "custom")), Poly2(terms), countable
             )

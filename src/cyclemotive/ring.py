@@ -2,19 +2,25 @@
 
 Four value types, all immutable, all over arbitrary-precision integers:
 
-* ``Poly2``      -- Z[u,v], sparse; holds Hodge polynomials, with the
-                    virtual (p,q)-number as the coefficient of u^p v^q.
+* ``Poly2``      -- Z[u,v]; holds Hodge polynomials, with the virtual
+                    (p,q)-number as the coefficient of u^p v^q.
 * ``Laurent1``   -- Z[u, 1/u]; the image of Z[u,v] modulo (uv - 1).
-* ``LPoly``      -- Z[L], dense, L the class of the affine line; counting
+* ``LPoly``      -- Z[L], L the class of the affine line; counting
                     polynomials, evaluated at L = q^m for point counts.
+                    Built from and read back as a dense coefficient tuple.
 * ``MultiSeries``-- Z[[x_1..x_r]] truncated at a total degree; holds the
                     coefficients of infinite-product generating series.
 
+All four are thin subclasses of one core, ``_TermMap``: a map from
+exponent key to nonzero ``int`` with a single canonicalizing constructor
+and a single add, neg, sub, mul, pow, eq and hash.  A type contributes only
+its exponent check and its exponent addition (series also truncate).
 Everything is computed exactly; equality is equality of canonical forms.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from types import MappingProxyType
@@ -23,33 +29,141 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError, ParseError
 
 # ---------------------------------------------------------------------------
-# Poly2: sparse polynomials in u, v
+# the shared core
 
 
-class Poly2:
-    """Sparse element of Z[u,v], keyed by exponent pairs (p, q).
+def _exponent_tuple(e: object, arity: int) -> tuple[int, ...]:
+    """Check a multi-exponent: a tuple of `arity` non-negative ints."""
+    if type(e) is not tuple or not all(type(x) is int for x in e):
+        raise DomainError(f"exponent {e!r} is not a tuple of integers")
+    if len(e) != arity:
+        raise DomainError(f"exponent {e} has wrong arity (want {arity})")
+    if any(x < 0 for x in e):
+        raise DomainError(f"negative exponent in {e}")
+    return e
 
-    Zero coefficients are never stored and exponents are non-negative, so
-    two values are equal iff their term maps are equal.
+
+class _TermMap:
+    """Immutable map from exponent key to nonzero int coefficient.
+
+    A subclass supplies ``_key`` (check one exponent and return its
+    canonical form, or None to drop the term), ``_add_exponents`` (the
+    exponent of a product of two monomials, or None to drop it) and
+    ``_unit`` (the exponent of 1).  A type whose values also carry a shape,
+    as series carry arity and order, overrides ``_shape``, ``_like`` and
+    ``_check_compatible``.  No zero coefficient is ever stored, so two
+    values are equal iff their types, shapes and term maps are.
     """
 
     __slots__ = ("_terms",)
+    _shape: tuple = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (p, q), c in terms.items():
-                if p < 0 or q < 0:
-                    raise DomainError(f"negative exponent in Poly2 term u^{p} v^{q}")
-                if c:
-                    clean[(int(p), int(q))] = clean.get((p, q), 0) + int(c)
-                    if not clean[(p, q)]:
-                        del clean[(p, q)]
-        self._terms = clean
+    def __init__(self, terms: Mapping | None = None):
+        self._terms = self._canonical(terms.items() if terms else ())
+
+    def _canonical(self, items: Iterable[tuple[object, object]]) -> dict:
+        """The one way outside data becomes a term map: every exponent and
+        coefficient checked, repeated exponents summed, zeros dropped."""
+        out: dict = {}
+        for e, c in items:
+            if type(c) is not int:
+                raise DomainError(f"coefficient {c!r} is not an integer")
+            e = self._key(e)
+            if e is not None:
+                out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    def _like(self, terms: dict):
+        """A value of this type and shape around an already canonical map."""
+        obj = object.__new__(type(self))
+        obj._terms = terms
+        return obj
+
+    def _check_compatible(self, other) -> None:
+        """Raise when the operands' shapes differ; only series have one."""
 
     @property
-    def terms(self) -> Mapping[tuple[int, int], int]:
+    def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        add_exponents = self._add_exponents
+        out: dict = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = add_exponents(e1, e2)
+                if e is not None:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return self._like({e: c for e, c in out.items() if c})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise DomainError(f"negative power {k} of a {type(self).__name__}")
+        result = self._like({self._unit: 1})
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape == other._shape
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._shape, frozenset(self._terms.items())))
+
+
+# ---------------------------------------------------------------------------
+# Poly2: sparse polynomials in u, v
+
+
+class Poly2(_TermMap):
+    """Sparse element of Z[u,v], keyed by exponent pairs (p, q) >= 0."""
+
+    __slots__ = ()
+    _unit = (0, 0)
+    # bound in the class's own dict, so perfbench/layertrace.py can wrap
+    # and count this type's products apart from the other types'
+    __mul__ = _TermMap.__mul__
+
+    @staticmethod
+    def _key(e: object) -> tuple[int, int]:
+        return _exponent_tuple(e, 2)
+
+    @staticmethod
+    def _add_exponents(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -75,9 +189,6 @@ class Poly2:
     def coefficient(self, p: int, q: int) -> int:
         return self._terms.get((p, q), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_diagonal(self) -> bool:
         """True when every monomial has equal exponents, i.e. the value is a
         polynomial in the product uv."""
@@ -86,61 +197,8 @@ class Poly2:
     def total_degree(self) -> int:
         return max((p + q for p, q in self._terms), default=0)
 
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly2._raw(out)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2._raw({e: -c for e, c in self._terms.items()})
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self._terms.items():
-            for (p2, q2), c2 in other._terms.items():
-                e = (p1 + p2, q1 + q2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly2._raw(out)
-
-    def __pow__(self, k: int) -> "Poly2":
-        if k < 0:
-            raise DomainError("negative power of a polynomial")
-        result = Poly2.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly2) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self) -> str:
         return f"Poly2({format_poly2(self)!r})"
-
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], int]) -> "Poly2":
-        # internal: terms already canonical
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
 
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
@@ -164,31 +222,22 @@ def antidiagonal_sums(a: Poly2) -> dict[int, int]:
 # Laurent1: Z[u, 1/u], the quotient Z[u,v]/(uv - 1)
 
 
-class Laurent1:
+class Laurent1(_TermMap):
     """Sparse Laurent polynomial in one variable u, integer exponents."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _unit = 0
+    _add_exponents = staticmethod(operator.add)
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = clean.get(int(e), 0) + int(c)
-                    if not clean[e]:
-                        del clean[e]
-        self._terms = clean
-
-    @property
-    def terms(self) -> Mapping[int, int]:
-        return MappingProxyType(self._terms)
+    @staticmethod
+    def _key(e: object) -> int:
+        if type(e) is not int:
+            raise DomainError(f"exponent {e!r} is not an integer")
+        return e
 
     @classmethod
     def constant(cls, c: int) -> "Laurent1":
         return cls({0: c})
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return set(self._terms) <= {0}
@@ -205,35 +254,6 @@ class Laurent1:
         for e, c in self._terms.items():
             total += Fraction(c) * Fraction(u0) ** e
         return int(total) if total.denominator == 1 else total
-
-    def __add__(self, other: "Laurent1") -> "Laurent1":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Laurent1(out)
-
-    def __neg__(self) -> "Laurent1":
-        return Laurent1({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "Laurent1") -> "Laurent1":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent1") -> "Laurent1":
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return Laurent1(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent1) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"Laurent1({format_laurent1(self)!r})"
@@ -257,31 +277,39 @@ def quotient_uv(a: Poly2) -> Poly2:
     the two coordinate axes, so the coefficients of u^p and v^q can be read
     off directly.
     """
-    return Poly2._raw({(p, q): c for (p, q), c in a.terms.items() if p == 0 or q == 0})
+    return a._like({(p, q): c for (p, q), c in a.terms.items() if p == 0 or q == 0})
 
 
 # ---------------------------------------------------------------------------
-# LPoly: Z[L], dense univariate
+# LPoly: Z[L]
 
 
-class LPoly:
+class LPoly(_TermMap):
     """Polynomial in the symbol L (the class of the affine line).
 
-    Stored densely as a coefficient tuple with trailing zeros trimmed; the
-    zero polynomial is the empty tuple.
+    Built from a dense coefficient sequence, constant term first, and read
+    back as one (``coeffs``, trailing zeros trimmed, the zero polynomial
+    the empty tuple); stored sparsely by exponent like the other types.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _unit = 0
+    _add_exponents = staticmethod(operator.add)
+    __mul__ = _TermMap.__mul__  # own entry, as in Poly2
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._terms = self._canonical(enumerate(coeffs))
+
+    @staticmethod
+    def _key(e: int) -> int:
+        return e  # a position in the coefficient sequence
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
+        out = [0] * (self.degree() + 1)
+        for e, c in self._terms.items():
+            out[e] = c
+        return tuple(out)
 
     @classmethod
     def zero(cls) -> "LPoly":
@@ -303,62 +331,18 @@ class LPoly:
     def monomial(cls, n: int, c: int = 1) -> "LPoly":
         return cls([0] * n + [c])
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def coefficient(self, n: int) -> int:
-        return self._coeffs[n] if 0 <= n < len(self._coeffs) else 0
+        return self._terms.get(n, 0)
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return max(self._terms, default=-1)
 
     def evaluate(self, x: int) -> int:
         total = 0
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return LPoly(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    def __neg__(self) -> "LPoly":
-        return LPoly(-c for c in self._coeffs)
-
-    def __sub__(self, other: "LPoly") -> "LPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LPoly") -> "LPoly":
-        if self.is_zero() or other.is_zero():
-            return LPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return LPoly(out)
-
-    def __pow__(self, k: int) -> "LPoly":
-        if k < 0:
-            raise DomainError("negative power of a polynomial")
-        result = LPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return f"LPoly({format_lpoly(self)!r})"
@@ -380,14 +364,14 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
 
 def lpoly_to_poly2(a: LPoly) -> Poly2:
     """Substitute L -> uv."""
-    return Poly2({(i, i): c for i, c in enumerate(a.coeffs) if c})
+    return Poly2({(i, i): c for i, c in a.terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # MultiSeries: truncated multivariate power series
 
 
-class MultiSeries:
+class MultiSeries(_TermMap):
     """Power series in r variables, truncated at a total degree.
 
     Terms are keyed by length-r exponent tuples; every stored exponent has
@@ -395,7 +379,8 @@ class MultiSeries:
     truncation order.  Arity 0 is allowed (constants).
     """
 
-    __slots__ = ("arity", "order", "_terms")
+    __slots__ = ("arity", "order")
+    __mul__ = _TermMap.__mul__  # own entry, as in Poly2
 
     def __init__(
         self,
@@ -409,70 +394,28 @@ class MultiSeries:
             raise DomainError("truncation order must be non-negative")
         self.arity = arity
         self.order = order
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(x) for x in e)
-                if len(e) != arity:
-                    raise DomainError(f"exponent {e} has wrong arity (want {arity})")
-                if any(x < 0 for x in e):
-                    raise DomainError(f"negative exponent in {e}")
-                if sum(e) > order or not c:
-                    continue
-                clean[e] = clean.get(e, 0) + int(c)
-                if not clean[e]:
-                    del clean[e]
-        self._terms = clean
+        super().__init__(terms)
+
+    def _key(self, e: object) -> tuple[int, ...] | None:
+        e = _exponent_tuple(e, self.arity)
+        return e if sum(e) <= self.order else None
+
+    def _add_exponents(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+        return tuple(map(operator.add, a, b)) if sum(a) + sum(b) <= self.order else None
 
     @property
-    def terms(self) -> Mapping[tuple[int, ...], int]:
-        return MappingProxyType(self._terms)
+    def _unit(self) -> tuple[int, ...]:
+        return (0,) * self.arity
 
-    @classmethod
-    def one(cls, arity: int, order: int) -> "MultiSeries":
-        return cls(arity, order, {(0,) * arity: 1})
+    @property
+    def _shape(self) -> tuple[int, int]:
+        return (self.arity, self.order)
 
-    def coefficient(self, e: Sequence[int]) -> int:
-        return self._terms.get(tuple(e), 0)
-
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiSeries(self.arity, self.order, out)
-
-    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other._terms.items():
-                if d1 + sum(e2) > self.order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiSeries(self.arity, self.order, out)
-
-    def __pow__(self, k: int) -> "MultiSeries":
-        if k < 0:
-            raise DomainError("negative power of a series")
-        result = MultiSeries.one(self.arity, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    def _like(self, terms: dict) -> "MultiSeries":
+        obj = super()._like(terms)
+        obj.arity = self.arity
+        obj.order = self.order
+        return obj
 
     def _check_compatible(self, other: "MultiSeries") -> None:
         if self.arity != other.arity or self.order != other.order:
@@ -481,16 +424,12 @@ class MultiSeries:
                 f"order {self.order}/{other.order}"
             )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiSeries)
-            and self.arity == other.arity
-            and self.order == other.order
-            and self._terms == other._terms
-        )
+    @classmethod
+    def one(cls, arity: int, order: int) -> "MultiSeries":
+        return cls(arity, order, {(0,) * arity: 1})
 
-    def __hash__(self) -> int:
-        return hash((self.arity, self.order, frozenset(self._terms.items())))
+    def coefficient(self, e: Sequence[int]) -> int:
+        return self._terms.get(tuple(e), 0)
 
     def __repr__(self) -> str:
         return f"MultiSeries(arity={self.arity}, order={self.order}, {len(self._terms)} terms)"

@@ -123,6 +123,18 @@ def test_chow_recursive_deep_ambient_space(capsys):
     assert (code, out) == (0, "3001\n")
 
 
+@pytest.mark.parametrize("measure", ["count-poly", "e-poly"])
+def test_motive_deep_grassmannian(capsys, tmp_path, measure):
+    # G(1,1200) is P^1199; the Gaussian binomial table must not recurse
+    grassmannian = tmp_path / "g.json"
+    grassmannian.write_text(json.dumps({"leaf": "grassmannian", "k": 1, "n": 1200}))
+    projective = tmp_path / "p.json"
+    projective.write_text(json.dumps({"leaf": "proj_space", "n": 1199}))
+    code, out, _ = run(capsys, "motive", "--measure", measure, str(grassmannian))
+    assert code == 0
+    assert run(capsys, "motive", "--measure", measure, str(projective)) == (0, out, "")
+
+
 def test_chow_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "chow_invariant_recursive", lambda idx: -1)
     code, out, err = run(capsys, "chow", "-p", "1", "-d", "2", "-n", "3",
@@ -229,6 +241,7 @@ def test_json_round_trips_byte_identical(capsys, argv):
     ("chow", "-p", "3", "-n", "1", "--series", "2"),    # p > n
     ("chow", "-p", "1", "-n", "3"),                     # nothing requested
     ("chow", "-p", "1", "-n", "3", "--htilde"),         # htilde needs -d
+    ("chow", "-p", "1", "-d", "1", "-n", "3", "--congruence", "3,x"),  # malformed m
     ("toric", P2_FAN),                                  # nothing requested
     ("toric", P1XP1_FAN, "--euler-series", "1"),        # missing order
     ("toric", P1XP1_FAN, "--count", "4,2,9"),           # too many fields

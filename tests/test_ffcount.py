@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclemotive import _ffenum_py
 from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import (
     PrimePower,
@@ -121,19 +120,6 @@ def test_budget_override(monkeypatch):
     monkeypatch.setenv("CYCLEMOTIVE_BUDGET", "lots")
     with pytest.raises(DomainError):
         grassmannian_count_brute(2, 4, 2)
-
-
-def test_kernel_parity():
-    """Compiled and pure-Python kernels agree cell by cell."""
-    compiled = pytest.importorskip("cyclemotive._ffenum")
-    from itertools import combinations
-
-    for (k, n) in [(1, 3), (2, 4), (2, 5)]:
-        for q in (2, 3):
-            for pivots in combinations(range(n), k):
-                assert compiled.cell_count(n, pivots, q) == _ffenum_py.cell_count(
-                    n, pivots, q
-                )
 
 
 def test_prime_power():

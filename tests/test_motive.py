@@ -227,6 +227,20 @@ def test_custom_leaf_countable_must_be_json_boolean():
             expr_from_json(json.dumps(leaf))
 
 
+@pytest.mark.parametrize("leaf", [
+    {"leaf": "proj_space", "n": 2.7},
+    {"leaf": "proj_space", "n": "3"},
+    {"leaf": "affine_space", "n": True},
+    {"leaf": "grassmannian", "k": 1.0, "n": 3},
+    {"leaf": "cellular", "cells": [1.9, True]},
+    {"leaf": "custom", "e_poly": [[0, 0, 1.5]], "countable": True},
+    {"leaf": "custom", "e_poly": [[True, True, 1]], "countable": True},
+])
+def test_leaf_fields_must_be_json_integers(leaf):
+    with pytest.raises(ParseError):
+        expr_from_json(json.dumps(leaf))
+
+
 def test_custom_leaf_repeated_monomials_are_summed():
     leaf = {
         "leaf": "custom",

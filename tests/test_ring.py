@@ -3,8 +3,10 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclemotive.errors import DomainError
 from cyclemotive.ring import (
     LPoly,
     Laurent1,
@@ -148,6 +150,74 @@ def test_ring_axioms(a, b, c):
     assert a - a == Poly2.zero()
 
 
+laurents = st.builds(
+    Laurent1, st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=6)
+)
+lpolys = st.builds(LPoly, st.lists(st.integers(-9, 9), max_size=6))
+series = st.builds(
+    lambda terms: MultiSeries(2, 4, terms),
+    st.dictionaries(exponent_pairs, st.integers(-9, 9), max_size=6),
+)
+RINGS = {
+    "Poly2": (small_polys, Poly2.zero(), ONE),
+    "Laurent1": (laurents, Laurent1(), Laurent1.constant(1)),
+    "LPoly": (lpolys, LPoly.zero(), LPoly.one()),
+    "MultiSeries": (series, MultiSeries(2, 4), MultiSeries.one(2, 4)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(data=st.data())
+def test_ring_axioms_every_type(ring, data):
+    values, zero, one = RINGS[ring]
+    a, b, c = (data.draw(values) for _ in range(3))
+    equal_pairs = [
+        ((a + b) + c, a + (b + c)),
+        (a + b, b + a),
+        ((a * b) * c, a * (b * c)),
+        (a * b, b * a),
+        (a * (b + c), a * b + a * c),
+        (a + zero, a),
+        (a * one, a),
+    ]
+    if ring != "MultiSeries":
+        equal_pairs.append((a - a, zero))
+    for left, right in equal_pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(data=st.data())
+def test_negation_and_powers_every_type(ring, data):
+    """The shared core gives every type subtraction and powering, which
+    MultiSeries (no '-') and Laurent1 (no '**') lacked on their own."""
+    values, zero, one = RINGS[ring]
+    a, b = data.draw(values), data.draw(values)
+    for left, right in [
+        (a - a, zero),
+        (-(a - b), b - a),
+        ((a - b) + b, a),
+        (a**0, one),
+        (a**3, a * a * a),
+    ]:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8))
+def test_lpoly_coeffs_round_trip(coeffs):
+    a = LPoly(coeffs)
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert a.coeffs == tuple(trimmed)
+    assert LPoly(a.coeffs) == a
+    assert LPoly(list(a.coeffs) + [0, 0]) == a
+    assert a.degree() == len(trimmed) - 1
+    assert all(a.coefficient(i) == c for i, c in enumerate(trimmed))
+
+
 @given(small_polys, small_polys)
 def test_quotients_are_ring_homomorphisms(a, b):
     assert quotient_uv_minus1(a + b) == quotient_uv_minus1(a) + quotient_uv_minus1(b)
@@ -256,6 +326,20 @@ def test_lpoly_round_trips():
 def test_lpoly_from_diagonal_rejects_mixed():
     assert lpoly_from_diagonal(parse_poly2("1+uv")) == LPoly((1, 1))
     assert lpoly_from_diagonal(parse_poly2("1+u")) is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly2({(1.5, 0): 1}),
+    lambda: Poly2({(1, 0): 1.7}),
+    lambda: Poly2({(0, 0): True}),
+    lambda: Laurent1({"1": 1}),
+    lambda: LPoly((1, 2.0)),
+    lambda: MultiSeries(1, 3, {(1.0,): 1}),
+], ids=["poly2-exponent", "poly2-coefficient", "poly2-bool", "laurent1-exponent",
+        "lpoly-coefficient", "series-exponent"])
+def test_constructors_accept_only_int(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_multiseries_truncation_discards_high_degree():
