@@ -175,7 +175,6 @@ def irreducible_invariant_product(
     spaces at multidegree alpha: nonzero only when alpha is the class of a
     single coordinate-subspace product, i.e. a unit vector."""
     slots = multidegree_slots(p, n, m)
-    alpha = tuple(int(a) for a in alpha)
     if len(alpha) != len(slots):
         raise DomainError(
             f"multidegree has {len(alpha)} entries, expected {len(slots)}"

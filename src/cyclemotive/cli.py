@@ -32,6 +32,7 @@ from .errors import (
     NotCountableError,
     ParseError,
     UnsupportedError,
+    _json_ints,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -90,6 +91,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def cmd_motive(args) -> int:
@@ -188,7 +191,7 @@ def _load_grading(path: str):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"grading entry must be a pair, got {entry!r}")
         cone, exponent = entry
-        table[tuple(int(i) for i in cone)] = tuple(int(x) for x in exponent)
+        table[_json_ints(cone, "grading cone")] = _json_ints(exponent, "grading exponent")
 
     def grade(descriptor):
         key = tuple(descriptor.ray_indices)
@@ -207,7 +210,7 @@ def cmd_toric(args) -> int:
 
     if args.census:
         requested = True
-        census = toric.fan_validate(fan)
+        census = fan.census
         output["census"] = list(census)
         lines.append(",".join(str(d) for d in census))
     if args.lam:
@@ -345,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSUPPORTED
     except (ParseError, FanError, DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON integer checks.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
@@ -34,3 +34,18 @@ class FanError(ValueError):
 
 class BudgetError(RuntimeError):
     """A brute-force enumeration would exceed the configured point budget."""
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer taken as it is: floats, strings and booleans are
+    refused rather than rounded or converted."""
+    if type(value) is not int:
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    """A JSON array of integers, as a tuple."""
+    if not isinstance(value, list):
+        raise ParseError(f"field {field!r} must be an array of integers, got {value!r}")
+    return tuple(_json_int(x, field) for x in value)

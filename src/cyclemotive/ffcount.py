@@ -21,7 +21,7 @@ from math import isqrt
 
 from .errors import BudgetError, DomainError
 from .ring import LPoly
-from .toric import Fan, fan_validate
+from .toric import Fan
 
 from . import _ffenum_py
 
@@ -165,19 +165,18 @@ def grassmannian_count_brute(k: int, n: int, q: int, budget: int | None = None) 
 
 
 def toric_count(fan: Fan, q: int, m: int = 1) -> int:
-    """Points of the fan's variety over the field with q^m elements.
+    """Points of the fan's variety over the field with q^m elements; q
+    must be a prime power.
 
     Orbit decomposition: each rank-k cone contributes an (n-k)-torus with
     (q^m - 1)^(n-k) points.
     """
-    if q < 2:
-        raise DomainError(f"field size must be >= 2, got {q}")
+    PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
-    census = fan_validate(fan)
     size = q**m
     return sum(
-        d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(census)
+        d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(fan.census)
     )
 
 

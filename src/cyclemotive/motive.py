@@ -19,6 +19,7 @@ from typing import Mapping
 
 from . import toric
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
+from .errors import _json_int, _json_ints
 from .ffcount import PrimePower, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -89,7 +90,6 @@ class Cellular(MotiveExpr):
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         if not self.cells:
             raise DomainError("cellular class needs at least one cell")
         if any(c < 0 for c in self.cells):
@@ -103,7 +103,7 @@ class ToricFan(MotiveExpr):
     fan: toric.Fan
 
     def __post_init__(self):
-        toric.fan_validate(self.fan)
+        self.fan.census  # an invalid fan raises FanError here
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,9 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
                 total = total + LPoly.monomial(c)
             return total
         case ToricFan(fan):
-            census = toric.fan_validate(fan)
             torus = LPoly.L() - LPoly.one()
             total = LPoly.zero()
-            for k, d_k in enumerate(census):
+            for k, d_k in enumerate(fan.census):
                 total = total + LPoly.constant(d_k) * torus ** (fan.dim - k)
             return total
         case SmoothProjectiveLeaf(name, e_poly, countable):
@@ -387,20 +386,12 @@ def expr_from_json(source: str | Mapping) -> MotiveExpr:
     return _expr_from_data(data)
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer taken as it is: floats, strings and booleans are
-    refused rather than rounded or converted."""
-    if type(value) is not int:
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
-    return value
-
-
 def _expr_from_data(data) -> MotiveExpr:
     if not isinstance(data, Mapping):
         raise ParseError(f"expression node must be an object, got {data!r}")
     if "op" in data:
         op = data["op"]
-        ctor = _NODE_OPS.get(op)
+        ctor = _NODE_OPS.get(op) if isinstance(op, str) else None
         if ctor is None:
             raise UnsupportedError(f"unknown expression op {op!r}")
         args = data.get("args")
@@ -423,7 +414,7 @@ def _expr_from_data(data) -> MotiveExpr:
         if kind == "grassmannian":
             return Grassmannian(_json_int(data["k"], "k"), _json_int(data["n"], "n"))
         if kind == "cellular":
-            return Cellular(tuple(_json_int(c, "cells") for c in data["cells"]))
+            return Cellular(_json_ints(data["cells"], "cells"))
         if kind == "toric_fan":
             return ToricFan(toric.fan_from_json(data["fan"]))
         if kind == "elliptic":

@@ -458,11 +458,7 @@ def expand_inverse_product(
     """
     terms = dict(MultiSeries.one(arity, order).terms)
     for exponent, multiplicity in factors:
-        m = tuple(int(x) for x in exponent)
-        if len(m) != arity:
-            raise DomainError(f"factor exponent {m} has wrong arity (want {arity})")
-        if any(x < 0 for x in m):
-            raise DomainError(f"negative entry in factor exponent {m}")
+        m = _exponent_tuple(exponent, arity)
         if not any(m):
             raise DomainError("zero exponent factor: the product diverges")
         if multiplicity < 1:

@@ -3,8 +3,10 @@
 A fan is stored as raw combinatorial data: ray vectors plus the list of
 cones that are actually present (the zero cone is implicit, faces are NOT
 auto-generated).  The variety decomposes into one torus orbit per cone, a
-cone of rank k contributing an (n-k)-torus, which is all the structure the
-census-based formulas here need.  Completeness and smoothness are never
+cone of rank k contributing an (n-k)-torus, so every invariant here reads
+the rank of each listed cone.  A fan is checked once, on first use: the
+first read of `Fan.ranks` or `Fan.census` validates it and ranks each cone,
+and the fan keeps the result.  Completeness and smoothness are never
 assumed or checked.
 """
 
@@ -13,9 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import gcd
 from typing import Callable, Mapping, Sequence
 
-from .errors import DomainError, FanError, ParseError
+from .errors import DomainError, FanError, ParseError, _json_int, _json_ints
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
 Ray = tuple[int, ...]
@@ -24,26 +29,53 @@ Cone = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Fan:
+    """Rays (tuples of ints) and listed cones (ray-index tuples) in an
+    n-dimensional lattice.  Constructing a fan checks nothing; equality and
+    hashing use these three fields only, never the kept check result."""
+
     dim: int
     rays: tuple[Ray, ...]
     cones: tuple[Cone, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(self, "cones", tuple(tuple(int(i) for i in c) for c in self.cones))
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """The rank of each listed cone's ray matrix, in listing order,
+        computed with the fan's checks on first read.  An invalid fan raises
+        FanError on every read: a raised error is not kept."""
+        n = self.dim
+        if n < 0:
+            raise FanError("ambient dimension must be >= 0")
+        for ray in self.rays:
+            if len(ray) != n:
+                raise FanError(f"ray {ray} has wrong length (ambient dimension {n})")
+            g = gcd(*ray)
+            if g == 0:
+                raise FanError(f"zero ray {ray}")
+            if g != 1:
+                raise FanError(f"ray {ray} is not primitive (gcd {g})")
+        seen: set[Cone] = set()
+        ranks = []
+        for cone in self.cones:
+            if not cone:
+                raise FanError("empty cone listed (the zero cone is implicit)")
+            if any(i < 0 or i >= len(self.rays) for i in cone):
+                raise FanError(f"cone {cone} has a ray index out of range")
+            if tuple(sorted(set(cone))) != cone:
+                raise FanError(f"cone {cone} is not a strictly increasing index list")
+            if cone in seen:
+                raise FanError(f"duplicate cone {cone}")
+            seen.add(cone)
+            ranks.append(_int_rank([self.rays[i] for i in cone]))
+        return tuple(ranks)
 
-
-def _gcd_all(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = _gcd(g, abs(x))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    @cached_property
+    def census(self) -> tuple[int, ...]:
+        """(d_0, ..., d_n): d_0 = 1 counts the implicit zero cone and d_k
+        the listed cones whose ray matrix has rank k."""
+        census = [1] + [0] * self.dim
+        for rank in self.ranks:
+            census[rank] += 1
+        return tuple(census)
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -70,43 +102,14 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def fan_validate(fan: Fan) -> tuple[int, ...]:
-    """Check fan invariants and return the census (d_0, ..., d_n).
-
-    d_0 counts the implicit zero cone, so it is always 1; d_k counts the
-    listed cones whose ray matrix has rank k.
-    """
-    n = fan.dim
-    if n < 0:
-        raise FanError("ambient dimension must be >= 0")
-    for ray in fan.rays:
-        if len(ray) != n:
-            raise FanError(f"ray {ray} has wrong length (ambient dimension {n})")
-        g = _gcd_all(ray)
-        if g == 0:
-            raise FanError(f"zero ray {ray}")
-        if g != 1:
-            raise FanError(f"ray {ray} is not primitive (gcd {g})")
-    seen: set[Cone] = set()
-    census = [0] * (n + 1)
-    census[0] = 1
-    for cone in fan.cones:
-        if not cone:
-            raise FanError("empty cone listed (the zero cone is implicit)")
-        if any(i < 0 or i >= len(fan.rays) for i in cone):
-            raise FanError(f"cone {cone} has a ray index out of range")
-        if tuple(sorted(set(cone))) != cone:
-            raise FanError(f"cone {cone} is not a strictly increasing index list")
-        if cone in seen:
-            raise FanError(f"duplicate cone {cone}")
-        seen.add(cone)
-        rank = _int_rank([fan.rays[i] for i in cone])
-        census[rank] += 1
-    return tuple(census)
+    """Check fan invariants and return the census (d_0, ..., d_n); see
+    `Fan.census`.  The check runs on the first call for a fan only."""
+    return fan.census
 
 
 def toric_lambda(fan: Fan) -> int:
     """Euler number of the fan's variety: the count of full-rank cones."""
-    return fan_validate(fan)[fan.dim]
+    return fan.census[fan.dim]
 
 
 def toric_E_poly(fan: Fan) -> Poly2:
@@ -115,10 +118,9 @@ def toric_E_poly(fan: Fan) -> Poly2:
     Each rank-k cone contributes a torus of dimension n-k, of class
     (uv-1)^(n-k); the sum over the census is the class of the whole variety.
     """
-    census = fan_validate(fan)
     torus = Poly2.uv() - Poly2.one()
     total = Poly2.zero()
-    for k, d_k in enumerate(census):
+    for k, d_k in enumerate(fan.census):
         if d_k:
             total = total + Poly2.constant(d_k) * torus ** (fan.dim - k)
     return total
@@ -139,20 +141,14 @@ def invariant_subvarieties(fan: Fan, p: int) -> list[OrbitClosure]:
     For p = n the answer is the single descriptor of the implicit zero cone,
     the variety itself.
     """
-    census = fan_validate(fan)
+    ranks = fan.ranks
     n = fan.dim
     if not 0 <= p <= n:
         raise DomainError(f"subvariety dimension {p} outside 0..{n}")
     want = n - p
     if want == 0:
         return [OrbitClosure((), n)]
-    found = [
-        OrbitClosure(cone, p)
-        for cone in fan.cones
-        if _int_rank([fan.rays[i] for i in cone]) == want
-    ]
-    assert len(found) == census[want]
-    return found
+    return [OrbitClosure(cone, p) for cone, rank in zip(fan.cones, ranks) if rank == want]
 
 
 def euler_series(
@@ -181,12 +177,10 @@ def euler_series(
             vectors.append(tuple(e))
     else:
         lookup = grading if callable(grading) else grading.__getitem__
-        vectors = [tuple(int(x) for x in lookup(d)) for d in descriptors]
+        vectors = [tuple(lookup(d)) for d in descriptors]
         if not vectors:
             raise DomainError(f"no {p}-dimensional invariant subvarieties to grade")
         arity = len(vectors[0])
-        if any(len(v) != arity for v in vectors):
-            raise DomainError("grading vectors have inconsistent arity")
     multiplicity: dict[tuple[int, ...], int] = {}
     for v in vectors:
         multiplicity[v] = multiplicity.get(v, 0) + 1
@@ -207,9 +201,7 @@ def projective_fan(n: int) -> Fan:
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if n:
         rays.append(tuple([-1] * n))
-    cones = []
-    for size in range(1, n + 1):
-        cones.extend(_subsets(n + 1, size))
+    cones = [c for size in range(1, n + 1) for c in combinations(range(n + 1), size)]
     return Fan(n, tuple(rays), tuple(cones))
 
 
@@ -218,23 +210,14 @@ def affine_fan(n: int) -> Fan:
     if n < 1:
         raise DomainError("affine fan needs dimension >= 1")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    cones = []
-    for size in range(1, n + 1):
-        cones.extend(_subsets(n, size))
+    cones = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
     return Fan(n, tuple(rays), tuple(cones))
-
-
-def _subsets(n: int, size: int) -> list[Cone]:
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(n), size)]
 
 
 def product_fan(a: Fan, b: Fan) -> Fan:
     """Fan of the product variety: rays embed in the two factors of the sum
     lattice, and the cones are all sums of a cone from each side."""
-    fan_validate(a)
-    fan_validate(b)
+    a.ranks, b.ranks  # both factors must be valid fans
     rays = [r + (0,) * b.dim for r in a.rays]
     rays += [(0,) * a.dim + r for r in b.rays]
     offset = len(a.rays)
@@ -248,10 +231,12 @@ def product_fan(a: Fan, b: Fan) -> Fan:
 
 
 # ---------------------------------------------------------------------------
-# JSON exchange format: {"dim": n, "rays": [[...]], "cones": [[...]]}
+# JSON exchange format: {"dim": n, "rays": [[...]], "cones": [[...]]}, every
+# number a JSON integer
 
 
 def fan_from_json(source: str | Mapping) -> Fan:
+    """Read and check a fan; its census is kept on the returned fan."""
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -264,15 +249,15 @@ def fan_from_json(source: str | Mapping) -> Fan:
     missing = {"dim", "rays", "cones"} - set(data)
     if missing:
         raise ParseError(f"fan JSON missing keys: {sorted(missing)}")
-    try:
-        fan = Fan(
-            int(data["dim"]),
-            tuple(tuple(int(x) for x in ray) for ray in data["rays"]),
-            tuple(tuple(int(i) for i in cone) for cone in data["cones"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed fan JSON: {exc}") from None
-    fan_validate(fan)
+    rays, cones = data["rays"], data["cones"]
+    if not isinstance(rays, list) or not isinstance(cones, list):
+        raise ParseError("fan JSON 'rays' and 'cones' must be arrays")
+    fan = Fan(
+        _json_int(data["dim"], "dim"),
+        tuple(_json_ints(ray, "rays") for ray in rays),
+        tuple(_json_ints(cone, "cones") for cone in cones),
+    )
+    fan.census  # an invalid fan raises FanError here
     return fan
 
 

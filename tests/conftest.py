@@ -1,5 +1,8 @@
 from pathlib import Path
 
+import pytest
+
+from cyclemotive import toric
 from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -7,3 +10,17 @@ DATA = Path(__file__).parent / "data"
 
 def load_fan(name):
     return fan_from_json((DATA / f"fan_{name}.json").read_text())
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Every ray matrix `toric._int_rank` is asked to rank, in call order."""
+    calls = []
+    real = toric._int_rank
+
+    def counting(rows):
+        calls.append(tuple(map(tuple, rows)))
+        return real(rows)
+
+    monkeypatch.setattr(toric, "_int_rank", counting)
+    return calls

@@ -4,11 +4,16 @@ Everything runs in-process through cli.main so coverage tools see it;
 one subprocess test at the bottom confirms the installed entry point.
 """
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclemotive import cli
 from conftest import DATA
@@ -17,6 +22,7 @@ P2_EXPR = str(DATA / "p2.json")
 TORUS1_EXPR = str(DATA / "torus1.json")
 GLUED_CONE_EXPR = str(DATA / "cone-elliptic-union-p2.json")
 P2_FAN = str(DATA / "fan_p2.json")
+P3_FAN = str(DATA / "fan_p3.json")
 P1XP1_FAN = str(DATA / "fan_p1xp1.json")
 BIDEGREE_GRADING = str(DATA / "grading_p1xp1_bidegree.json")
 
@@ -245,6 +251,7 @@ def test_json_round_trips_byte_identical(capsys, argv):
     ("toric", P2_FAN),                                  # nothing requested
     ("toric", P1XP1_FAN, "--euler-series", "1"),        # missing order
     ("toric", P1XP1_FAN, "--count", "4,2,9"),           # too many fields
+    ("toric", P2_FAN, "--count", "6"),                  # 6 not a prime power
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -259,6 +266,78 @@ def test_invalid_fan_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "toric", str(bad), "--lambda")
     assert code == 2
     assert "primitive" in err
+
+
+def test_toric_cli_checks_the_fan_once(capsys, rank_calls):
+    code, _, _ = run(capsys, "toric", P3_FAN, "--census", "--lambda", "--e-poly",
+                     "--count", "3", "--euler-series", "1,2")
+    assert code == 0
+    fan = json.loads(Path(P3_FAN).read_text())
+    cones = sorted(tuple(tuple(fan["rays"][i]) for i in c) for c in fan["cones"])
+    assert sorted(rank_calls) == cones  # each listed cone ranked exactly once
+
+
+def one_line_error(err):
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fan", [
+    {"dim": 1.5, "rays": [[1.9], ["-1"]], "cones": [[0], [True]]},
+    {"dim": 1, "rays": [[1], [-1]], "cones": [[0], [True]]},
+])
+def test_fan_file_needs_json_integers(capsys, tmp_path, fan):
+    bad = tmp_path / "badfan.json"
+    bad.write_text(json.dumps(fan))
+    code, out, err = run(capsys, "toric", str(bad), "--census", "--e-poly")
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+
+
+@pytest.mark.parametrize("entry", [
+    [[1], [1.7, 0]],
+    [[1], [True, 0]],
+    [[1], [0, "1"]],
+    [[True], [1, 0]],
+])
+def test_grading_file_needs_json_integers(capsys, tmp_path, entry):
+    grading = json.loads(Path(BIDEGREE_GRADING).read_text())
+    grading[1] = entry  # the entry for the divisor of ray 1
+    bad = tmp_path / "grading.json"
+    bad.write_text(json.dumps(grading))
+    code, out, err = run(capsys, "toric", P1XP1_FAN, "--euler-series", f"1,2,{bad}")
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+
+
+def _argv_reading(kind, path):
+    return {
+        "expression": ["motive", path],
+        "fan": ["toric", path, "--census"],
+        "grading": ["toric", P1XP1_FAN, "--euler-series", f"1,2,{path}"],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["expression", "fan", "grading"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, kind):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"leaf": "point", "name": "\xe9"}')
+    code, out, err = run(capsys, *_argv_reading(kind, str(bad)))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+
+
+@pytest.mark.parametrize("kind", ["expression", "fan", "grading"])
+def test_deeply_nested_file_exits_2(capsys, tmp_path, kind):
+    depth = 1500
+    deep = tmp_path / "deep.json"
+    if kind == "expression":
+        deep.write_text('{"op": "cone", "args": [' * depth + '{"leaf": "point"}'
+                        + "]}" * depth)
+    else:
+        deep.write_text("[" * depth + "]" * depth)
+    code, out, err = run(capsys, *_argv_reading(kind, str(deep)))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -278,6 +357,134 @@ def test_unknown_leaf_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "motive", str(weird))
     assert code == 3
     assert "k3_surface" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: generated expression, fan and grading files, mostly malformed
+
+_junk = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.just({}),
+    st.just([]),
+)
+
+
+def _or_junk(strategy):
+    """Mostly values of the right type; one draw in five is malformed.
+    (one_of would weigh each of the six junk kinds like the good branch.)"""
+    return st.integers(0, 4).flatmap(lambda i: strategy if i else _junk)
+
+
+# small integers keep every well-formed input cheap to evaluate
+_number = _or_junk(st.integers(-2, 4))
+
+
+def _list_of(element, max_size=4):
+    return _or_junk(st.lists(element, max_size=max_size))
+
+
+@st.composite
+def _small_fans(draw):
+    """Well-typed fans, valid unless a ray is zero or an index is out of range."""
+    dim = draw(st.integers(0, 3))
+    rays = draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+                         max_size=5))
+    cones = draw(st.lists(
+        st.lists(st.integers(0, len(rays)), min_size=1, max_size=max(dim, 1),
+                 unique=True).map(sorted),
+        max_size=6, unique_by=tuple,
+    ))
+    return {"dim": dim, "rays": rays, "cones": cones}
+
+
+_STOCK_FANS = [json.loads((DATA / f"fan_{name}.json").read_text())
+               for name in ("p1", "p2", "p1xp1", "hirzebruch1", "a2")]
+_fans = _or_junk(st.one_of(
+    st.sampled_from(_STOCK_FANS),
+    _small_fans(),
+    st.fixed_dictionaries(
+        {"dim": _number,
+         "rays": _list_of(_list_of(_or_junk(st.integers(-1, 1)))),
+         "cones": _list_of(_list_of(_number, 3), 6)},
+        optional={"extra": _junk},
+    ),
+))
+_leaves = _or_junk(st.one_of(
+    st.fixed_dictionaries({"leaf": st.sampled_from(["point", "elliptic"])}),
+    st.fixed_dictionaries({"leaf": st.sampled_from(["affine_space", "torus", "proj_space"]),
+                           "n": _number}),
+    st.fixed_dictionaries({"leaf": st.just("grassmannian"), "k": _number, "n": _number}),
+    st.fixed_dictionaries({"leaf": st.just("cellular"), "cells": _list_of(_number)}),
+    st.fixed_dictionaries({"leaf": st.just("toric_fan"), "fan": _fans}),
+    st.fixed_dictionaries({"leaf": st.just("custom"),
+                           "e_poly": _list_of(_list_of(_number, 3)),
+                           "countable": _or_junk(st.booleans())}),
+    st.fixed_dictionaries({"leaf": st.one_of(_junk, st.lists(_junk, max_size=2))}),
+))
+_expressions = st.recursive(
+    _leaves,
+    lambda kids: _or_junk(st.one_of(
+        st.fixed_dictionaries({
+            "op": st.sampled_from(["disjoint_union", "difference", "product"]),
+            "args": st.lists(kids, min_size=2, max_size=2),
+        }),
+        st.fixed_dictionaries({"op": st.just("cone"), "args": st.lists(kids, min_size=1,
+                                                                       max_size=1)}),
+        st.fixed_dictionaries({"op": _or_junk(st.sampled_from(["product", "cone", "sum"])),
+                               "args": _list_of(kids, 3)}),
+    )),
+    max_leaves=6,
+)
+_gradings = st.one_of(
+    st.just(json.loads(Path(BIDEGREE_GRADING).read_text())),
+    _list_of(_or_junk(st.tuples(_list_of(_number, 2), _list_of(_number, 3)).map(list)), 6),
+)
+_MEASURES = ["e-poly", "euler", "h-tilde", "h-bar", "count-poly", "count:2", "count:4,2",
+             "count:6"]
+_TORIC_FLAGS = [["--census"], ["--lambda"], ["--e-poly"], ["--count", "3"],
+                ["--count", "6"]]
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv with '{file}' placeholders, {file name: JSON value})."""
+    kind = draw(st.sampled_from(["motive", "toric", "grading"]))
+    if kind == "motive":
+        return (["motive", "--measure", draw(st.sampled_from(_MEASURES)), "{expr}"],
+                {"expr": draw(_expressions)})
+    flags = [f for group in draw(st.lists(st.sampled_from(_TORIC_FLAGS), max_size=3))
+             for f in group]
+    p, order = draw(st.integers(-1, 3)), draw(st.integers(0, 3))
+    if kind == "grading":
+        return (["toric", "{fan}", *flags, f"--euler-series={p},{order},{{grading}}"],
+                {"fan": draw(_fans), "grading": draw(_gradings)})
+    if draw(st.booleans()):
+        flags.append(f"--euler-series={p},{order}")
+    return ["toric", "{fan}", *flags, "--json"], {"fan": draw(_fans)}
+
+
+@given(_cli_calls())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_input_files_keep_the_exit_code_contract(call):
+    argv_template, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, value in files.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(value))
+            paths[name] = str(path)
+        argv = [arg.format(**paths) for arg in argv_template]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)  # an escaping exception fails the test
+    assert code in (0, 2, 3)
+    if code:
+        assert one_line_error(err.getvalue()), err.getvalue()
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

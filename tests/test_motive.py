@@ -220,6 +220,12 @@ def test_expr_json_errors():
         expr_from_json('{"args": [1]}')
 
 
+@pytest.mark.parametrize("op", [{}, [], ["product"]])
+def test_unhashable_op_is_unsupported(op):
+    with pytest.raises(UnsupportedError):
+        expr_from_json(json.dumps({"op": op, "args": []}))
+
+
 def test_custom_leaf_countable_must_be_json_boolean():
     for flag in ("false", "true", 0, 1, None):
         leaf = {"leaf": "custom", "e_poly": [[0, 0, 1]], "countable": flag}

@@ -156,3 +156,60 @@ def test_euler_series_default_grading_is_free():
 def test_euler_series_rejects_zero_grading():
     with pytest.raises(DomainError):
         euler_series(P2, 0, order=2, grading=lambda d: (0,))
+
+
+def _cone_matrices(fan):
+    return sorted(tuple(fan.rays[i] for i in cone) for cone in fan.cones)
+
+
+def test_fan_is_checked_once_on_first_use(rank_calls):
+    fan = Fan(3, P3.rays, P3.cones)
+    projective_fan(4)
+    affine_fan(3)
+    assert rank_calls == []  # constructing a fan ranks nothing
+    assert fan_validate(fan) == fan_validate(fan) == fan.census == (1, 4, 6, 4)
+    toric_lambda(fan)
+    toric_E_poly(fan)
+    assert sorted(rank_calls) == _cone_matrices(fan)
+
+
+def test_invariant_subvarieties_ranks_each_cone_once(rank_calls):
+    fan = Fan(3, P3.rays, P3.cones)
+    assert len(invariant_subvarieties(fan, 1)) == 6
+    assert sorted(rank_calls) == _cone_matrices(fan)
+    for p in range(4):
+        invariant_subvarieties(fan, p)
+    euler_series(fan, 0, order=2)
+    assert len(rank_calls) == len(fan.cones)
+
+
+def test_invalid_fan_raises_on_every_read():
+    fan = Fan(2, ((1, 0), (0, 1)), ((0,), (1,), (0, 1), (0, 1)))  # duplicate last
+    for _ in range(2):
+        with pytest.raises(FanError):
+            fan_validate(fan)
+        with pytest.raises(FanError):
+            fan.census
+        with pytest.raises(FanError):
+            invariant_subvarieties(fan, 1)
+
+
+def test_kept_check_leaves_equality_and_hash_alone():
+    fresh = Fan(2, P2.rays, P2.cones)
+    assert fresh == P2 and hash(fresh) == hash(P2)
+    fresh.census
+    assert fresh == Fan(2, P2.rays, P2.cones)
+    assert fan_from_json(json.dumps(fan_to_json(fresh))) == fresh
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1.5, "rays": [[1], [-1]], "cones": [[0], [1]]}',
+    '{"dim": 1, "rays": [[1.9], [-1]], "cones": [[0], [1]]}',
+    '{"dim": 1, "rays": [[1], ["-1"]], "cones": [[0], [1]]}',
+    '{"dim": 1, "rays": [[1], [-1]], "cones": [[0], [true]]}',
+    '{"dim": true, "rays": [[1], [-1]], "cones": [[0], [1]]}',
+    '{"dim": 1, "rays": [[1], [-1]], "cones": {"0": [0]}}',
+])
+def test_fan_json_needs_json_integers(text):
+    with pytest.raises(ParseError):
+        fan_from_json(text)
