@@ -32,6 +32,7 @@ from .errors import (
     NotCountableError,
     ParseError,
     UnsupportedError,
+    _ascii_int,
     _json_ints,
 )
 from .ffcount import toric_count
@@ -235,8 +236,8 @@ def cmd_toric(args) -> int:
         if len(parts) not in (2, 3):
             raise ParseError("--euler-series expects p,order[,grading-file]")
         try:
-            p = int(parts[0])
-            order = int(parts[1])
+            p = _ascii_int(parts[0])
+            order = _ascii_int(parts[1])
         except ValueError:
             raise ParseError("--euler-series expects integer p and order") from None
         if len(parts) == 3:

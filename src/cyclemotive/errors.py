@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON integer checks.
+"""Exception types shared across the package, and the integer checks for
+JSON values and command-line spellings.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
@@ -49,3 +50,12 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ParseError(f"field {field!r} must be an array of integers, got {value!r}")
     return tuple(_json_int(x, field) for x in value)
+
+
+def _ascii_int(text: str) -> int:
+    """A non-negative integer spelled in ASCII digits only.  int() would also
+    take signs, spaces, underscores and non-ASCII digits; those raise
+    ValueError here, as does a digit string too long for int()."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a string of ASCII digits: {text!r}")
+    return int(text)

@@ -9,7 +9,13 @@ Two deliberately separate routes to the same numbers:
 
 The enumerator exists to keep the formulas honest, so it never calls them,
 not even to size its own work; its budget is computed from the enumeration
-structure itself.
+structure itself.  Its kernel (is_rref, cell_count) lives here and is plain
+Python: one matrix per pivot pattern, stepped in place through every
+assignment of its free entries, with the full predicate run on each.
+
+Field sizes are checked by PrimePower.from_int: perfect-power detection by
+integer roots, then a Miller-Rabin test of the base with fixed witnesses,
+which decides primality exactly below 2^64.  Larger bases are refused.
 """
 
 from __future__ import annotations
@@ -17,15 +23,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
+from math import log2
 
 from .errors import BudgetError, DomainError
 from .ring import LPoly
 from .toric import Fan
 
-from . import _ffenum_py
+KERNEL = "python"  # the enumeration kernel below is pure Python; there is no other
 
-KERNEL = "python"  # name of the one enumeration kernel (_ffenum_py)
+_PRIME_BOUND = 2**64  # Miller-Rabin with _WITNESSES is exact below this
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
 
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV = "CYCLEMOTIVE_BUDGET"
@@ -33,14 +41,53 @@ BRUTE_FORCE_MAX_Q = 7
 
 
 def is_prime(n: int) -> bool:
+    """Primality of n < 2^64 by Miller-Rabin with the first twelve primes
+    as witnesses.  The least composite that is a strong pseudoprime to all
+    of them is about 3.2 * 10^23 (Jaeschke 1993; Jiang and Deng 2014), so
+    the answer is exact."""
+    if n >= _PRIME_BOUND:
+        raise DomainError(f"primality is decided only below 2^64, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _exact_root(q: int, e: int) -> int:
+    """The integer p > 1 with p^e = q, or 0 if there is none; needs
+    q < 2^(64e).
+
+    The float guess is within a relative 2^-44 of the root: rounding it is
+    exact below 2^40, and above that integer Newton steps taken from just
+    over the root fall to its floor.  A residue test skips the full power
+    for most e.
+    """
+    guess = 2 ** (log2(q) / e)
+    if guess < 2**40:
+        p = round(guess)
+    else:
+        p = int(guess * (1 + 2**-40)) + 1
+        while (step := ((e - 1) * p + q // p ** (e - 1)) // e) < p:
+            p = step
+    if p > 1 and pow(p, e, _ROOT_CHECK) == q % _ROOT_CHECK and p**e == q:
+        return p
+    return 0
 
 
 @dataclass(frozen=True)
@@ -55,14 +102,19 @@ class PrimePower:
     def from_int(cls, q: int) -> "PrimePower":
         if q < 2:
             raise DomainError(f"field size must be >= 2, got {q}")
-        # a q with no divisor up to its square root is prime
-        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
+        # q = p^e with e as large as possible; the root grows as e falls,
+        # so the search stops once it would reach the bound
+        bits = q.bit_length()
+        for e in range(bits, 0, -1):
+            if bits > 64 * e:
+                raise DomainError(
+                    f"field size {q} is too large: prime powers are checked "
+                    "only for bases below 2^64"
+                )
+            p = _exact_root(q, e)
+            if p:
+                break
+        if not is_prime(p):
             raise DomainError(f"{q} is not a prime power")
         return cls(q, p, e)
 
@@ -106,6 +158,68 @@ def gaussian_binomial_poly(n: int, k: int) -> LPoly:
             next_row.append(row[r] + q_j * next_row[r - 1])
         row = next_row
     return row[n - k]
+
+
+def is_rref(matrix: list[list[int]], q: int) -> bool:
+    """Reduced row echelon predicate over F_q, recomputed from scratch.
+
+    Requires: no zero rows, leading entries 1, strictly increasing pivot
+    columns, and each pivot column elementary.  Entries are read mod q.
+    """
+    last_pivot = -1
+    pivots = []
+    for row in matrix:
+        lead = 0
+        for x in row:
+            if x % q:
+                break
+            lead += 1
+        else:
+            return False
+        if x % q != 1 or lead <= last_pivot:
+            return False
+        last_pivot = lead
+        pivots.append(lead)
+    for row, own in zip(matrix, pivots):
+        for col in pivots:
+            if col != own and row[col] % q:
+                return False
+    return True
+
+
+def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
+    """Number of RREF matrices with the given pivot columns, by exhaustion.
+
+    Walks every assignment of the unconstrained entries (those to the
+    right of their row's pivot in non-pivot columns) as an odometer on one
+    matrix, the first free entry turning fastest; each step writes only
+    the entries that change.  The full RREF predicate runs on every
+    matrix, and the ones that pass are counted.  The predicate never fails
+    for well-formed input; checking it per matrix is the point, the count
+    is evidence rather than arithmetic.
+    """
+    pivot_set = set(pivots)
+    matrix = [[0] * n for _ in pivots]
+    for row, col in zip(matrix, pivots):
+        row[col] = 1
+    free = [
+        (row, c)
+        for row, col in zip(matrix, pivots)
+        for c in range(col + 1, n)
+        if c not in pivot_set
+    ]
+    count = 0
+    while True:
+        if is_rref(matrix, q):
+            count += 1
+        for row, c in free:
+            value = row[c] + 1
+            if value < q:
+                row[c] = value
+                break
+            row[c] = 0
+        else:
+            return count
 
 
 def _free_positions(n: int, pivots: tuple[int, ...]) -> int:
@@ -154,7 +268,7 @@ def rref_cell_census(
         raise BudgetError(
             f"enumeration needs {work} candidate matrices, budget is {limit}"
         )
-    return {piv: _ffenum_py.cell_count(n, piv, q) for piv in patterns}
+    return {piv: cell_count(n, piv, q) for piv in patterns}
 
 
 def grassmannian_count_brute(k: int, n: int, q: int, budget: int | None = None) -> int:

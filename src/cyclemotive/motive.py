@@ -19,7 +19,7 @@ from typing import Mapping
 
 from . import toric
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
-from .errors import _json_int, _json_ints
+from .errors import _ascii_int, _json_int, _json_ints
 from .ffcount import PrimePower, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -264,11 +264,12 @@ def count_at(q: int, m: int = 1) -> Measure:
 
 def parse_q_m(text: str, what: str) -> tuple[int, int]:
     """Parse the q[,m] spelling of the field with q^m elements (m defaults
-    to 1); `what` names the input in the error message."""
+    to 1), each in ASCII digits; `what` names the input in the error
+    message."""
     parts = text.split(",")
     if len(parts) <= 2:
         try:
-            return int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+            return _ascii_int(parts[0]), _ascii_int(parts[1]) if len(parts) == 2 else 1
         except ValueError:
             pass
     raise ParseError(f"{what} expects q[,m], got {text!r}")

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclemotive import toric
+from cyclemotive import ffcount, toric
 from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -23,4 +23,19 @@ def rank_calls(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(toric, "_int_rank", counting)
+    return calls
+
+
+@pytest.fixture
+def predicate_calls(monkeypatch):
+    """Every matrix `ffcount.is_rref` is asked to check, as a snapshot taken
+    at the call, in call order."""
+    calls = []
+    real = ffcount.is_rref
+
+    def counting(matrix, q):
+        calls.append(tuple(map(tuple, matrix)))
+        return real(matrix, q)
+
+    monkeypatch.setattr(ffcount, "is_rref", counting)
     return calls

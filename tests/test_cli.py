@@ -61,6 +61,18 @@ def test_motive_count_large_prime_field(capsys):
     assert (code, out) == (0, f"{q * q + q + 1}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("motive", "--measure", "count:2305843009213693951", P2_EXPR),
+    ("toric", P2_FAN, "--count", "2305843009213693951"),
+])
+def test_64_bit_prime_field_is_prompt(argv):
+    """2^61 - 1 is a prime; checking it must not take a factor search."""
+    q = 2**61 - 1
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
+                          capture_output=True, text=True, timeout=2)
+    assert (proc.returncode, proc.stdout) == (0, f"{q * q + q + 1}\n")
+
+
 def test_motive_default_measure_is_epoly(capsys):
     code, out, _ = run(capsys, "motive", P2_EXPR)
     assert code == 0
@@ -252,6 +264,16 @@ def test_json_round_trips_byte_identical(capsys, argv):
     ("toric", P1XP1_FAN, "--euler-series", "1"),        # missing order
     ("toric", P1XP1_FAN, "--count", "4,2,9"),           # too many fields
     ("toric", P2_FAN, "--count", "6"),                  # 6 not a prime power
+    # integers are spelled in ASCII digits only
+    ("motive", "--measure", "count:1_1", P2_EXPR),
+    ("motive", "--measure", "count: 3", P2_EXPR),
+    ("motive", "--measure", "count:+3", P2_EXPR),
+    ("motive", "--measure", "count:\uff13", P2_EXPR),  # fullwidth 3
+    ("chow", "-p", "1", "-d", "1", "-n", "3", "--congruence", "1_1"),
+    ("toric", P1XP1_FAN, "--euler-series", "1_0,2"),
+    ("toric", P1XP1_FAN, "--euler-series", "1, 2"),
+    ("toric", P2_FAN, "--count", "2,+1"),
+    ("motive", "--measure", "count:18446744073709551629", P2_EXPR),  # prime >= 2^64
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,18 +1,21 @@
 """Finite-field counts: formula vs exhaustive enumeration, congruences."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import (
     PrimePower,
+    cell_count,
     congruence_check,
     gaussian_binomial,
     gaussian_binomial_poly,
     grassmannian_count_brute,
     is_prime,
+    is_rref,
     rref_cell_census,
     toric_count,
 )
@@ -22,6 +25,26 @@ P1 = load_fan("p1")
 P2 = load_fan("p2")
 P1XP1 = load_fan("p1xp1")
 A2 = load_fan("a2")
+
+
+def free_positions(n, pivots):
+    """Entries right of a row's pivot outside every pivot column."""
+    return sum(
+        1
+        for r, col in enumerate(pivots)
+        for c in range(col + 1, n)
+        if c not in pivots
+    )
+
+
+def trial_division_prime_power(q):
+    """(p, e) with q = p^e for a prime p, or None; by trial division."""
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 def test_gaussian_binomial_examples():
@@ -88,14 +111,53 @@ def test_cell_census_is_schubert_decomposition():
         census = rref_cell_census(k, n, q)
         assert len(census) == math.comb(n, k)
         for pivots, count in census.items():
-            free = sum(
-                1
-                for r, col in enumerate(pivots)
-                for c in range(col + 1, n)
-                if c not in pivots
-            )
-            assert count == q**free
+            assert count == q ** free_positions(n, pivots)
         assert sum(census.values()) == gaussian_binomial(n, k, q)
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_each_pivot_pattern_counts_q_to_its_free_positions(data):
+    n = data.draw(st.integers(0, 7))
+    pivots = tuple(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    free = free_positions(n, pivots)
+    assume(q**free <= 3000)
+    assert cell_count(n, pivots, q) == q**free
+
+
+@pytest.mark.parametrize("k,n,q", [(0, 3, 2), (1, 3, 2), (2, 4, 3), (2, 5, 2), (3, 5, 2),
+                                   (2, 4, 5), (4, 4, 7)])
+def test_census_checks_every_candidate_matrix(predicate_calls, k, n, q):
+    """The predicate runs once per candidate: as often as the budget counts,
+    on that many distinct matrices, each of them k x n."""
+    census = rref_cell_census(k, n, q)
+    candidates = sum(q ** free_positions(n, pivots)
+                     for pivots in itertools.combinations(range(n), k))
+    assert len(predicate_calls) == candidates
+    assert len(set(predicate_calls)) == candidates
+    assert all(len(m) == k and all(len(row) == n for row in m) for m in predicate_calls)
+    assert sum(census.values()) == gaussian_binomial(n, k, q)
+
+
+def test_rref_predicate_each_failure():
+    q = 3
+    # accepted, with entries outside 0..q-1 read mod q: 4 = 1, -2 = 1, 6 = 0
+    assert is_rref([[4, 2, 6, 5], [3, 0, -2, 7]], q)
+    assert is_rref([], q)
+    # a zero row, also one whose entries only vanish mod q
+    assert not is_rref([[1, 0, 2], [0, 0, 0]], q)
+    assert not is_rref([[1, 0, 2], [3, -6, 0]], q)
+    # a leading entry that is not 1 mod q
+    assert not is_rref([[1, 0, 2], [0, 2, 1]], q)
+    assert not is_rref([[1, 0, 2], [0, 5, 1]], q)
+    # pivots not strictly increasing
+    assert not is_rref([[0, 1, 0], [1, 0, 0]], q)
+    assert not is_rref([[1, 0, 0], [1, 0, 0]], q)
+    # a pivot column that is not elementary: a nonzero entry above a pivot
+    assert not is_rref([[1, 1, 0], [0, 1, 0]], q)
+    assert not is_rref([[1, 0, 4], [0, 0, 1]], q)
+    assert not is_rref([[1, 0, 2], [0, 1, 0], [0, 0, 1]], q)
 
 
 def test_brute_force_preconditions():
@@ -124,7 +186,7 @@ def test_budget_override(monkeypatch):
 
 def test_prime_power():
     assert PrimePower.from_int(8) == PrimePower(8, 2, 3)
-    # the factor search stops at the square root
+    # a 31-bit prime
     assert PrimePower.from_int(2147483647) == PrimePower(2147483647, 2147483647, 1)
     assert PrimePower.from_int(7).is_prime
     assert not PrimePower.from_int(9).is_prime
@@ -135,6 +197,37 @@ def test_prime_power():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
+    # 64-bit bases, by perfect-power detection and Miller-Rabin
+    assert PrimePower.from_int(2**61 - 1) == PrimePower(2**61 - 1, 2**61 - 1, 1)
+    assert PrimePower.from_int(3**40) == PrimePower(3**40, 3, 40)
+    assert PrimePower.from_int(2**64) == PrimePower(2**64, 2, 64)
+    largest = 2**64 - 59  # the largest prime below 2^64
+    assert PrimePower.from_int(largest**3) == PrimePower(largest**3, largest, 3)
+    # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7
+    for composite in (561, 3215031751, (2**61 - 1) * 3):
+        assert not is_prime(composite)
+        with pytest.raises(DomainError, match="not a prime power"):
+            PrimePower.from_int(composite)
+    # bases at or above 2^64 are refused, prime or not
+    for q in (2**64 + 13, (2**64 + 13) ** 2, 10**4000 + 1):
+        with pytest.raises(DomainError, match="below 2\\^64"):
+            PrimePower.from_int(q)
+    with pytest.raises(DomainError):
+        is_prime(2**64 + 13)
+
+
+_powers = st.builds(pow, st.sampled_from([2, 3, 5, 7, 31, 997, 3 * 5]), st.integers(1, 19))
+
+
+@given(st.one_of(st.integers(2, 10**6 - 1), _powers.filter(lambda q: q < 10**6)))
+def test_prime_power_agrees_with_trial_division(q):
+    expected = trial_division_prime_power(q)
+    assert is_prime(q) == (expected is not None and expected[1] == 1)
+    if expected is None:
+        with pytest.raises(DomainError):
+            PrimePower.from_int(q)
+    else:
+        assert PrimePower.from_int(q) == PrimePower(q, *expected)
 
 
 def test_census_checks_field_cap_before_primality():
