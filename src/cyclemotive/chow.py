@@ -20,18 +20,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import comb
 from operator import add, itemgetter
 
+from ._record import Record
 from .errors import DomainError
 from .ffcount import CongruenceReport, PrimePower, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
 
-@dataclass(frozen=True)
-class ChowIndex:
+class ChowIndex(Record):
     """Cycle dimension p, degree d, ambient projective dimension n."""
 
     p: int

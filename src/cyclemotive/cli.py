@@ -60,6 +60,29 @@ EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
 
+class OptionSpellingError(Exception):
+    """An integer option that int() reads but that is not spelled in ASCII
+    digits.  Not a ValueError, so it passes argparse's type check up to
+    main, which reports it as an input error."""
+
+
+def _int_option(text: str) -> int:
+    """An integer option: ASCII digits after an optional minus sign, so a
+    negative value still reaches its domain check.  What int() refuses stays
+    an argparse usage error."""
+    value = int(text)
+    try:
+        _ascii_int(text.removeprefix("-"))
+    except ValueError:
+        raise OptionSpellingError(
+            f"integer options are spelled in ASCII digits, got {text!r}"
+        ) from None
+    return value
+
+
+_int_option.__name__ = "int"  # argparse names the type in its usage errors
+
+
 def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -303,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_motive.set_defaults(func=cmd_motive)
 
     p_chow = sub.add_parser("chow", help="cycle-space invariants")
-    p_chow.add_argument("-p", type=int, required=True, help="cycle dimension")
-    p_chow.add_argument("-n", type=int, required=True, help="ambient dimension")
-    p_chow.add_argument("-d", type=int, default=None, help="degree")
+    p_chow.add_argument("-p", type=_int_option, required=True, help="cycle dimension")
+    p_chow.add_argument("-n", type=_int_option, required=True, help="ambient dimension")
+    p_chow.add_argument("-d", type=_int_option, default=None, help="degree")
     p_chow.add_argument(
         "--method",
         choices=("closed", "recursive", "both"),
         default="closed",
     )
-    p_chow.add_argument("--series", type=int, default=None, metavar="ORDER")
+    p_chow.add_argument("--series", type=_int_option, default=None, metavar="ORDER")
     p_chow.add_argument("--htilde", action="store_true")
     p_chow.add_argument("--congruence", metavar="Q[,M]")
     p_chow.add_argument("--json", action="store_true")
@@ -341,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (NotCountableError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ParseError, FanError, DomainError, BudgetError) as exc:
+    except (ParseError, FanError, DomainError, BudgetError, OptionSpellingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:

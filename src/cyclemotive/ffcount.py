@@ -21,10 +21,10 @@ which decides primality exactly below 2^64.  Larger bases are refused.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
 from math import log2
 
+from ._record import Record
 from .errors import BudgetError, DomainError
 from .ring import LPoly
 from .toric import Fan
@@ -90,8 +90,7 @@ def _exact_root(q: int, e: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Record):
     """An integer q >= 2 together with its factorization q = p^e."""
 
     q: int
@@ -294,8 +293,7 @@ def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Record):
     """Residue comparison of a point count against expected values mod q
     and mod q-1.  A None actual means the count is out of reach and only
     the expected residues are reported (testable=False)."""

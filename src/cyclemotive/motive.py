@@ -14,10 +14,10 @@ subtracted piece is demanded or checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import toric
+from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
 from .errors import _ascii_int, _json_int, _json_ints
 from .ffcount import PrimePower, gaussian_binomial_poly
@@ -35,18 +35,16 @@ from .ring import (
 )
 
 
-class MotiveExpr:
-    """Base marker for expression nodes; all subclasses are frozen."""
+class MotiveExpr(Record):
+    """Base marker for expression nodes; all subclasses are frozen records."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Point(MotiveExpr):
     pass
 
 
-@dataclass(frozen=True)
 class AffineSpace(MotiveExpr):
     n: int
 
@@ -55,7 +53,6 @@ class AffineSpace(MotiveExpr):
             raise DomainError(f"affine space dimension must be >= 0, got {self.n}")
 
 
-@dataclass(frozen=True)
 class Torus(MotiveExpr):
     n: int
 
@@ -64,7 +61,6 @@ class Torus(MotiveExpr):
             raise DomainError(f"torus rank must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
 class ProjSpace(MotiveExpr):
     n: int
 
@@ -73,7 +69,6 @@ class ProjSpace(MotiveExpr):
             raise DomainError(f"projective dimension must be >= 0, got {self.n}")
 
 
-@dataclass(frozen=True)
 class Grassmannian(MotiveExpr):
     k: int
     n: int
@@ -83,7 +78,6 @@ class Grassmannian(MotiveExpr):
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
-@dataclass(frozen=True)
 class Cellular(MotiveExpr):
     """A class built from affine cells, one per entry of the dimension list."""
 
@@ -98,7 +92,6 @@ class Cellular(MotiveExpr):
             raise DomainError("cell dimensions must be listed in ascending order")
 
 
-@dataclass(frozen=True)
 class ToricFan(MotiveExpr):
     fan: toric.Fan
 
@@ -106,32 +99,27 @@ class ToricFan(MotiveExpr):
         self.fan.census  # an invalid fan raises FanError here
 
 
-@dataclass(frozen=True)
 class SmoothProjectiveLeaf(MotiveExpr):
     name: str
     e_poly: Poly2
     countable: bool
 
 
-@dataclass(frozen=True)
 class DisjointUnion(MotiveExpr):
     a: MotiveExpr
     b: MotiveExpr
 
 
-@dataclass(frozen=True)
 class Difference(MotiveExpr):
     a: MotiveExpr
     b: MotiveExpr
 
 
-@dataclass(frozen=True)
 class Product(MotiveExpr):
     a: MotiveExpr
     b: MotiveExpr
 
 
-@dataclass(frozen=True)
 class Cone(MotiveExpr):
     a: MotiveExpr
 
@@ -225,8 +213,7 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
 MEASURE_TAGS = ("e-poly", "euler", "h-tilde", "h-bar", "count-poly", "count")
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """Which additive invariant to evaluate.
 
     Tags match the CLI vocabulary: e-poly, euler, h-tilde (image mod uv-1),
@@ -302,8 +289,7 @@ def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LP
 # virtual Hodge-number constraints
 
 
-@dataclass(frozen=True)
-class HodgeConstraintReport:
+class HodgeConstraintReport(Record):
     """Three structural checks on a Hodge polynomial claimed to come from a
     class whose torus-fixed locus has dimension <= fixed_dim_bound:
 

@@ -13,13 +13,13 @@ assumed or checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Callable, Mapping, Sequence
 
+from ._record import Record
 from .errors import DomainError, FanError, ParseError, _json_int, _json_ints
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
@@ -27,8 +27,7 @@ Ray = tuple[int, ...]
 Cone = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Rays (tuples of ints) and listed cones (ray-index tuples) in an
     n-dimensional lattice.  Constructing a fan checks nothing; equality and
     hashing use these three fields only, never the kept check result."""
@@ -126,8 +125,7 @@ def toric_E_poly(fan: Fan) -> Poly2:
     return total
 
 
-@dataclass(frozen=True)
-class OrbitClosure:
+class OrbitClosure(Record):
     """A p-dimensional invariant subvariety: the closure of the orbit of a
     rank-(n-p) cone, identified by the cone's ray indices."""
 

@@ -7,7 +7,6 @@ their own fixtures so they do not depend on the test tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .chow import (
@@ -56,13 +55,14 @@ from .toric import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    cases: int = 1
-    values: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str, ok: bool, cases: int = 1,
+                 values: dict | None = None, failures: list | None = None):
+        self.name = name
+        self.ok = ok
+        self.cases = cases
+        self.values = {} if values is None else values
+        self.failures = [] if failures is None else failures
 
     def to_json(self) -> dict:
         return {

@@ -273,6 +273,11 @@ def test_json_round_trips_byte_identical(capsys, argv):
     ("toric", P1XP1_FAN, "--euler-series", "1_0,2"),
     ("toric", P1XP1_FAN, "--euler-series", "1, 2"),
     ("toric", P2_FAN, "--count", "2,+1"),
+    ("chow", "-p", "0", "-d", "-1", "-n", "3"),  # negative degree
+    ("chow", "-p", "0", "-d", "1", "-n", "1_0"),
+    ("chow", "-p", "+0", "-d", "1", "-n", "3"),
+    ("chow", "-p", "0", "-d", "\uff11", "-n", "3"),  # fullwidth 1
+    ("chow", "-p", "0", "-n", "3", "--series", " 2"),
     ("motive", "--measure", "count:18446744073709551629", P2_EXPR),  # prime >= 2^64
 ])
 def test_input_errors_exit_2(capsys, argv):
