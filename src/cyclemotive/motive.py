@@ -14,7 +14,7 @@ subtracted piece is demanded or checked.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
@@ -412,13 +412,14 @@ def _expr_from_data(data) -> MotiveExpr:
                 raise ParseError(
                     f"field 'countable' must be true or false, got {countable!r}"
                 )
+            name = data.get("name", "custom")
+            if not isinstance(name, str):
+                raise ParseError(f"field 'name' must be a string, got {name!r}")
             terms: dict[tuple[int, int], int] = {}
             for p, q, c in data["e_poly"]:
                 key = (_json_int(p, "e_poly"), _json_int(q, "e_poly"))
                 terms[key] = terms.get(key, 0) + _json_int(c, "e_poly")
-            return SmoothProjectiveLeaf(
-                str(data.get("name", "custom")), Poly2(terms), countable
-            )
+            return SmoothProjectiveLeaf(name, Poly2(terms), countable)
     except KeyError as exc:
         raise ParseError(f"leaf {kind!r} is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -443,7 +444,7 @@ def expr_to_json(e: MotiveExpr) -> dict:
         case ToricFan(fan):
             return {"leaf": "toric_fan", "fan": toric.fan_to_json(fan)}
         case SmoothProjectiveLeaf(name, e_poly, countable):
-            if e is ELLIPTIC or name == "elliptic":
+            if e == ELLIPTIC:
                 return {"leaf": "elliptic"}
             return {
                 "leaf": "custom",

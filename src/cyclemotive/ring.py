@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -193,9 +193,6 @@ class Poly2(_TermMap):
         """True when every monomial has equal exponents, i.e. the value is a
         polynomial in the product uv."""
         return all(p == q for p, q in self._terms)
-
-    def total_degree(self) -> int:
-        return max((p + q for p, q in self._terms), default=0)
 
     def __repr__(self) -> str:
         return f"Poly2({format_poly2(self)!r})"

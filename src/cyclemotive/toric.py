@@ -13,11 +13,11 @@ assumed or checked.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import DomainError, FanError, ParseError, _json_int, _json_ints

@@ -1,8 +1,9 @@
 """Built-in verification suites: every headline identity, re-derived.
 
-Each suite runs a family of checks and returns plain records; the CLI
-renders them and turns any failure into a nonzero exit.  Suites rebuild
-their own fixtures so they do not depend on the test tree.
+Each suite runs a family of checks and returns one dict per check, with
+keys `name`, `ok`, `cases`, `values` and `failures`; the CLI renders them
+and turns any failure into a nonzero exit.  Suites rebuild their own
+fixtures so they do not depend on the test tree.
 """
 
 from __future__ import annotations
@@ -55,170 +56,118 @@ from .toric import (
 )
 
 
-class CheckResult:
-    def __init__(self, name: str, ok: bool, cases: int = 1,
-                 values: dict | None = None, failures: list | None = None):
-        self.name = name
-        self.ok = ok
-        self.cases = cases
-        self.values = {} if values is None else values
-        self.failures = [] if failures is None else failures
+def _check(name: str, cases: list[tuple], run, values: dict | None = None) -> dict:
+    """Run `run(*case)` on every case and report the check.
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "cases": self.cases,
-            "values": self.values,
-            "failures": self.failures,
-        }
+    `run` returns None when the case holds and a failure record when it
+    does not; the first five records are kept.  `values` is reported as
+    given, after the cases ran, so `run` may fill it in as it goes.
+    """
+    failures = [f for f in (run(*case) for case in cases) if f is not None]
+    return {
+        "name": name,
+        "ok": not failures,
+        "cases": len(cases),
+        "values": {} if values is None else values,
+        "failures": failures[:5],
+    }
 
 
-def _grid_check(name, triples, compute, expect) -> CheckResult:
-    failures = []
-    for t in triples:
-        got = compute(*t)
-        want = expect(*t)
+def _fact(name: str, ok: bool, values: dict) -> dict:
+    """Report a check of one computed value."""
+    return {"name": name, "ok": ok, "cases": 1, "values": values, "failures": []}
+
+
+# (p, d, n): p-cycles of degree d in P^n.
+_PDN_GRID = [(p, d, n) for n in range(7) for p in range(n + 1) for d in range(11)]
+# (p, n, m): p-cycles in P^n x P^m.
+_PNM_GRID = [(p, n, m) for n in range(3) for m in range(3) for p in range(n + m + 1)]
+
+
+def suite_lawson_yau() -> list[dict]:
+    def recursion(p, d, n):
+        got = chow_invariant_recursive(ChowIndex(p, d, n))
+        want = chow_invariant_closed(ChowIndex(p, d, n))
         if got != want:
-            failures.append({"args": list(t), "got": got, "want": want})
-    return CheckResult(
-        name, ok=not failures, cases=len(triples), failures=failures[:5]
-    )
+            return {"args": [p, d, n], "got": got, "want": want}
 
+    def binomial(p, d, n):
+        got = chow_invariant_closed(ChowIndex(p, d, n))
+        want = comb(comb(n + 1, p + 1) + d - 1, d)
+        if got != want:
+            return {"args": [p, d, n], "got": got, "want": want}
 
-def suite_lawson_yau() -> list[CheckResult]:
-    grid = [
-        (p, d, n) for n in range(7) for p in range(n + 1) for d in range(11)
-    ]
     return [
-        _grid_check(
-            "recursion equals closed form",
-            grid,
-            lambda p, d, n: chow_invariant_recursive(ChowIndex(p, d, n)),
-            lambda p, d, n: chow_invariant_closed(ChowIndex(p, d, n)),
-        ),
-        _grid_check(
-            "closed form equals binomial",
-            grid,
-            lambda p, d, n: chow_invariant_closed(ChowIndex(p, d, n)),
-            lambda p, d, n: comb(comb(n + 1, p + 1) + d - 1, d),
-        ),
+        _check("recursion equals closed form", _PDN_GRID, recursion),
+        _check("closed form equals binomial", _PDN_GRID, binomial),
     ]
 
 
-def suite_series() -> list[CheckResult]:
-    grid = [(p, n) for n in range(6) for p in range(n + 1)]
-    failures = []
-    cases = 0
-    for p, n in grid:
-        s = chow_series(p, n, 8)
-        for d in range(9):
-            cases += 1
-            got = s.coefficient((d,))
-            want = chow_invariant_closed(ChowIndex(p, d, n))
-            if got != want:
-                failures.append({"args": [p, d, n], "got": got, "want": want})
-    return [
-        CheckResult(
-            "series coefficients equal closed form",
-            ok=not failures,
-            cases=cases,
-            failures=failures[:5],
-        )
-    ]
+def suite_series() -> list[dict]:
+    series = {(p, n): chow_series(p, n, 8) for n in range(6) for p in range(n + 1)}
+
+    def coefficient(p, d, n):
+        got = series[p, n].coefficient((d,))
+        want = chow_invariant_closed(ChowIndex(p, d, n))
+        if got != want:
+            return {"args": [p, d, n], "got": got, "want": want}
+
+    cases = [(p, d, n) for p, n in series for d in range(9)]
+    return [_check("series coefficients equal closed form", cases, coefficient)]
 
 
-def suite_hodge_remark() -> list[CheckResult]:
+def suite_hodge_remark() -> list[dict]:
     expr = Difference(DisjointUnion(Cone(ELLIPTIC), ProjSpace(2)), ELLIPTIC)
     value = eval_E(expr)
     expected = parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")
     euler = specialize(value, 1, 1)
     betti1 = value.coefficient(1, 0) + value.coefficient(0, 1)
+    e_poly = format_poly2(value)
     return [
-        CheckResult(
-            "glued-cone class reproduced",
-            ok=value == expected,
-            values={"e_poly": format_poly2(value)},
-        ),
-        CheckResult("euler number is 4", ok=euler == 4, values={"euler": euler}),
-        CheckResult(
-            "first virtual betti number is 2",
-            ok=betti1 == 2,
-            values={"betti1": betti1},
-        ),
+        _fact("glued-cone class reproduced", value == expected, {"e_poly": e_poly}),
+        _fact("euler number is 4", euler == 4, {"euler": euler}),
+        _fact("first virtual betti number is 2", betti1 == 2, {"betti1": betti1}),
     ]
 
 
-def suite_quotients() -> list[CheckResult]:
+def suite_quotients() -> list[dict]:
     torus_image = eval_measure(Torus(1), H_TILDE)
     affine_image = eval_measure(AffineSpace(1), H_BAR)
-    grid = [
-        (p, d, n) for n in range(7) for p in range(n + 1) for d in range(11)
-    ]
-    failures = []
-    for p, d, n in grid:
+
+    def constant(p, d, n):
         img = chow_htilde(ChowIndex(p, d, n))
         want = Laurent1.constant(chow_invariant_closed(ChowIndex(p, d, n)))
         if img != want:
-            failures.append({"args": [p, d, n], "got": str(img), "want": str(want)})
+            return {"args": [p, d, n], "got": str(img), "want": str(want)}
+
+    image = "0" if torus_image.is_zero() else str(torus_image)
     return [
-        CheckResult(
+        _fact(
             "multiplicative group dies mod uv-1",
-            ok=torus_image == Laurent1(),
-            values={"image": "0" if torus_image.is_zero() else str(torus_image)},
+            torus_image == Laurent1(),
+            {"image": image},
         ),
-        CheckResult(
-            "additive group dies mod uv",
-            ok=affine_image.is_zero(),
-        ),
-        CheckResult(
-            "cycle-space image is the constant Euler number",
-            ok=not failures,
-            cases=len(grid),
-            failures=failures[:5],
-        ),
+        _fact("additive group dies mod uv", affine_image.is_zero(), {}),
+        _check("cycle-space image is the constant Euler number", _PDN_GRID, constant),
     ]
 
 
-def suite_hodge_constraints() -> list[CheckResult]:
-    results = []
-    failures = []
-    cases = 0
-    for n in range(6):
-        cases += 1
-        report = hodge_constraints_check(
-            eval_E(ProjSpace(n)), n + 1, 0
-        )
+def suite_hodge_constraints() -> list[dict]:
+    def constraints(variety, expr, euler):
+        report = hodge_constraints_check(eval_E(expr), euler, 0)
         if not report.ok:
-            failures.append({"variety": f"proj_space({n})", "report": report.to_json()})
-    results.append(
-        CheckResult(
-            "projective spaces pass all three constraints",
-            ok=not failures,
-            cases=cases,
-            failures=failures,
-        )
-    )
-    failures = []
-    cases = 0
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            cases += 1
-            g = Grassmannian(k, n)
-            report = hodge_constraints_check(eval_E(g), comb(n, k), 0)
-            if not report.ok:
-                failures.append(
-                    {"variety": f"grassmannian({k},{n})", "report": report.to_json()}
-                )
-    results.append(
-        CheckResult(
-            "grassmannians pass all three constraints",
-            ok=not failures,
-            cases=cases,
-            failures=failures,
-        )
-    )
-    return results
+            return {"variety": variety, "report": report.to_json()}
+
+    spaces = [(f"proj_space({n})", ProjSpace(n), n + 1) for n in range(6)]
+    grassmannians = [
+        (f"grassmannian({k},{n})", Grassmannian(k, n), comb(n, k))
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+    ]
+    return [
+        _check("projective spaces pass all three constraints", spaces, constraints),
+        _check("grassmannians pass all three constraints", grassmannians, constraints),
+    ]
 
 
 def builtin_fans() -> dict[str, Fan]:
@@ -237,173 +186,130 @@ def builtin_fans() -> dict[str, Fan]:
     }
 
 
-def suite_toric() -> list[CheckResult]:
-    fans = builtin_fans()
-    failures = []
+def suite_toric() -> list[dict]:
     values = {}
-    for name, fan in fans.items():
-        census = fan.census
-        lam = toric_lambda(fan)
-        e_at_one = specialize(toric_E_poly(fan), 1, 1)
-        values[name] = {"census": list(census), "lambda": lam}
-        if lam != census[fan.dim] or e_at_one != lam:
-            failures.append({"fan": name, "lambda": lam, "e_at_one": e_at_one})
-        counts = eval_count_poly(ToricFan(fan))
-        for q in (2, 3):
-            if toric_count(fan, q) != counts.evaluate(q):
-                failures.append(
-                    {"fan": name, "q": q, "toric_count": toric_count(fan, q)}
-                )
+
+    # Three cases per fan: the census against lambda and E(1, 1) (q None),
+    # and the point count against the counting polynomial at q = 2 and 3.
+    def agree(name, fan, q):
+        if q is None:
+            census = fan.census
+            lam = toric_lambda(fan)
+            e_at_one = specialize(toric_E_poly(fan), 1, 1)
+            values[name] = {"census": list(census), "lambda": lam}
+            if lam != census[fan.dim] or e_at_one != lam:
+                return {"fan": name, "lambda": lam, "e_at_one": e_at_one}
+            return None
+        count = toric_count(fan, q)
+        if count != eval_count_poly(ToricFan(fan)).evaluate(q):
+            return {"fan": name, "q": q, "toric_count": count}
+
+    cases = [
+        (name, fan, q) for name, fan in builtin_fans().items() for q in (None, 2, 3)
+    ]
     return [
-        CheckResult(
-            "census, euler number, and point counts agree",
-            ok=not failures,
-            cases=len(fans) * 3,
-            values=values,
-            failures=failures,
-        )
+        _check("census, euler number, and point counts agree", cases, agree, values)
     ]
 
 
-def suite_euler_chow() -> list[CheckResult]:
-    failures = []
-    cases = 0
-    for n in range(1, 4):
-        fan = projective_fan(n)
-        for p in range(n + 1):
-            cases += 1
-            lhs = euler_series(fan, p, order=6, grading=lambda d: (1,))
-            rhs = chow_series(p, n, 6)
-            if lhs != rhs:
-                failures.append({"fan": f"p{n}", "p": p})
-    first = CheckResult(
-        "fan orbit product equals cycle series on projective fans",
-        ok=not failures,
-        cases=cases,
-        failures=failures,
-    )
-    failures = []
-    cases = 0
-    for n in range(3):
-        for m in range(3):
-            for p in range(n + m + 1):
-                for order in range(6):
-                    cases += 1
-                    if euler_chow_product_recursive(
-                        p, n, m, order
-                    ) != euler_chow_product_formula(p, n, m, order):
-                        failures.append({"p": p, "n": n, "m": m, "order": order})
-    second = CheckResult(
-        "product recursion equals product formula",
-        ok=not failures,
-        cases=cases,
-        failures=failures,
-    )
-    return [first, second]
+def suite_euler_chow() -> list[dict]:
+    fans = {n: projective_fan(n) for n in range(1, 4)}
+
+    def orbit_product(n, p):
+        lhs = euler_series(fans[n], p, order=6, grading=lambda d: (1,))
+        if lhs != chow_series(p, n, 6):
+            return {"fan": f"p{n}", "p": p}
+
+    def product(p, n, m, order):
+        got = euler_chow_product_recursive(p, n, m, order)
+        if got != euler_chow_product_formula(p, n, m, order):
+            return {"p": p, "n": n, "m": m, "order": order}
+
+    projective = [(n, p) for n in fans for p in range(n + 1)]
+    products = [(p, n, m, order) for p, n, m in _PNM_GRID for order in range(6)]
+    return [
+        _check(
+            "fan orbit product equals cycle series on projective fans",
+            projective,
+            orbit_product,
+        ),
+        _check("product recursion equals product formula", products, product),
+    ]
 
 
-def suite_congruences() -> list[CheckResult]:
-    failures = []
-    cases = 0
-    for n in range(6):
-        for k in range(n + 1):
-            for q in (2, 3, 5):
-                cases += 1
-                brute = grassmannian_count_brute(k, n, q)
-                formula = gaussian_binomial(n, k, q)
-                if brute != formula:
-                    failures.append(
-                        {"k": k, "n": n, "q": q, "brute": brute, "formula": formula}
-                    )
-    first = CheckResult(
-        "brute-force subspace census equals formula",
-        ok=not failures,
-        cases=cases,
-        failures=failures[:5],
-    )
-    failures = []
+def suite_congruences() -> list[dict]:
+    def census(k, n, q):
+        brute = grassmannian_count_brute(k, n, q)
+        formula = gaussian_binomial(n, k, q)
+        if brute != formula:
+            return {"k": k, "n": n, "q": q, "brute": brute, "formula": formula}
+
     residues = {}
-    cases = 0
-    for n in range(7):
-        for p in range(n + 1):
-            for q in (2, 3, 4, 5, 7, 8, 9):
-                cases += 1
-                count = gaussian_binomial(n + 1, p + 1, q)
-                ok_mod_q = count % q == 1
-                ok_mod_qm1 = (count - comb(n + 1, p + 1)) % (q - 1) == 0
-                if not (ok_mod_q and ok_mod_qm1):
-                    failures.append({"p": p, "n": n, "q": q, "count": count})
-                if n == 3 and p == 1:
-                    residues[f"q={q}"] = {
-                        "count": count,
-                        "mod_q": count % q,
-                        "mod_q_minus_1": count % (q - 1) if q > 2 else 0,
-                    }
-    second = CheckResult(
-        "linear cycle counts reduce to 1 mod q and binomial mod q-1",
-        ok=not failures,
-        cases=cases,
-        values={"sample_g24": residues},
-        failures=failures[:5],
-    )
-    return [first, second]
+
+    def reduction(p, n, q):
+        count = gaussian_binomial(n + 1, p + 1, q)
+        if n == 3 and p == 1:
+            residues[f"q={q}"] = {
+                "count": count,
+                "mod_q": count % q,
+                "mod_q_minus_1": count % (q - 1) if q > 2 else 0,
+            }
+        ok_mod_q = count % q == 1
+        ok_mod_qm1 = (count - comb(n + 1, p + 1)) % (q - 1) == 0
+        if not (ok_mod_q and ok_mod_qm1):
+            return {"p": p, "n": n, "q": q, "count": count}
+
+    subspaces = [(k, n, q) for n in range(6) for k in range(n + 1) for q in (2, 3, 5)]
+    fields = (2, 3, 4, 5, 7, 8, 9)
+    cycles = [(p, n, q) for n in range(7) for p in range(n + 1) for q in fields]
+    return [
+        _check("brute-force subspace census equals formula", subspaces, census),
+        _check(
+            "linear cycle counts reduce to 1 mod q and binomial mod q-1",
+            cycles,
+            reduction,
+            {"sample_g24": residues},
+        ),
+    ]
 
 
-def suite_irreducible() -> list[CheckResult]:
-    failures = []
-    cases = 0
-    for n in range(6):
-        for p in range(n + 1):
-            for d in range(1, 5):
-                cases += 1
-                got = irreducible_invariant(p, d, n)
-                want = coordinate_subspace_count(p, n) if d == 1 else 0
-                if got != want:
-                    failures.append({"p": p, "d": d, "n": n, "got": got})
-                if d == 1 and got != eval_measure(Grassmannian(p + 1, n + 1), EULER):
-                    failures.append({"p": p, "d": d, "n": n, "grassmannian": True})
-    first = CheckResult(
-        "irreducible locus values on the grid",
-        ok=not failures,
-        cases=cases,
-        failures=failures[:5],
-    )
-    failures = []
-    cases = 0
-    for n in range(3):
-        for m in range(3):
-            for p in range(n + m + 1):
-                slots = multidegree_slots(p, n, m)
-                vectors = [
-                    tuple(1 if j == i else 0 for j in range(len(slots)))
-                    for i in range(len(slots))
-                ]
-                vectors += [
-                    tuple(2 if j == i else 0 for j in range(len(slots)))
-                    for i in range(len(slots))
-                ]
-                if len(slots) >= 2:
-                    vectors.append(tuple(1 for _ in slots))
-                vectors.append(tuple(0 for _ in slots))
-                for alpha in vectors:
-                    cases += 1
-                    got = irreducible_invariant_product(alpha, p, n, m)
-                    if sum(alpha) == 1:
-                        k, l = slots[alpha.index(1)]
-                        want = comb(n + 1, k + 1) * comb(m + 1, l + 1)
-                    else:
-                        want = 0
-                    if got != want:
-                        failures.append(
-                            {"alpha": list(alpha), "p": p, "n": n, "m": m, "got": got}
-                        )
-    second = CheckResult(
-        "product irreducible locus: units and only units count",
-        ok=not failures,
-        cases=cases,
-        failures=failures[:5],
-    )
-    return [first, second]
+def suite_irreducible() -> list[dict]:
+    def locus(p, d, n):
+        got = irreducible_invariant(p, d, n)
+        want = coordinate_subspace_count(p, n) if d == 1 else 0
+        if got != want:
+            return {"p": p, "d": d, "n": n, "got": got}
+        if d == 1 and got != eval_measure(Grassmannian(p + 1, n + 1), EULER):
+            return {"p": p, "d": d, "n": n, "grassmannian": True}
+
+    def units(slots, alpha, p, n, m):
+        got = irreducible_invariant_product(alpha, p, n, m)
+        want = 0
+        if sum(alpha) == 1:
+            k, l = slots[alpha.index(1)]
+            want = comb(n + 1, k + 1) * comb(m + 1, l + 1)
+        if got != want:
+            return {"alpha": list(alpha), "p": p, "n": n, "m": m, "got": got}
+
+    product_cases = []
+    for p, n, m in _PNM_GRID:
+        slots = multidegree_slots(p, n, m)
+        k = len(slots)
+        basis = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+        vectors = basis + [tuple(2 * a for a in unit) for unit in basis]
+        if k >= 2:
+            vectors.append((1,) * k)
+        vectors.append((0,) * k)
+        product_cases += [(slots, alpha, p, n, m) for alpha in vectors]
+    grid = [(p, d, n) for n in range(6) for p in range(n + 1) for d in range(1, 5)]
+    return [
+        _check("irreducible locus values on the grid", grid, locus),
+        _check(
+            "product irreducible locus: units and only units count",
+            product_cases,
+            units,
+        ),
+    ]
 
 
 SUITES = {
@@ -435,10 +341,8 @@ def run_suites(names: list[str] | None = None) -> dict:
     suites = []
     all_ok = True
     for name in selected:
-        checks = sorted(SUITES[name](), key=lambda c: c.name)
-        ok = all(c.ok for c in checks)
+        checks = sorted(SUITES[name](), key=lambda c: c["name"])
+        ok = all(c["ok"] for c in checks)
         all_ok = all_ok and ok
-        suites.append(
-            {"suite": name, "ok": ok, "checks": [c.to_json() for c in checks]}
-        )
+        suites.append({"suite": name, "ok": ok, "checks": checks})
     return {"ok": all_ok, "suites": suites}

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclemotive import cli
+from cyclemotive import cli, verify
 from conftest import DATA
 
 P2_EXPR = str(DATA / "p2.json")
@@ -216,6 +216,40 @@ def test_verify_json_is_canonical(capsys):
                              separators=(",", ":")) + "\n"
 
 
+def test_verify_all_json_matches_golden(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--json")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "verify_all.json").read_text()
+
+
+@pytest.mark.parametrize("suite, route, check, cases, case_keys", [
+    ("lawson-yau", "chow_invariant_recursive", "recursion equals closed form", 308,
+     ("args",)),
+    ("toric", "toric_count", "census, euler number, and point counts agree", 18,
+     ("fan", "q")),
+    ("irreducible", "irreducible_invariant", "irreducible locus values on the grid",
+     84, ("p", "d", "n")),
+])
+def test_verify_reports_a_broken_route(capsys, monkeypatch, suite, route, check,
+                                       cases, case_keys):
+    true_route = getattr(verify, route)
+    monkeypatch.setattr(verify, route, lambda *args: true_route(*args) + 1)
+    report = verify.run_suites([suite])
+    assert report["ok"] is False
+    (failed,) = [c for c in report["suites"][0]["checks"] if not c["ok"]]
+    assert (failed["name"], failed["cases"]) == (check, cases)
+    # the first five failure records, each from a different case
+    records = failed["failures"]
+    assert len(records) == 5
+    assert len({tuple(str(r[k]) for k in case_keys) for r in records}) == 5
+    if suite == "lawson-yau":
+        assert all(set(r) == {"args", "got", "want"} and r["got"] == r["want"] + 1
+                   for r in records)
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert f"FAIL  {suite}: {check} ({cases} cases)" in out
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_suites",
@@ -376,6 +410,17 @@ def test_unsupported_exits_3(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", [5, {"a": [1]}])
+def test_custom_leaf_name_must_be_json_string(capsys, tmp_path, name):
+    bad = tmp_path / "leaf.json"
+    bad.write_text(json.dumps(
+        {"leaf": "custom", "name": name, "e_poly": [[0, 0, 1]], "countable": True}))
+    code, out, err = run(capsys, "motive", str(bad))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert "'name' must be a string" in err
 
 
 def test_unknown_leaf_exits_3(capsys, tmp_path):

@@ -233,6 +233,14 @@ def test_custom_leaf_countable_must_be_json_boolean():
             expr_from_json(json.dumps(leaf))
 
 
+@pytest.mark.parametrize("name", [5, {"a": [1]}, ["x"], None, True])
+def test_custom_leaf_name_must_be_json_string(name):
+    leaf = {"leaf": "custom", "e_poly": [[0, 0, 1]], "countable": True}
+    assert expr_from_json(json.dumps(leaf)).name == "custom"
+    with pytest.raises(ParseError, match="'name' must be a string"):
+        expr_from_json(json.dumps({**leaf, "name": name}))
+
+
 @pytest.mark.parametrize("leaf", [
     {"leaf": "proj_space", "n": 2.7},
     {"leaf": "proj_space", "n": "3"},
@@ -316,5 +324,7 @@ def test_expr_json_round_trip_special_leaves():
         GLUED_CONE_EXPR,
         ToricFan(fan),
         SmoothProjectiveLeaf("quadric", parse_poly2("1+2uv+u^2*v^2"), True),
+        # a custom leaf that only shares the genus-1 curve's name
+        SmoothProjectiveLeaf("elliptic", parse_poly2("1+uv"), True),
     ):
         assert expr_from_json(json.dumps(expr_to_json(e))) == e
