@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedError,
     _ascii_int,
     _json_ints,
+    _json_loads,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -42,15 +43,7 @@ from .motive import (
     measure_from_string,
     parse_q_m,
 )
-from .ring import (
-    LPoly,
-    Laurent1,
-    MultiSeries,
-    Poly2,
-    format_laurent1,
-    format_lpoly,
-    format_poly2,
-)
+from .ring import MultiSeries
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -87,21 +80,9 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def render_value(value) -> str:
-    if isinstance(value, Poly2):
-        return format_poly2(value)
-    if isinstance(value, Laurent1):
-        return format_laurent1(value)
-    if isinstance(value, LPoly):
-        return format_lpoly(value)
-    return str(value)
-
-
 def json_value(value):
     # integers stay numbers; polynomials use their canonical text form
-    if isinstance(value, int):
-        return value
-    return render_value(value)
+    return value if isinstance(value, int) else str(value)
 
 
 def series_coefficients(series: MultiSeries) -> list[int]:
@@ -126,7 +107,7 @@ def cmd_motive(args) -> int:
     if args.json:
         print(canonical_json({"measure": args.measure, "value": json_value(value)}))
     else:
-        print(render_value(value))
+        print(value)
     return EXIT_OK
 
 
@@ -146,8 +127,6 @@ def cmd_chow(args) -> int:
             closed = chow_invariant_closed(idx)
             recursive = chow_invariant_recursive(idx)
             if closed != recursive:
-                output["closed"] = closed
-                output["recursive"] = recursive
                 print(
                     f"cross-check mismatch: closed {closed} != recursive {recursive}",
                     file=sys.stderr,
@@ -159,8 +138,8 @@ def cmd_chow(args) -> int:
 
         if args.htilde:
             img = chow_htilde(idx)
-            output["htilde"] = format_laurent1(img)
-            lines.append(f"htilde {format_laurent1(img)}")
+            output["htilde"] = str(img)
+            lines.append(f"htilde {img}")
 
         if args.congruence:
             q, m = parse_q_m(args.congruence, "--congruence")
@@ -204,10 +183,7 @@ def cmd_chow(args) -> int:
 def _load_grading(path: str):
     """Grading file: JSON array of [cone_ray_indices, exponent_vector]
     pairs covering every p-dimensional orbit closure."""
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"grading file is not valid JSON: {exc}") from None
+    data = _json_loads(_read_text(path), "grading file")
     if not isinstance(data, list):
         raise ParseError("grading file must be a JSON array of pairs")
     table = {}
@@ -228,33 +204,32 @@ def _load_grading(path: str):
 
 def cmd_toric(args) -> int:
     fan = toric.fan_from_json(_read_text(args.file))
+    if not (args.census or args.lam or args.e_poly or args.count or args.euler_series):
+        raise DomainError(
+            "nothing to do: pass --census, --lambda, --e-poly, --count, "
+            "or --euler-series"
+        )
     output: dict = {}
     lines: list[str] = []
-    requested = False
 
     if args.census:
-        requested = True
         census = fan.census
         output["census"] = list(census)
         lines.append(",".join(str(d) for d in census))
     if args.lam:
-        requested = True
         value = toric.toric_lambda(fan)
         output["lambda"] = value
         lines.append(str(value))
     if args.e_poly:
-        requested = True
-        text = format_poly2(toric.toric_E_poly(fan))
+        text = str(toric.toric_E_poly(fan))
         output["e_poly"] = text
         lines.append(text)
     if args.count:
-        requested = True
         q, m = parse_q_m(args.count, "--count")
         value = toric_count(fan, q, m)
         output["count"] = value
         lines.append(str(value))
     if args.euler_series:
-        requested = True
         parts = args.euler_series.split(",")
         if len(parts) not in (2, 3):
             raise ParseError("--euler-series expects p,order[,grading-file]")
@@ -280,11 +255,6 @@ def cmd_toric(args) -> int:
         else:
             lines.extend(f"{list(e)} {c}" for e, c in terms)
 
-    if not requested:
-        raise DomainError(
-            "nothing to do: pass --census, --lambda, --e-poly, --count, "
-            "or --euler-series"
-        )
     if args.json:
         print(canonical_json(output))
     else:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the integer checks for
-JSON values and command-line spellings.
+"""Exception types shared across the package, the JSON decoder for input
+files, and the integer checks for JSON values and command-line spellings.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
 """
+
+import json
 
 
 class DomainError(ValueError):
@@ -35,6 +37,14 @@ class FanError(ValueError):
 
 class BudgetError(RuntimeError):
     """A brute-force enumeration would exceed the configured point budget."""
+
+
+def _json_loads(text: str, what: str):
+    """Decode JSON text; `what` names the input in the error message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _json_int(value, field: str) -> int:

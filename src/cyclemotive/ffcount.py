@@ -186,6 +186,16 @@ def is_rref(matrix: list[list[int]], q: int) -> bool:
     return True
 
 
+def _free_entries(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(row, column) of each entry an RREF matrix with these pivot columns
+    leaves free: right of its row's pivot and outside every pivot column,
+    row by row."""
+    pivot_set = set(pivots)
+    return [
+        (r, c) for r, col in enumerate(pivots) for c in range(col + 1, n) if c not in pivot_set
+    ]
+
+
 def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
     """Number of RREF matrices with the given pivot columns, by exhaustion.
 
@@ -197,16 +207,10 @@ def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
     for well-formed input; checking it per matrix is the point, the count
     is evidence rather than arithmetic.
     """
-    pivot_set = set(pivots)
     matrix = [[0] * n for _ in pivots]
     for row, col in zip(matrix, pivots):
         row[col] = 1
-    free = [
-        (row, c)
-        for row, col in zip(matrix, pivots)
-        for c in range(col + 1, n)
-        if c not in pivot_set
-    ]
+    free = [(matrix[r], c) for r, c in _free_entries(n, pivots)]
     count = 0
     while True:
         if is_rref(matrix, q):
@@ -219,16 +223,6 @@ def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
             row[c] = 0
         else:
             return count
-
-
-def _free_positions(n: int, pivots: tuple[int, ...]) -> int:
-    pivot_set = set(pivots)
-    return sum(
-        1
-        for r, col in enumerate(pivots)
-        for c in range(col + 1, n)
-        if c not in pivot_set
-    )
 
 
 def _resolve_budget(budget: int | None) -> int:
@@ -261,7 +255,7 @@ def rref_cell_census(
     if not is_prime(q):
         raise DomainError(f"brute force needs a prime field size, got {q}")
     patterns = list(combinations(range(n), k))
-    work = sum(q ** _free_positions(n, piv) for piv in patterns)
+    work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
     limit = _resolve_budget(budget)
     if work > limit:
         raise BudgetError(
@@ -320,10 +314,7 @@ class CongruenceReport(Record):
         since every pair of integers is congruent mod 1."""
         if self.actual is None:
             return None
-        modulus = self.q - 1
-        if modulus == 1:
-            return True
-        return (self.actual - self.expected_mod_q_minus_1) % modulus == 0
+        return (self.actual - self.expected_mod_q_minus_1) % (self.q - 1) == 0
 
     @property
     def ok(self) -> bool | None:

@@ -13,13 +13,12 @@ subtracted piece is demanded or checked.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
-from .errors import _ascii_int, _json_int, _json_ints
+from .errors import _ascii_int, _json_int, _json_ints, _json_loads
 from .ffcount import PrimePower, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -210,7 +209,16 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
 # ---------------------------------------------------------------------------
 # measures
 
-MEASURE_TAGS = ("e-poly", "euler", "h-tilde", "h-bar", "count-poly", "count")
+# tag -> evaluator.  Each evaluator looks its route up by name when called,
+# so a route replaced on this module later (a test double, a tracer) is the
+# one that runs.  "count" also needs the field size: see eval_measure.
+_MEASURES = {
+    "e-poly": lambda e: eval_E(e),
+    "euler": lambda e: specialize(eval_E(e), 1, 1),
+    "h-tilde": lambda e: quotient_uv_minus1(eval_E(e)),
+    "h-bar": lambda e: quotient_uv(eval_E(e)),
+    "count-poly": lambda e: eval_count_poly(e),
+}
 
 
 class Measure(Record):
@@ -226,7 +234,7 @@ class Measure(Record):
     m: int = 1
 
     def __post_init__(self):
-        if self.tag not in MEASURE_TAGS:
+        if self.tag not in (*_MEASURES, "count"):
             raise UnsupportedError(f"unknown measure {self.tag!r}")
         if self.tag == "count":
             if self.q is None:
@@ -270,19 +278,9 @@ def measure_from_string(text: str) -> Measure:
 
 
 def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LPoly:
-    if measure.tag == "e-poly":
-        return eval_E(e)
-    if measure.tag == "euler":
-        return specialize(eval_E(e), 1, 1)
-    if measure.tag == "h-tilde":
-        return quotient_uv_minus1(eval_E(e))
-    if measure.tag == "h-bar":
-        return quotient_uv(eval_E(e))
-    if measure.tag == "count-poly":
-        return eval_count_poly(e)
     if measure.tag == "count":
         return eval_count_poly(e).evaluate(measure.q**measure.m)
-    raise UnsupportedError(f"unknown measure {measure.tag!r}")
+    return _MEASURES[measure.tag](e)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +358,21 @@ _NODE_OPS = {
     "product": Product,
     "cone": Cone,
 }
+# leaf kind -> record class and one reader per field, in field order
+_LEAVES = {
+    "point": (Point, ()),
+    "affine_space": (AffineSpace, (_json_int,)),
+    "torus": (Torus, (_json_int,)),
+    "proj_space": (ProjSpace, (_json_int,)),
+    "grassmannian": (Grassmannian, (_json_int, _json_int)),
+    "cellular": (Cellular, (_json_ints,)),
+}
+_OP_NAMES = {cls: op for op, cls in _NODE_OPS.items()}
+_LEAF_KINDS = {cls: kind for kind, (cls, _) in _LEAVES.items()}
 
 
 def expr_from_json(source: str | Mapping) -> MotiveExpr:
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"expression is not valid JSON: {exc}") from None
-    else:
-        data = source
+    data = _json_loads(source, "expression") if isinstance(source, str) else source
     return _expr_from_data(data)
 
 
@@ -382,7 +385,7 @@ def _expr_from_data(data) -> MotiveExpr:
         if ctor is None:
             raise UnsupportedError(f"unknown expression op {op!r}")
         args = data.get("args")
-        want = 1 if ctor is Cone else 2
+        want = len(ctor.__match_args__)
         if not isinstance(args, list) or len(args) != want:
             raise ParseError(f"op {op!r} needs exactly {want} args")
         return ctor(*[_expr_from_data(a) for a in args])
@@ -390,18 +393,10 @@ def _expr_from_data(data) -> MotiveExpr:
         raise ParseError(f"expression node needs 'op' or 'leaf': {data!r}")
     kind = data["leaf"]
     try:
-        if kind == "point":
-            return Point()
-        if kind == "affine_space":
-            return AffineSpace(_json_int(data["n"], "n"))
-        if kind == "torus":
-            return Torus(_json_int(data["n"], "n"))
-        if kind == "proj_space":
-            return ProjSpace(_json_int(data["n"], "n"))
-        if kind == "grassmannian":
-            return Grassmannian(_json_int(data["k"], "k"), _json_int(data["n"], "n"))
-        if kind == "cellular":
-            return Cellular(_json_ints(data["cells"], "cells"))
+        if isinstance(kind, str) and kind in _LEAVES:
+            cls, readers = _LEAVES[kind]
+            fields = cls.__match_args__
+            return cls(*[read(data[f], f) for f, read in zip(fields, readers)])
         if kind == "toric_fan":
             return ToricFan(toric.fan_from_json(data["fan"]))
         if kind == "elliptic":
@@ -428,19 +423,17 @@ def _expr_from_data(data) -> MotiveExpr:
 
 
 def expr_to_json(e: MotiveExpr) -> dict:
+    cls = type(e)
+    if cls in _OP_NAMES:
+        args = [expr_to_json(getattr(e, f)) for f in cls.__match_args__]
+        return {"op": _OP_NAMES[cls], "args": args}
+    if cls in _LEAF_KINDS:
+        out = {"leaf": _LEAF_KINDS[cls]}
+        for f in cls.__match_args__:
+            value = getattr(e, f)
+            out[f] = list(value) if type(value) is tuple else value
+        return out
     match e:
-        case Point():
-            return {"leaf": "point"}
-        case AffineSpace(n):
-            return {"leaf": "affine_space", "n": n}
-        case Torus(n):
-            return {"leaf": "torus", "n": n}
-        case ProjSpace(n):
-            return {"leaf": "proj_space", "n": n}
-        case Grassmannian(k, n):
-            return {"leaf": "grassmannian", "k": k, "n": n}
-        case Cellular(cells):
-            return {"leaf": "cellular", "cells": list(cells)}
         case ToricFan(fan):
             return {"leaf": "toric_fan", "fan": toric.fan_to_json(fan)}
         case SmoothProjectiveLeaf(name, e_poly, countable):
@@ -452,12 +445,4 @@ def expr_to_json(e: MotiveExpr) -> dict:
                 "e_poly": sorted([p, q, c] for (p, q), c in e_poly.terms.items()),
                 "countable": countable,
             }
-        case DisjointUnion(a, b):
-            return {"op": "disjoint_union", "args": [expr_to_json(a), expr_to_json(b)]}
-        case Difference(a, b):
-            return {"op": "difference", "args": [expr_to_json(a), expr_to_json(b)]}
-        case Product(a, b):
-            return {"op": "product", "args": [expr_to_json(a), expr_to_json(b)]}
-        case Cone(a):
-            return {"op": "cone", "args": [expr_to_json(a)]}
     raise UnsupportedError(f"unknown expression node {type(e).__name__}")

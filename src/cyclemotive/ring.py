@@ -13,8 +13,9 @@ Four value types, all immutable, all over arbitrary-precision integers:
 
 All four are thin subclasses of one core, ``_TermMap``: a map from
 exponent key to nonzero ``int`` with a single canonicalizing constructor
-and a single add, neg, sub, mul, pow, eq and hash.  A type contributes only
-its exponent check and its exponent addition (series also truncate).
+and a single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
+only its exponent check, its exponent addition (series also truncate) and
+its text form: ``str()`` of a polynomial is its canonical text.
 Everything is computed exactly; equality is equality of canonical forms.
 """
 
@@ -143,6 +144,9 @@ class _TermMap:
     def __hash__(self) -> int:
         return hash((self._shape, frozenset(self._terms.items())))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
 
 # ---------------------------------------------------------------------------
 # Poly2: sparse polynomials in u, v
@@ -194,8 +198,8 @@ class Poly2(_TermMap):
         polynomial in the product uv."""
         return all(p == q for p, q in self._terms)
 
-    def __repr__(self) -> str:
-        return f"Poly2({format_poly2(self)!r})"
+    def __str__(self) -> str:
+        return format_poly2(self)
 
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
@@ -252,8 +256,8 @@ class Laurent1(_TermMap):
             total += Fraction(c) * Fraction(u0) ** e
         return int(total) if total.denominator == 1 else total
 
-    def __repr__(self) -> str:
-        return f"Laurent1({format_laurent1(self)!r})"
+    def __str__(self) -> str:
+        return format_laurent1(self)
 
 
 def quotient_uv_minus1(a: Poly2) -> Laurent1:
@@ -341,8 +345,8 @@ class LPoly(_TermMap):
             total = total * x + c
         return total
 
-    def __repr__(self) -> str:
-        return f"LPoly({format_lpoly(self)!r})"
+    def __str__(self) -> str:
+        return format_lpoly(self)
 
 
 def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
@@ -484,29 +488,22 @@ def expand_inverse_product(
 # v-parts except in the plain product uv; on input '*' is always optional.
 
 
-def _format_terms(
-    ordered: list[tuple[str, int]],
-) -> str:
-    parts: list[str] = []
-    for monomial, c in ordered:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if monomial:
-            body = monomial if mag == 1 else f"{mag}{monomial}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{sign}{body}")
-    return "".join(parts) if parts else "0"
+def _format_terms(ordered: list[tuple[str, int]]) -> str:
+    """Join signed terms, leaving a unit coefficient off its monomial and
+    the sign off a positive leading term."""
+    text = "".join(
+        f"{'-' if c < 0 else '+'}{'' if monomial and abs(c) == 1 else abs(c)}{monomial}"
+        for monomial, c in ordered
+    )
+    return text.removeprefix("+") or "0"
+
+
+def _power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
 def _uv_monomial(p: int, q: int) -> str:
-    if p == 0 and q == 0:
-        return ""
-    upart = "" if p == 0 else ("u" if p == 1 else f"u^{p}")
-    vpart = "" if q == 0 else ("v" if q == 1 else f"v^{q}")
+    upart, vpart = _power("u", p), _power("v", q)
     if upart and vpart and (p > 1 or q > 1):
         return f"{upart}*{vpart}"
     return upart + vpart
@@ -518,25 +515,11 @@ def format_poly2(a: Poly2) -> str:
 
 
 def format_laurent1(a: Laurent1) -> str:
-    ordered = sorted(a.terms.items())
-    rendered = []
-    for e, c in ordered:
-        if e == 0:
-            rendered.append(("", c))
-        elif e == 1:
-            rendered.append(("u", c))
-        else:
-            rendered.append((f"u^{e}", c))
-    return _format_terms(rendered)
+    return _format_terms([(_power("u", e), c) for e, c in sorted(a.terms.items())])
 
 
 def format_lpoly(a: LPoly) -> str:
-    rendered = []
-    for i, c in enumerate(a.coeffs):
-        if not c:
-            continue
-        rendered.append(("" if i == 0 else ("L" if i == 1 else f"L^{i}"), c))
-    return _format_terms(rendered)
+    return _format_terms([(_power("L", e), c) for e, c in sorted(a.terms.items())])
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|(\^)|(\*)|([+-]))")

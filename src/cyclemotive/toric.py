@@ -12,7 +12,6 @@ assumed or checked.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -20,7 +19,7 @@ from itertools import combinations
 from math import gcd
 
 from ._record import Record
-from .errors import DomainError, FanError, ParseError, _json_int, _json_ints
+from .errors import DomainError, FanError, ParseError, _json_int, _json_ints, _json_loads
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
 Ray = tuple[int, ...]
@@ -235,13 +234,7 @@ def product_fan(a: Fan, b: Fan) -> Fan:
 
 def fan_from_json(source: str | Mapping) -> Fan:
     """Read and check a fan; its census is kept on the returned fan."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"fan is not valid JSON: {exc}") from None
-    else:
-        data = source
+    data = _json_loads(source, "fan") if isinstance(source, str) else source
     if not isinstance(data, Mapping):
         raise ParseError("fan JSON must be an object")
     missing = {"dim", "rays", "cones"} - set(data)

@@ -6,6 +6,7 @@ from cyclemotive import ffcount, toric
 from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_fan(name):

@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line surface.
 
 Everything runs in-process through cli.main so coverage tools see it;
-one subprocess test at the bottom confirms the installed entry point.
+one subprocess test at the bottom runs the `python -m cyclemotive` entry point.
 """
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclemotive import cli, verify
-from conftest import DATA
+from cyclemotive.ring import Laurent1
+from conftest import DATA, SRC
 
 P2_EXPR = str(DATA / "p2.json")
 TORUS1_EXPR = str(DATA / "torus1.json")
@@ -25,6 +27,8 @@ P2_FAN = str(DATA / "fan_p2.json")
 P3_FAN = str(DATA / "fan_p3.json")
 P1XP1_FAN = str(DATA / "fan_p1xp1.json")
 BIDEGREE_GRADING = str(DATA / "grading_p1xp1_bidegree.json")
+# subprocesses import the package from this tree, installed or not
+TREE_ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def run(capsys, *argv):
@@ -69,7 +73,7 @@ def test_64_bit_prime_field_is_prompt(argv):
     """2^61 - 1 is a prime; checking it must not take a factor search."""
     q = 2**61 - 1
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
-                          capture_output=True, text=True, timeout=2)
+                          capture_output=True, text=True, env=TREE_ENV, timeout=2)
     assert (proc.returncode, proc.stdout) == (0, f"{q * q + q + 1}\n")
 
 
@@ -248,6 +252,15 @@ def test_verify_reports_a_broken_route(capsys, monkeypatch, suite, route, check,
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 1
     assert f"FAIL  {suite}: {check} ({cases} cases)" in out
+
+
+def test_verify_failure_records_print_canonical_text(monkeypatch):
+    true_htilde = verify.chow_htilde
+    monkeypatch.setattr(verify, "chow_htilde",
+                        lambda idx: true_htilde(idx) + Laurent1({1: 1}))
+    (suite,) = verify.run_suites(["quotients"])["suites"]
+    (failed,) = [c for c in suite["checks"] if not c["ok"]]
+    assert failed["failures"][0] == {"args": [0, 0, 0], "got": "1+u", "want": "1"}
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -567,7 +580,7 @@ def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclemotive", "chow",
          "-p", "0", "-n", "2", "--series", "3"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, env=TREE_ENV, timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,3,6,10\n"

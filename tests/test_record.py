@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +26,7 @@ from cyclemotive import (
     projective_fan,
 )
 from cyclemotive.toric import OrbitClosure
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC
 
 
 def test_equality_is_type_sensitive():

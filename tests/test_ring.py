@@ -291,6 +291,13 @@ def test_golden_rendering():
     assert format_poly2(Poly2.zero()) == "0"
     assert format_poly2(-ONE) == "-1"
     assert parse_poly2("0").is_zero()
+    # str() is the canonical text; repr() wraps it in the type's name
+    laurent = parse_laurent1("u^-2+3-u")
+    lpoly = LPoly((1, 3, 0, 0, 1))
+    assert (str(GLUED_CONE), repr(GLUED_CONE)) == (
+        format_poly2(GLUED_CONE), "Poly2('1+u+v+uv-u^2*v-u*v^2+2u^2*v^2')")
+    assert (str(laurent), repr(laurent)) == (format_laurent1(laurent), "Laurent1('u^-2+3-u')")
+    assert (str(lpoly), repr(lpoly)) == (format_lpoly(lpoly), "LPoly('1+3L+L^4')")
 
 
 def test_parser_tolerates_stars_and_spaces():
