@@ -8,8 +8,11 @@ Three routes to the same numbers are kept deliberately separate:
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
   with no binomials at all, as a table built bottom-up over the ambient
-  dimension; each convolution of two rows is one big-integer product of
-  the rows packed into integers (Kronecker substitution);
+  dimension; each convolution of two rows a, b up to degree d is one
+  big-integer product of the rows packed into integers (Kronecker
+  substitution), with slots of max_i (bits(a[i]) + max_(j <= d-i)
+  bits(b[j])) + bits(d + 1) bits: every coefficient of degree <= d fits
+  its slot, so no carry reaches a kept slot;
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -65,14 +68,21 @@ def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
     d + 1 non-negative integers, as one big-integer product (Kronecker
     substitution).
 
-    Each row is packed into an int, one fixed-width slot per coefficient.
-    A product coefficient is a sum of at most d + 1 terms a[i] * b[j], so a
-    slot of bits(max a) + bits(max b) + bits(d + 1) bits holds it with no
-    carry into the next, and the slots of the packed product are the
-    coefficients of the row product.
+    Each row is packed into an int, one fixed-width slot per coefficient,
+    and the width is sized from the products that land in slots 0..d only.
+    With B[j] = max(bits(b[0]), ..., bits(b[j])), a term a[i] * b[e - i] of
+    coefficient e <= d is below 2^(bits(a[i]) + B[d - i]), since
+    e - i <= d - i.  Coefficient e sums at most d + 1 such terms, so it is
+    below 2^w for w = max_i (bits(a[i]) + B[d - i]) + bits(d + 1), and a
+    slot of at least w bits holds it.  Slots 0..d of the packed product are
+    then the coefficients themselves: none of them overflows, so no carry
+    reaches a kept slot.  Slots above d may overflow into the ones above
+    them; they are discarded.
     """
     a, b = a[: d + 1], b[: d + 1]
-    width = (max(a).bit_length() + max(b).bit_length() + (d + 1).bit_length() + 7) // 8
+    b_max_bits = list(accumulate(map(int.bit_length, b), max))  # B above
+    bits = max(map(add, map(int.bit_length, a), reversed(b_max_bits)))
+    width = (bits + (d + 1).bit_length() + 7) // 8
 
     def pack(row: list[int]) -> int:
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in row), "little")

@@ -398,7 +398,10 @@ def _expr_from_data(data) -> MotiveExpr:
             fields = cls.__match_args__
             return cls(*[read(data[f], f) for f, read in zip(fields, readers)])
         if kind == "toric_fan":
-            return ToricFan(toric.fan_from_json(data["fan"]))
+            fan = data["fan"]
+            if not isinstance(fan, Mapping):  # a string would be decoded again
+                raise ParseError("fan JSON must be an object")
+            return ToricFan(toric.fan_from_json(fan))
         if kind == "elliptic":
             return ELLIPTIC
         if kind == "custom":
@@ -410,10 +413,17 @@ def _expr_from_data(data) -> MotiveExpr:
             name = data.get("name", "custom")
             if not isinstance(name, str):
                 raise ParseError(f"field 'name' must be a string, got {name!r}")
+            entries = data["e_poly"]
+            if not isinstance(entries, list):
+                raise ParseError(f"field 'e_poly' must be an array, got {entries!r}")
             terms: dict[tuple[int, int], int] = {}
-            for p, q, c in data["e_poly"]:
-                key = (_json_int(p, "e_poly"), _json_int(q, "e_poly"))
-                terms[key] = terms.get(key, 0) + _json_int(c, "e_poly")
+            for entry in entries:
+                if not isinstance(entry, list) or len(entry) != 3:
+                    raise ParseError(
+                        f"field 'e_poly' entries must be [p, q, c] arrays, got {entry!r}"
+                    )
+                p, q, c = _json_ints(entry, "e_poly")
+                terms[p, q] = terms.get((p, q), 0) + c
             return SmoothProjectiveLeaf(name, Poly2(terms), countable)
     except KeyError as exc:
         raise ParseError(f"leaf {kind!r} is missing field {exc}") from None

@@ -15,7 +15,9 @@ All four are thin subclasses of one core, ``_TermMap``: a map from
 exponent key to nonzero ``int`` with a single canonicalizing constructor
 and a single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
 only its exponent check, its exponent addition (series also truncate) and
-its text form: ``str()`` of a polynomial is its canonical text.
+its text form: ``str()`` of a polynomial is its canonical text.  A series
+checks a whole term map in bulk first and falls back to the term-by-term
+check, with its messages, only when the map holds a bad term.
 Everything is computed exactly; equality is equality of canonical forms.
 """
 
@@ -25,6 +27,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, ParseError
@@ -63,8 +66,8 @@ class _TermMap:
         self._terms = self._canonical(terms.items() if terms else ())
 
     def _canonical(self, items: Iterable[tuple[object, object]]) -> dict:
-        """The one way outside data becomes a term map: every exponent and
-        coefficient checked, repeated exponents summed, zeros dropped."""
+        """Make outside data a term map one term at a time: every exponent
+        and coefficient checked, repeated exponents summed, zeros dropped."""
         out: dict = {}
         for e, c in items:
             if type(c) is not int:
@@ -395,7 +398,23 @@ class MultiSeries(_TermMap):
             raise DomainError("truncation order must be non-negative")
         self.arity = arity
         self.order = order
-        super().__init__(terms)
+        self._terms = self._checked(terms) if terms else {}
+
+    def _checked(self, terms: Mapping) -> dict:
+        """The map checked whole, in a few passes that run in C, and
+        truncated at the order.  A map that fails any of them goes through
+        _canonical instead, which raises the message for its first bad term."""
+        keys = terms.keys()
+        if (
+            set(map(type, terms.values())) <= {int}
+            and set(map(type, keys)) <= {tuple}
+            and set(map(len, keys)) <= {self.arity}
+            and set(map(type, chain.from_iterable(keys))) <= {int}
+            and min(chain.from_iterable(keys), default=0) >= 0
+        ):
+            order = self.order
+            return {e: c for e, c in terms.items() if c and sum(e) <= order}
+        return self._canonical(terms.items())
 
     def _key(self, e: object) -> tuple[int, ...] | None:
         e = _exponent_tuple(e, self.arity)
@@ -475,7 +494,7 @@ def expand_inverse_product(
             key = e
             for a in powers[: (order - sum(e)) // step + 1]:
                 out[key] = out.get(key, 0) + c * a
-                key = tuple(x + y for x, y in zip(key, m))
+                key = tuple(map(operator.add, key, m))
         terms = out
     return MultiSeries(arity, order, terms)
 

@@ -4,7 +4,7 @@ import math
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclemotive.chow import (
     ChowIndex,
@@ -87,8 +87,26 @@ def row_pairs(draw):
     return a, b, d
 
 
+def _all_max(k, d):
+    return [2**k - 1] * (d + 1)
+
+
+_RISING = [2 ** (97 * i) - 1 for i in range(41)]
+
+
 @settings(deadline=None)
 @given(row_pairs())
+# rows where the slot width is tight: every term at its largest ...
+@example((_all_max(8, 0), _all_max(8, 0), 0))
+@example((_all_max(64, 1), _all_max(64, 1), 1))
+@example((_all_max(4000, 40), _all_max(4000, 40), 40))
+@example((_all_max(1, 40), _all_max(7, 40), 40))
+# ... the large entries of one row meeting the small ones of the other ...
+@example((_RISING, _RISING[::-1], 40))
+@example((_RISING[::-1], _RISING, 40))
+# ... and rows of zeros, which need no bits of their own
+@example(([0] * 41, _RISING, 40))
+@example(([0], [0], 0))
 def test_packed_product_equals_schoolbook(rows):
     a, b, d = rows
     assert _truncated_product(a, b, d) == _schoolbook_product(a, b, d)

@@ -249,10 +249,30 @@ def test_custom_leaf_name_must_be_json_string(name):
     {"leaf": "cellular", "cells": [1.9, True]},
     {"leaf": "custom", "e_poly": [[0, 0, 1.5]], "countable": True},
     {"leaf": "custom", "e_poly": [[True, True, 1]], "countable": True},
+    {"leaf": "custom", "e_poly": [[0, 0]], "countable": True},
+    {"leaf": "custom", "e_poly": [[0, 0, 1, 1]], "countable": True},
+    {"leaf": "custom", "e_poly": [3], "countable": True},
+    {"leaf": "custom", "e_poly": 3, "countable": True},
+    {"leaf": "custom", "e_poly": {"0": 1}, "countable": True},
 ])
 def test_leaf_fields_must_be_json_integers(leaf):
-    with pytest.raises(ParseError):
+    # a malformed e_poly is reported by its field name, not by Python's
+    # unpacking messages
+    match = "'e_poly'" if "e_poly" in leaf else None
+    with pytest.raises(ParseError, match=match):
         expr_from_json(json.dumps(leaf))
+
+
+@pytest.mark.parametrize("fan", [
+    json.dumps({"dim": 1, "rays": [[1], [-1]], "cones": [[0], [1]]}),
+    "not json",
+    3,
+    [[1], [-1]],
+])
+def test_toric_fan_leaf_needs_json_object(fan):
+    # a string holding a valid fan is not decoded a second time
+    with pytest.raises(ParseError, match="fan JSON must be an object"):
+        expr_from_json(json.dumps({"leaf": "toric_fan", "fan": fan}))
 
 
 def test_custom_leaf_repeated_monomials_are_summed():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +349,44 @@ def test_lpoly_from_diagonal_rejects_mixed():
 def test_constructors_accept_only_int(build):
     with pytest.raises(DomainError):
         build()
+
+
+class _Pairs(Mapping):
+    """A mapping kept as a list of pairs, so its keys may be unhashable."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def __getitem__(self, key):
+        return next(c for e, c in self._pairs if e == key)
+
+    def __iter__(self):
+        return (e for e, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({(1.0,): 1}, "exponent (1.0,) is not a tuple of integers"),
+    ({(True,): 1}, "exponent (True,) is not a tuple of integers"),
+    ({(0,): 1, (-1,): 1}, "negative exponent in (-1,)"),
+    (_Pairs([([1], 1)]), "exponent [1] is not a tuple of integers"),
+    ({"1": 1}, "exponent '1' is not a tuple of integers"),
+    ({(1, 0): 1}, "exponent (1, 0) has wrong arity (want 1)"),
+    ({(1,): 1.5}, "coefficient 1.5 is not an integer"),
+    ({(1,): True}, "coefficient True is not an integer"),
+    # the first bad term is the one named, and a term beyond the order is
+    # checked before it is dropped
+    ({(0,): 1, (1,): 2.5, (2.0,): 1}, "coefficient 2.5 is not an integer"),
+    ({(9.0,): 1}, "exponent (9.0,) is not a tuple of integers"),
+    ({(9,): 0.5}, "coefficient 0.5 is not an integer"),
+], ids=["float-exponent", "bool-exponent", "negative-exponent", "list-exponent",
+        "str-exponent", "wrong-arity", "float-coefficient", "bool-coefficient",
+        "first-bad-term", "beyond-order-exponent", "beyond-order-coefficient"])
+def test_series_constructor_messages(terms, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        MultiSeries(1, 3, terms)
 
 
 def test_multiseries_truncation_discards_high_degree():
