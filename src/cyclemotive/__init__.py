@@ -71,7 +71,6 @@ from .ring import (
     Poly2,
     antidiagonal_sums,
     expand_inverse_product,
-    format_poly2,
     parse_poly2,
     quotient_uv,
     quotient_uv_minus1,

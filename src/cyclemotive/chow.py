@@ -170,13 +170,6 @@ def multidegree_slots(p: int, n: int, m: int) -> list[tuple[int, int]]:
     return [(k, p - k) for k in range(max(0, p - m), min(n, p) + 1)]
 
 
-def unit_multidegree(p: int, n: int, m: int, k: int, l: int) -> tuple[int, ...]:
-    slots = multidegree_slots(p, n, m)
-    if (k, l) not in slots:
-        raise DomainError(f"({k},{l}) is not a component of p={p}, n={n}, m={m}")
-    return tuple(1 if s == (k, l) else 0 for s in slots)
-
-
 def irreducible_invariant_product(
     alpha, p: int, n: int, m: int
 ) -> int:

@@ -334,15 +334,3 @@ class CongruenceReport(Record):
             "note": self.note,
         }
 
-
-def congruence_check(
-    actual: int, expected_mod_q: int, expected_mod_q_minus_1: int, q: int
-) -> CongruenceReport:
-    if q < 2:
-        raise DomainError(f"field size must be >= 2, got {q}")
-    return CongruenceReport(
-        q=q,
-        expected_mod_q=expected_mod_q,
-        expected_mod_q_minus_1=expected_mod_q_minus_1,
-        actual=actual,
-    )

@@ -176,7 +176,7 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
         case Torus(n):
             return (LPoly.L() - LPoly.one()) ** n
         case ProjSpace(n):
-            return LPoly([1] * (n + 1))
+            return LPoly({i: 1 for i in range(n + 1)})
         case Grassmannian(k, n):
             return gaussian_binomial_poly(n, k)
         case Cellular(cells):

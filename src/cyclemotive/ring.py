@@ -7,18 +7,22 @@ Four value types, all immutable, all over arbitrary-precision integers:
 * ``Laurent1``   -- Z[u, 1/u]; the image of Z[u,v] modulo (uv - 1).
 * ``LPoly``      -- Z[L], L the class of the affine line; counting
                     polynomials, evaluated at L = q^m for point counts.
-                    Built from and read back as a dense coefficient tuple.
 * ``MultiSeries``-- Z[[x_1..x_r]] truncated at a total degree; holds the
                     coefficients of infinite-product generating series.
 
 All four are thin subclasses of one core, ``_TermMap``: a map from
-exponent key to nonzero ``int`` with a single canonicalizing constructor
-and a single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
+exponent key to nonzero ``int``, built from a term map
+``{exponent: coefficient}`` by a single canonicalizing constructor, with a
+single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
 only its exponent check, its exponent addition (series also truncate) and
-its text form: ``str()`` of a polynomial is its canonical text.  A series
-checks a whole term map in bulk first and falls back to the term-by-term
-check, with its messages, only when the map holds a bad term.
-Everything is computed exactly; equality is equality of canonical forms.
+its text form.  The two one-variable types share one more body,
+``_OneVariable``: integer exponents (negative ones only in ``Laurent1``),
+coefficient lookup, exact integer evaluation by Horner's rule, and text in
+ascending powers of their variable.  ``str()`` of a polynomial is its
+canonical text and the only printer.  A series checks a whole term map in
+bulk first and falls back to the term-by-term check, with its messages,
+only when the map holds a bad term.  Everything is computed exactly;
+equality is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 
@@ -47,6 +50,15 @@ def _exponent_tuple(e: object, arity: int) -> tuple[int, ...]:
     return e
 
 
+def _mapping(terms: object) -> Mapping:
+    """Check that a constructor's terms are a mapping, None meaning empty."""
+    if terms is None:
+        return {}
+    if not isinstance(terms, Mapping):
+        raise DomainError(f"terms must be a mapping, not {type(terms).__name__}")
+    return terms
+
+
 class _TermMap:
     """Immutable map from exponent key to nonzero int coefficient.
 
@@ -63,7 +75,7 @@ class _TermMap:
     _shape: tuple = ()
 
     def __init__(self, terms: Mapping | None = None):
-        self._terms = self._canonical(terms.items() if terms else ())
+        self._terms = self._canonical(_mapping(terms).items())
 
     def _canonical(self, items: Iterable[tuple[object, object]]) -> dict:
         """Make outside data a term map one term at a time: every exponent
@@ -202,7 +214,9 @@ class Poly2(_TermMap):
         return all(p == q for p, q in self._terms)
 
     def __str__(self) -> str:
-        return format_poly2(self)
+        """Canonical text, in the order given under "Text form" below."""
+        ordered = sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
+        return _format_terms([(_uv_monomial(p, q), c) for (p, q), c in ordered])
 
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
@@ -223,44 +237,63 @@ def antidiagonal_sums(a: Poly2) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent1: Z[u, 1/u], the quotient Z[u,v]/(uv - 1)
+# one variable: Laurent1 = Z[u, 1/u] = Z[u,v]/(uv - 1), and LPoly = Z[L]
 
 
-class Laurent1(_TermMap):
-    """Sparse Laurent polynomial in one variable u, integer exponents."""
+class _OneVariable(_TermMap):
+    """Sparse polynomial in one named variable, keyed by int exponents."""
 
     __slots__ = ()
     _unit = 0
     _add_exponents = staticmethod(operator.add)
+    _variable: str
+    _negative_exponents = True
 
-    @staticmethod
-    def _key(e: object) -> int:
+    @classmethod
+    def _key(cls, e: object) -> int:
         if type(e) is not int:
             raise DomainError(f"exponent {e!r} is not an integer")
+        if e < 0 and not cls._negative_exponents:
+            raise DomainError(f"{cls.__name__} exponent {e} is negative")
         return e
 
     @classmethod
-    def constant(cls, c: int) -> "Laurent1":
+    def constant(cls, c: int):
         return cls({0: c})
-
-    def is_constant(self) -> bool:
-        return set(self._terms) <= {0}
 
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
 
-    def evaluate(self, u0: int) -> int | Fraction:
-        """Exact value at a nonzero integer; a Fraction when u0 does not
-        divide out (only u0 = +-1 arises in the invariants we check)."""
-        if u0 == 0:
-            raise DomainError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += Fraction(c) * Fraction(u0) ** e
-        return int(total) if total.denominator == 1 else total
+    def evaluate(self, x: int) -> int:
+        """Exact value at an integer, by Horner's rule on x^(-low) times the
+        polynomial (low the lowest negative exponent), divided back exactly.
+        Raises DomainError when that division leaves a remainder."""
+        terms = self._terms
+        low = min(min(terms, default=0), 0)
+        if low and x == 0:
+            raise DomainError(f"cannot evaluate a negative power of {self._variable} at 0")
+        total = 0
+        for e in range(max(terms, default=0), low - 1, -1):
+            total = total * x + terms.get(e, 0)
+        value, remainder = divmod(total, x**-low)
+        if remainder:
+            raise DomainError(f"{self} is not an integer at {self._variable} = {x}")
+        return value
 
     def __str__(self) -> str:
-        return format_laurent1(self)
+        """Canonical text: ascending powers of the variable."""
+        ordered = sorted(self._terms.items())
+        return _format_terms([(_power(self._variable, e), c) for e, c in ordered])
+
+
+class Laurent1(_OneVariable):
+    """Sparse Laurent polynomial in one variable u, integer exponents."""
+
+    __slots__ = ()
+    _variable = "u"
+
+    def is_constant(self) -> bool:
+        return set(self._terms) <= {0}
 
 
 def quotient_uv_minus1(a: Poly2) -> Laurent1:
@@ -288,32 +321,14 @@ def quotient_uv(a: Poly2) -> Poly2:
 # LPoly: Z[L]
 
 
-class LPoly(_TermMap):
-    """Polynomial in the symbol L (the class of the affine line).
-
-    Built from a dense coefficient sequence, constant term first, and read
-    back as one (``coeffs``, trailing zeros trimmed, the zero polynomial
-    the empty tuple); stored sparsely by exponent like the other types.
-    """
+class LPoly(_OneVariable):
+    """Polynomial in the symbol L (the class of the affine line), keyed by
+    non-negative exponents."""
 
     __slots__ = ()
-    _unit = 0
-    _add_exponents = staticmethod(operator.add)
+    _variable = "L"
+    _negative_exponents = False
     __mul__ = _TermMap.__mul__  # own entry, as in Poly2
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        self._terms = self._canonical(enumerate(coeffs))
-
-    @staticmethod
-    def _key(e: int) -> int:
-        return e  # a position in the coefficient sequence
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        out = [0] * (self.degree() + 1)
-        for e, c in self._terms.items():
-            out[e] = c
-        return tuple(out)
 
     @classmethod
     def zero(cls) -> "LPoly":
@@ -321,35 +336,19 @@ class LPoly(_TermMap):
 
     @classmethod
     def one(cls) -> "LPoly":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c: int) -> "LPoly":
-        return cls((c,))
+        return cls({0: 1})
 
     @classmethod
     def L(cls) -> "LPoly":
-        return cls((0, 1))
+        return cls({1: 1})
 
     @classmethod
     def monomial(cls, n: int, c: int = 1) -> "LPoly":
-        return cls([0] * n + [c])
-
-    def coefficient(self, n: int) -> int:
-        return self._terms.get(n, 0)
+        return cls({n: c})
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return max(self._terms, default=-1)
-
-    def evaluate(self, x: int) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __str__(self) -> str:
-        return format_lpoly(self)
 
 
 def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
@@ -360,10 +359,7 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
     """
     if not a.is_diagonal():
         return None
-    coeffs = [0] * (max((p for p, _ in a.terms), default=0) + 1)
-    for (p, _), c in a.terms.items():
-        coeffs[p] = c
-    return LPoly(coeffs)
+    return LPoly({p: c for (p, _), c in a.terms.items()})
 
 
 def lpoly_to_poly2(a: LPoly) -> Poly2:
@@ -392,12 +388,15 @@ class MultiSeries(_TermMap):
         order: int,
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
+        if type(arity) is not int or type(order) is not int:
+            raise DomainError(f"arity {arity!r} and order {order!r} must be integers")
         if arity < 0:
             raise DomainError("arity must be non-negative")
         if order < 0:
             raise DomainError("truncation order must be non-negative")
         self.arity = arity
         self.order = order
+        terms = _mapping(terms)
         self._terms = self._checked(terms) if terms else {}
 
     def _checked(self, terms: Mapping) -> dict:
@@ -481,6 +480,8 @@ def expand_inverse_product(
         m = _exponent_tuple(exponent, arity)
         if not any(m):
             raise DomainError("zero exponent factor: the product diverges")
+        if type(multiplicity) is not int:
+            raise DomainError(f"factor multiplicity {multiplicity!r} is not an integer")
         if multiplicity < 1:
             raise DomainError(f"factor multiplicity must be >= 1, got {multiplicity}")
         step = sum(m)
@@ -526,19 +527,6 @@ def _uv_monomial(p: int, q: int) -> str:
     if upart and vpart and (p > 1 or q > 1):
         return f"{upart}*{vpart}"
     return upart + vpart
-
-
-def format_poly2(a: Poly2) -> str:
-    ordered = sorted(a.terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-    return _format_terms([(_uv_monomial(p, q), c) for (p, q), c in ordered])
-
-
-def format_laurent1(a: Laurent1) -> str:
-    return _format_terms([(_power("u", e), c) for e, c in sorted(a.terms.items())])
-
-
-def format_lpoly(a: LPoly) -> str:
-    return _format_terms([(_power("L", e), c) for e, c in sorted(a.terms.items())])
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|(\^)|(\*)|([+-]))")
@@ -641,8 +629,4 @@ def parse_laurent1(text: str) -> Laurent1:
 
 def parse_lpoly(text: str) -> LPoly:
     terms = _parse_terms(text, ("L",), allow_negative_exponents=False)
-    degree = max((e for (e,) in terms), default=0)
-    coeffs = [0] * (degree + 1)
-    for (e,), c in terms.items():
-        coeffs[e] = c
-    return LPoly(coeffs)
+    return LPoly({e: c for (e,), c in terms.items()})

@@ -152,16 +152,14 @@ def euler_series(
     fan: Fan,
     p: int,
     order: int,
-    grading: Mapping[OrbitClosure, Sequence[int]]
-    | Callable[[OrbitClosure], Sequence[int]]
-    | None = None,
+    grading: Callable[[OrbitClosure], Sequence[int]] | None = None,
 ) -> MultiSeries:
     """Product formula for the series of p-dimensional effective classes.
 
     Each invariant subvariety V contributes a factor 1/(1 - x^g(V)); the
     grading g picks the monomial recording V's class.  By default every
     descriptor gets its own basis vector (the finest grading); passing a
-    map or function identifies classes, e.g. sending all of them to a
+    function identifies classes, e.g. sending all of them to a
     single variable t to grade by degree.
     """
     descriptors = invariant_subvarieties(fan, p)
@@ -173,8 +171,7 @@ def euler_series(
             e[i] = 1
             vectors.append(tuple(e))
     else:
-        lookup = grading if callable(grading) else grading.__getitem__
-        vectors = [tuple(lookup(d)) for d in descriptors]
+        vectors = [tuple(grading(d)) for d in descriptors]
         if not vectors:
             raise DomainError(f"no {p}-dimensional invariant subvarieties to grade")
         arity = len(vectors[0])

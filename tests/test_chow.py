@@ -19,7 +19,6 @@ from cyclemotive.chow import (
     irreducible_invariant,
     irreducible_invariant_product,
     multidegree_slots,
-    unit_multidegree,
 )
 from cyclemotive.chow import _lam_row, _truncated_product
 from cyclemotive.errors import DomainError
@@ -203,9 +202,9 @@ def test_multidegree_slots():
 
 
 def test_irreducible_invariant_product():
-    a = unit_multidegree(1, 1, 1, 1, 0)
+    a = (0, 1)  # slots (0,1), (1,0): the unit vector at (1,0)
     assert irreducible_invariant_product(a, 1, 1, 1) == 2
-    b = unit_multidegree(2, 2, 2, 1, 1)
+    b = (0, 1, 0)  # slots (0,2), (1,1), (2,0): the unit vector at (1,1)
     assert irreducible_invariant_product(b, 2, 2, 2) == 9
     doubled = tuple(2 * x for x in a)
     assert irreducible_invariant_product(doubled, 1, 1, 1) == 0
@@ -214,8 +213,6 @@ def test_irreducible_invariant_product():
         irreducible_invariant_product((1, 0, 0), 1, 1, 1)  # wrong length
     with pytest.raises(DomainError):
         irreducible_invariant_product((1, -1), 1, 1, 1)
-    with pytest.raises(DomainError):
-        unit_multidegree(1, 1, 1, 2, 0)
 
 
 def test_irreducible_product_full_unit_grid():

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import (
+    CongruenceReport,
     PrimePower,
     cell_count,
-    congruence_check,
     gaussian_binomial,
     gaussian_binomial_poly,
     grassmannian_count_brute,
@@ -257,29 +257,30 @@ def test_toric_count_domain():
 
 
 def test_congruence_examples():
-    r = congruence_check(130, 1, 6, 3)
+    # CongruenceReport(q, expected mod q, expected mod q-1, actual count)
+    r = CongruenceReport(3, 1, 6, 130)
     assert r.mod_q_ok and r.mod_q_minus_1_ok and r.ok and r.testable
-    r = congruence_check(7, 1, 3, 2)
+    r = CongruenceReport(2, 1, 3, 7)
     assert r.mod_q_ok and r.mod_q_minus_1_ok  # mod 1 is vacuous
-    r = congruence_check(4, 1, 2, 3)
+    r = CongruenceReport(3, 1, 2, 4)
     assert r.mod_q_ok and r.mod_q_minus_1_ok
 
 
 def test_congruence_failure_detected():
-    r = congruence_check(131, 1, 6, 3)
+    r = CongruenceReport(3, 1, 6, 131)
     assert not r.mod_q_ok
     assert not r.ok
 
 
 @given(st.integers(0, 10**9), st.integers(2, 97))
 def test_congruence_self_residues(a, q):
-    r = congruence_check(a, a % q, a % (q - 1) if q > 2 else 0, q)
+    r = CongruenceReport(q, a % q, a % (q - 1) if q > 2 else 0, a)
     assert r.mod_q_ok
     assert r.mod_q_minus_1_ok
 
 
 def test_congruence_json_shape():
-    r = congruence_check(130, 1, 6, 3)
+    r = CongruenceReport(3, 1, 6, 130)
     data = r.to_json()
     assert data["actual"] == 130
     assert data["mod_q_ok"] is True

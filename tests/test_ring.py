@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,6 @@ from cyclemotive.ring import (
     Poly2,
     antidiagonal_sums,
     expand_inverse_product,
-    format_laurent1,
-    format_lpoly,
-    format_poly2,
     lpoly_from_diagonal,
     lpoly_to_poly2,
     parse_laurent1,
@@ -123,6 +121,17 @@ def test_expand_matches_binomials_large_grid():
             assert s.coefficient((d,)) == math.comb(v + d - 1, d)
 
 
+@pytest.mark.parametrize("multiplicity, message", [
+    (1.5, "factor multiplicity 1.5 is not an integer"),
+    (True, "factor multiplicity True is not an integer"),
+    (0, "factor multiplicity must be >= 1, got 0"),
+    (-1, "factor multiplicity must be >= 1, got -1"),
+], ids=["float", "bool", "zero", "negative"])
+def test_expand_checks_each_multiplicity(multiplicity, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        expand_inverse_product([((1,), 2), ((1,), multiplicity)], arity=1, order=3)
+
+
 def test_expand_rejects_zero_exponent():
     import pytest
 
@@ -155,7 +164,9 @@ def test_ring_axioms(a, b, c):
 laurents = st.builds(
     Laurent1, st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=6)
 )
-lpolys = st.builds(LPoly, st.lists(st.integers(-9, 9), max_size=6))
+lpolys = st.builds(
+    LPoly, st.dictionaries(st.integers(0, 8), st.integers(-9, 9), max_size=6)
+)
 series = st.builds(
     lambda terms: MultiSeries(2, 4, terms),
     st.dictionaries(exponent_pairs, st.integers(-9, 9), max_size=6),
@@ -207,17 +218,37 @@ def test_negation_and_powers_every_type(ring, data):
         assert hash(left) == hash(right)
 
 
-@given(st.lists(st.integers(-9, 9), max_size=8))
-def test_lpoly_coeffs_round_trip(coeffs):
-    a = LPoly(coeffs)
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    assert a.coeffs == tuple(trimmed)
-    assert LPoly(a.coeffs) == a
-    assert LPoly(list(a.coeffs) + [0, 0]) == a
-    assert a.degree() == len(trimmed) - 1
-    assert all(a.coefficient(i) == c for i, c in enumerate(trimmed))
+@given(st.dictionaries(st.integers(0, 8), st.integers(-9, 9), max_size=6))
+def test_lpoly_degree_and_coefficient(terms):
+    a = LPoly(terms)
+    assert a.degree() == max((e for e, c in terms.items() if c), default=-1)
+    assert all(a.coefficient(e) == terms.get(e, 0) for e in range(12))
+    assert LPoly({**terms, 11: 0}) == a
+    assert LPoly.monomial(11, 0) == LPoly.zero()
+
+
+def fraction_value(a, x):
+    """Reference evaluation over the rationals, one power per term."""
+    return sum(Fraction(c) * Fraction(x) ** e for e, c in a.terms.items())
+
+
+@pytest.mark.parametrize("ring", ["LPoly", "Laurent1"])
+@given(data=st.data(), x=st.one_of(st.integers(-6, 6), st.integers(-2**64, 2**64)))
+def test_evaluate_matches_fraction_reference(ring, data, x):
+    a = data.draw(RINGS[ring][0])
+    shift = -min(min(a.terms, default=0), 0)
+    if x == 0 and shift:
+        with pytest.raises(DomainError):
+            a.evaluate(x)
+        return
+    expected = fraction_value(a, x)
+    if expected.denominator == 1:
+        assert a.evaluate(x) == expected
+    else:
+        with pytest.raises(DomainError):
+            a.evaluate(x)
+    # scaled by x^shift the value is integral, with the same exponents
+    assert (a * type(a).constant(x**shift)).evaluate(x) == x**shift * expected
 
 
 @given(small_polys, small_polys)
@@ -275,31 +306,29 @@ def test_expansion_equals_product_of_geometric_powers(case):
     assert expand_inverse_product(factors, arity=arity, order=order) == expected
 
 
-@given(small_polys)
+PARSERS = {"Poly2": parse_poly2, "Laurent1": parse_laurent1, "LPoly": parse_lpoly}
+
+
+@pytest.mark.parametrize("ring", sorted(PARSERS))
+@given(data=st.data())
 @settings(max_examples=200)
-def test_poly2_text_round_trip(a):
-    assert parse_poly2(format_poly2(a)) == a
-
-
-@given(st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=6))
-def test_laurent_text_round_trip(terms):
-    a = Laurent1(terms)
-    assert parse_laurent1(format_laurent1(a)) == a
+def test_text_round_trip_every_type(ring, data):
+    a = data.draw(RINGS[ring][0])
+    assert PARSERS[ring](str(a)) == a
 
 
 def test_golden_rendering():
     # canonical order: total degree ascending, then u-exponent descending
-    assert format_poly2(GLUED_CONE) == "1+u+v+uv-u^2*v-u*v^2+2u^2*v^2"
-    assert format_poly2(Poly2.zero()) == "0"
-    assert format_poly2(-ONE) == "-1"
+    assert str(GLUED_CONE) == "1+u+v+uv-u^2*v-u*v^2+2u^2*v^2"
+    assert str(Poly2.zero()) == "0"
+    assert str(-ONE) == "-1"
     assert parse_poly2("0").is_zero()
     # str() is the canonical text; repr() wraps it in the type's name
     laurent = parse_laurent1("u^-2+3-u")
-    lpoly = LPoly((1, 3, 0, 0, 1))
-    assert (str(GLUED_CONE), repr(GLUED_CONE)) == (
-        format_poly2(GLUED_CONE), "Poly2('1+u+v+uv-u^2*v-u*v^2+2u^2*v^2')")
-    assert (str(laurent), repr(laurent)) == (format_laurent1(laurent), "Laurent1('u^-2+3-u')")
-    assert (str(lpoly), repr(lpoly)) == (format_lpoly(lpoly), "LPoly('1+3L+L^4')")
+    lpoly = LPoly({0: 1, 1: 3, 4: 1})
+    assert repr(GLUED_CONE) == "Poly2('1+u+v+uv-u^2*v-u*v^2+2u^2*v^2')"
+    assert (str(laurent), repr(laurent)) == ("u^-2+3-u", "Laurent1('u^-2+3-u')")
+    assert (str(lpoly), repr(lpoly)) == ("1+3L+L^4", "LPoly('1+3L+L^4')")
 
 
 def test_parser_tolerates_stars_and_spaces():
@@ -326,28 +355,33 @@ def test_laurent_negative_exponents_parse():
 
 def test_lpoly_round_trips():
     a = parse_lpoly("1+3L+L^4")
-    assert a == LPoly((1, 3, 0, 0, 1))
-    assert format_lpoly(a) == "1+3L+L^4"
+    assert a == LPoly({0: 1, 1: 3, 4: 1})
+    assert str(a) == "1+3L+L^4"
     assert a.evaluate(2) == 1 + 6 + 16
     assert lpoly_from_diagonal(lpoly_to_poly2(a)) == a
 
 
 def test_lpoly_from_diagonal_rejects_mixed():
-    assert lpoly_from_diagonal(parse_poly2("1+uv")) == LPoly((1, 1))
+    assert lpoly_from_diagonal(parse_poly2("1+uv")) == LPoly({0: 1, 1: 1})
     assert lpoly_from_diagonal(parse_poly2("1+u")) is None
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Poly2({(1.5, 0): 1}),
-    lambda: Poly2({(1, 0): 1.7}),
-    lambda: Poly2({(0, 0): True}),
-    lambda: Laurent1({"1": 1}),
-    lambda: LPoly((1, 2.0)),
-    lambda: MultiSeries(1, 3, {(1.0,): 1}),
+@pytest.mark.parametrize("build, message", [
+    (lambda: Poly2({(1.5, 0): 1}), "exponent (1.5, 0) is not a tuple of integers"),
+    (lambda: Poly2({(1, 0): 1.7}), "coefficient 1.7 is not an integer"),
+    (lambda: Poly2({(0, 0): True}), "coefficient True is not an integer"),
+    (lambda: Laurent1({"1": 1}), "exponent '1' is not an integer"),
+    (lambda: LPoly({1: 2.0}), "coefficient 2.0 is not an integer"),
+    (lambda: MultiSeries(1, 3, {(1.0,): 1}), "exponent (1.0,) is not a tuple of integers"),
+    (lambda: LPoly({-1: 1}), "LPoly exponent -1 is negative"),
+    (lambda: LPoly({True: 1}), "exponent True is not an integer"),
+    (lambda: LPoly((1, 2)), "terms must be a mapping, not tuple"),
+    (lambda: Poly2([((0, 0), 1)]), "terms must be a mapping, not list"),
 ], ids=["poly2-exponent", "poly2-coefficient", "poly2-bool", "laurent1-exponent",
-        "lpoly-coefficient", "series-exponent"])
-def test_constructors_accept_only_int(build):
-    with pytest.raises(DomainError):
+        "lpoly-coefficient", "series-exponent", "lpoly-negative-exponent",
+        "lpoly-bool-exponent", "lpoly-dense", "poly2-pairs"])
+def test_constructors_accept_only_int(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -367,26 +401,31 @@ class _Pairs(Mapping):
         return len(self._pairs)
 
 
-@pytest.mark.parametrize("terms, message", [
-    ({(1.0,): 1}, "exponent (1.0,) is not a tuple of integers"),
-    ({(True,): 1}, "exponent (True,) is not a tuple of integers"),
-    ({(0,): 1, (-1,): 1}, "negative exponent in (-1,)"),
-    (_Pairs([([1], 1)]), "exponent [1] is not a tuple of integers"),
-    ({"1": 1}, "exponent '1' is not a tuple of integers"),
-    ({(1, 0): 1}, "exponent (1, 0) has wrong arity (want 1)"),
-    ({(1,): 1.5}, "coefficient 1.5 is not an integer"),
-    ({(1,): True}, "coefficient True is not an integer"),
+@pytest.mark.parametrize("args, message", [
+    ((1, 3, {(1.0,): 1}), "exponent (1.0,) is not a tuple of integers"),
+    ((1, 3, {(True,): 1}), "exponent (True,) is not a tuple of integers"),
+    ((1, 3, {(0,): 1, (-1,): 1}), "negative exponent in (-1,)"),
+    ((1, 3, _Pairs([([1], 1)])), "exponent [1] is not a tuple of integers"),
+    ((1, 3, {"1": 1}), "exponent '1' is not a tuple of integers"),
+    ((1, 3, {(1, 0): 1}), "exponent (1, 0) has wrong arity (want 1)"),
+    ((1, 3, {(1,): 1.5}), "coefficient 1.5 is not an integer"),
+    ((1, 3, {(1,): True}), "coefficient True is not an integer"),
     # the first bad term is the one named, and a term beyond the order is
     # checked before it is dropped
-    ({(0,): 1, (1,): 2.5, (2.0,): 1}, "coefficient 2.5 is not an integer"),
-    ({(9.0,): 1}, "exponent (9.0,) is not a tuple of integers"),
-    ({(9,): 0.5}, "coefficient 0.5 is not an integer"),
+    ((1, 3, {(0,): 1, (1,): 2.5, (2.0,): 1}), "coefficient 2.5 is not an integer"),
+    ((1, 3, {(9.0,): 1}), "exponent (9.0,) is not a tuple of integers"),
+    ((1, 3, {(9,): 0.5}), "coefficient 0.5 is not an integer"),
+    ((1.5, 3, {}), "arity 1.5 and order 3 must be integers"),
+    ((1, 2.5, {(1,): 1}), "arity 1 and order 2.5 must be integers"),
+    ((True, 3, {(1,): 1}), "arity True and order 3 must be integers"),
+    ((1, 3, [((1,), 1)]), "terms must be a mapping, not list"),
 ], ids=["float-exponent", "bool-exponent", "negative-exponent", "list-exponent",
         "str-exponent", "wrong-arity", "float-coefficient", "bool-coefficient",
-        "first-bad-term", "beyond-order-exponent", "beyond-order-coefficient"])
-def test_series_constructor_messages(terms, message):
+        "first-bad-term", "beyond-order-exponent", "beyond-order-coefficient",
+        "float-arity", "float-order", "bool-arity", "pairs-terms"])
+def test_series_constructor_messages(args, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        MultiSeries(1, 3, terms)
+        MultiSeries(*args)
 
 
 def test_multiseries_truncation_discards_high_degree():
