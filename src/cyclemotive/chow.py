@@ -29,7 +29,7 @@ from operator import add, itemgetter
 
 from ._record import Record
 from .errors import DomainError
-from .ffcount import CongruenceReport, PrimePower, gaussian_binomial
+from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
 
@@ -335,9 +335,7 @@ def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceRep
     is attached and checked; beyond that no enumeration is in reach and the
     report carries the expectations only.
     """
-    PrimePower.from_int(q)
-    if m < 1:
-        raise DomainError(f"extension degree must be >= 1, got {m}")
+    check_field(q, m)
     expected_euler = chow_invariant_closed(idx)
     if idx.d == 0:
         actual = 1

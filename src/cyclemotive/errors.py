@@ -6,6 +6,7 @@ specific class that applies rather than a bare ValueError.
 """
 
 import json
+import sys
 
 
 class DomainError(ValueError):
@@ -45,6 +46,11 @@ def _json_loads(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:
+        # int() refuses a literal longer than the interpreter's digit limit
+        raise ParseError(
+            f"{what} holds an integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _json_int(value, field: str) -> int:

@@ -122,6 +122,14 @@ class PrimePower(Record):
         return self.e == 1
 
 
+def check_field(q: int, m: int) -> None:
+    """Check that q and m name the field with q^m elements: q a prime
+    power and m >= 1."""
+    PrimePower.from_int(q)
+    if m < 1:
+        raise DomainError(f"field extension degree must be >= 1, got {m}")
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
     field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact."""
@@ -278,9 +286,7 @@ def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     Orbit decomposition: each rank-k cone contributes an (n-k)-torus with
     (q^m - 1)^(n-k) points.
     """
-    PrimePower.from_int(q)
-    if m < 1:
-        raise DomainError(f"field extension degree must be >= 1, got {m}")
+    check_field(q, m)
     size = q**m
     return sum(
         d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(fan.census)

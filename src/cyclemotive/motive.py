@@ -19,7 +19,7 @@ from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
 from .errors import _ascii_int, _json_int, _json_ints, _json_loads
-from .ffcount import PrimePower, gaussian_binomial_poly
+from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
     LPoly,
@@ -239,9 +239,7 @@ class Measure(Record):
         if self.tag == "count":
             if self.q is None:
                 raise DomainError("count measure needs a field size q")
-            PrimePower.from_int(self.q)
-            if self.m < 1:
-                raise DomainError(f"extension degree must be >= 1, got {self.m}")
+            check_field(self.q, self.m)
         elif self.q is not None:
             raise DomainError(f"measure {self.tag!r} takes no field size")
 

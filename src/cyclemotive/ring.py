@@ -19,8 +19,9 @@ its text form.  The two one-variable types share one more body,
 ``_OneVariable``: integer exponents (negative ones only in ``Laurent1``),
 coefficient lookup, exact integer evaluation by Horner's rule, and text in
 ascending powers of their variable.  ``str()`` of a polynomial is its
-canonical text and the only printer.  A series checks a whole term map in
-bulk first and falls back to the term-by-term check, with its messages,
+canonical text and the only printer, and one regular grammar, stated
+under "Text form" below, reads it back.  A series checks a whole term map
+in bulk first and falls back to the term-by-term check, with its messages,
 only when the map holds a bad term.  Everything is computed exactly;
 equality is equality of canonical forms.
 """
@@ -501,11 +502,20 @@ def expand_inverse_product(
 
 
 # ---------------------------------------------------------------------------
-# Text form: canonical rendering and a tolerant parser
+# Text form: canonical rendering and one regular grammar for input
 #
 # Monomials are ordered degree-lex with u before v (total degree ascending,
 # then higher u-exponent first).  On output a '*' separates the u- and
-# v-parts except in the plain product uv; on input '*' is always optional.
+# v-parts except in the plain product uv.
+#
+# Input is a sum of terms.  A term is a run of '+' and '-' signs (an odd
+# number of '-' negates it; only the first term may have none), an optional
+# coefficient in ASCII digits, then any run of '*' and variables, each with
+# an optional exponent '^' digits, or '^-' digits in Laurent1.  A term needs
+# a coefficient or a variable; repeated variables multiply ("uvu" is u^2*v)
+# and repeated monomials add.  Whitespace may stand between any two tokens
+# and at either end.  Every repeated part of _TERM begins with a character
+# other than whitespace, so matching takes linear time.
 
 
 def _format_terms(ordered: list[tuple[str, int]]) -> str:
@@ -529,104 +539,48 @@ def _uv_monomial(p: int, q: int) -> str:
     return upart + vpart
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|(\^)|(\*)|([+-]))")
+_FACTOR = re.compile(r"([A-Za-z])(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?")
+_TERM = re.compile(rf"\s*((?:[+-]\s*)*)(?:([0-9]+)\s*)?((?:(?:\*|{_FACTOR.pattern})\s*)*)")
 
 
 def _parse_terms(
     text: str, variables: Sequence[str], allow_negative_exponents: bool
-) -> dict[tuple[int, ...], int]:
-    """Parse a sum of monomials over the given variable names.
-
-    Accepts the canonical output format plus optional '*' and whitespace;
-    '^' introduces an exponent, negative only where Laurent input is
-    expected.
-    """
-    tokens: list[tuple[str, str]] = []
+) -> dict:
+    """Read a sum of terms over the given variable names, in the grammar
+    stated under "Text form" above, as a term map keyed by exponent tuples,
+    or by the bare exponent when there is one variable."""
+    terms: dict = {}
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character at {text[pos:pos + 8]!r}")
-        pos = m.end()
-        num, var, caret, star, sign = m.groups()
-        if num:
-            tokens.append(("num", num))
-        elif var:
-            tokens.append(("var", var))
-        elif caret:
-            tokens.append(("^", "^"))
-        elif star:
-            tokens.append(("*", "*"))
-        elif sign:
-            tokens.append(("sign", sign))
-    if not tokens:
-        raise ParseError(f"cannot parse {text!r}: no terms")
-
-    terms: dict[tuple[int, ...], int] = {}
-    i = 0
-    n = len(tokens)
-    first = True
-    while i < n:
-        sign = 1
-        while i < n and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i == n:
-            raise ParseError("dangling sign")
-        if not first and sign == 1 and tokens[i - 1][0] != "sign":
+    while pos == 0 or pos < len(text):
+        m = _TERM.match(text, pos)
+        signs, coeff, factors = m.group(1, 2, 3)
+        found = _FACTOR.findall(factors)
+        if coeff is None and not found:
+            raise ParseError(f"cannot parse {text!r} at position {m.end()}")
+        if pos and not signs:
             raise ParseError("missing '+' or '-' between terms")
-        first = False
-
-        coeff = 1
         exps = [0] * len(variables)
-        saw_factor = False
-        if tokens[i][0] == "num":
-            coeff = int(tokens[i][1])
-            saw_factor = True
-            i += 1
-            if i < n and tokens[i][0] == "*":
-                i += 1
-        while i < n and tokens[i][0] in ("var", "*"):
-            if tokens[i][0] == "*":
-                i += 1
-                continue
-            name = tokens[i][1]
+        for name, minus, digits in found:
             if name not in variables:
                 raise ParseError(f"unknown variable {name!r}")
-            i += 1
-            e = 1
-            if i < n and tokens[i][0] == "^":
-                i += 1
-                esign = 1
-                if i < n and tokens[i][0] == "sign" and tokens[i][1] == "-":
-                    esign = -1
-                    i += 1
-                if i >= n or tokens[i][0] != "num":
-                    raise ParseError("missing exponent after '^'")
-                e = esign * int(tokens[i][1])
-                i += 1
-                if e < 0 and not allow_negative_exponents:
-                    raise ParseError("negative exponent not allowed here")
+            e = int(minus + (digits or "1"))
+            if e < 0 and not allow_negative_exponents:
+                raise ParseError("negative exponent not allowed here")
             exps[variables.index(name)] += e
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("empty term")
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign * coeff
+        key = tuple(exps) if len(exps) > 1 else exps[0]
+        sign = -1 if signs.count("-") % 2 else 1
+        terms[key] = terms.get(key, 0) + sign * int(coeff or "1")
+        pos = m.end()
     return terms
 
 
 def parse_poly2(text: str) -> Poly2:
-    terms = _parse_terms(text, ("u", "v"), allow_negative_exponents=False)
-    return Poly2({(p, q): c for (p, q), c in terms.items()})
+    return Poly2(_parse_terms(text, ("u", "v"), allow_negative_exponents=False))
 
 
 def parse_laurent1(text: str) -> Laurent1:
-    terms = _parse_terms(text, ("u",), allow_negative_exponents=True)
-    return Laurent1({e: c for (e,), c in terms.items()})
+    return Laurent1(_parse_terms(text, ("u",), allow_negative_exponents=True))
 
 
 def parse_lpoly(text: str) -> LPoly:
-    terms = _parse_terms(text, ("L",), allow_negative_exponents=False)
-    return LPoly({e: c for (e,), c in terms.items()})
+    return LPoly(_parse_terms(text, ("L",), allow_negative_exponents=False))

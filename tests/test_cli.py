@@ -414,6 +414,18 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path, kind):
     assert one_line_error(err)
 
 
+@pytest.mark.parametrize("kind", ["expression", "fan", "grading"])
+def test_over_long_integer_file_exits_2(capsys, tmp_path, kind):
+    """json.loads refuses an integer literal past the interpreter's digit
+    limit with a plain ValueError, not a JSONDecodeError."""
+    long = tmp_path / "long.json"
+    long.write_text('{"leaf": "proj_space", "n": ' + "9" * 5000 + "}")
+    code, out, err = run(capsys, *_argv_reading(kind, str(long)))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("motive", "--measure", "count:2", GLUED_CONE_EXPR),    # elliptic leaf
     ("motive", "--measure", "count-poly", GLUED_CONE_EXPR),

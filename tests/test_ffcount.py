@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cyclemotive.chow import ChowIndex, chow_congruence_targets
 from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import (
     CongruenceReport,
@@ -19,6 +21,7 @@ from cyclemotive.ffcount import (
     rref_cell_census,
     toric_count,
 )
+from cyclemotive.motive import count_at
 from conftest import load_fan
 
 P1 = load_fan("p1")
@@ -182,6 +185,20 @@ def test_budget_override(monkeypatch):
     monkeypatch.setenv("CYCLEMOTIVE_BUDGET", "lots")
     with pytest.raises(DomainError):
         grassmannian_count_brute(2, 4, 2)
+
+
+@pytest.mark.parametrize("q, m, message", [
+    (6, 1, "6 is not a prime power"),
+    (2, 0, "field extension degree must be >= 1, got 0"),
+], ids=["q=6", "m=0"])
+@pytest.mark.parametrize("field_user", [
+    count_at,
+    lambda q, m: chow_congruence_targets(ChowIndex(0, 1, 2), q, m),
+    lambda q, m: toric_count(P2, q, m),
+], ids=["count_at", "chow_congruence_targets", "toric_count"])
+def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        field_user(q, m)
 
 
 def test_prime_power():

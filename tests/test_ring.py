@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclemotive.errors import DomainError
+from cyclemotive.errors import DomainError, ParseError
 from cyclemotive.ring import (
     LPoly,
     Laurent1,
@@ -135,7 +135,7 @@ def test_expand_checks_each_multiplicity(multiplicity, message):
 def test_expand_rejects_zero_exponent():
     import pytest
 
-    from cyclemotive.errors import DomainError
+    from cyclemotive.errors import DomainError, ParseError
 
     with pytest.raises(DomainError):
         expand_inverse_product([((0, 0), 1)], arity=2, order=3)
@@ -337,14 +337,67 @@ def test_parser_tolerates_stars_and_spaces():
     assert parse_poly2("u v") == UV  # juxtaposition with whitespace
 
 
-def test_parser_rejects_garbage():
-    import pytest
+@pytest.mark.parametrize("ring, text, expected", [
+    ("Poly2", "*u", U),
+    ("Poly2", "2*", Poly2.constant(2)),
+    ("Poly2", "--u", U),
+    ("Poly2", "uvu", Poly2.monomial(2, 1)),
+    ("Poly2", "u v", UV),
+    ("Poly2", "u^-0", ONE),
+    ("Poly2", "1 ", ONE),
+    ("Laurent1", " u ^ - 2 \t\n", Laurent1({-2: 1})),
+    ("LPoly", "+ 3 * L ^ 2 ", LPoly({2: 3})),
+])
+def test_parser_accepts(ring, text, expected):
+    assert PARSERS[ring](text) == expected
 
-    from cyclemotive.errors import ParseError
 
-    for bad in ("1++", "w", "u^", "u^-2", "3 3", ""):
-        with pytest.raises(ParseError):
-            parse_poly2(bad)
+@pytest.mark.parametrize("ring, text", [
+    *(("Poly2", bad) for bad in (
+        "1++", "w", "u^", "u^-2", "3 3", "", "1 2", "u2", "2^3", "u^+2", "u^--1",
+        "^2", "*", "   ", "U", "\u0663u", "u^-1",
+    )),
+    ("Laurent1", "u^--1"),
+    ("LPoly", "L^-1"),
+])
+def test_parser_rejects_garbage(ring, text):
+    with pytest.raises(ParseError):
+        PARSERS[ring](text)
+
+
+@pytest.mark.parametrize("ring", sorted(PARSERS))
+@given(data=st.data())
+def test_every_spelling_parses_back(ring, data):
+    """Terms in any order, '*' and whitespace between any two tokens and at
+    the end, unit coefficients and exponents written out or left off."""
+    a = data.draw(RINGS[ring][0])
+    names = ("u", "v") if ring == "Poly2" else (type(a)._variable,)
+    space = st.sampled_from(["", " ", " \t", "\n"])
+    star = st.sampled_from(["", "*"])
+    flag = st.booleans()
+    text = ""
+    for i, (key, c) in enumerate(data.draw(st.permutations(sorted(a.terms.items())))):
+        exps = key if isinstance(key, tuple) else (key,)
+        factors = [(n, e) for n, e in zip(names, exps) if e or data.draw(flag)]
+        sign = "-" if c < 0 else "+" if i or data.draw(flag) else ""
+        text += data.draw(space) + sign + data.draw(space)
+        if abs(c) != 1 or not factors or data.draw(flag):
+            text += str(abs(c))
+        for n, e in factors:
+            text += data.draw(space) + data.draw(star) + data.draw(space) + n
+            if e != 1 or data.draw(flag):
+                minus = "-" + data.draw(space) if e < 0 else ""
+                text += data.draw(space) + "^" + data.draw(space) + minus + str(abs(e))
+    text = (text or "0") + data.draw(space)
+    assert PARSERS[ring](text) == a
+
+
+def test_parser_reads_a_long_input_in_one_pass():
+    text = " + ".join(f"{i}L^{i}" for i in range(1, 20000))[:199_990]
+    text = text[: text.rindex("+")].rstrip().rjust(200_000)
+    n = text.count("+") + 1
+    assert len(text) == 200_000
+    assert parse_lpoly(text) == LPoly({i: i for i in range(1, n + 1)})
 
 
 def test_laurent_negative_exponents_parse():
