@@ -12,7 +12,10 @@ Three routes to the same numbers are kept deliberately separate:
   big-integer product of the rows packed into integers (Kronecker
   substitution), with slots of max_i (bits(a[i]) + max_(j <= d-i)
   bits(b[j])) + bits(d + 1) bits: every coefficient of degree <= d fits
-  its slot, so no carry reaches a kept slot;
+  its slot, so no carry reaches a kept slot.  The product-of-projective-
+  spaces recursion keeps one degree row per multidegree component (k, l),
+  seeds its table from the single-space rows, and multiplies the rows
+  out into a series only at the end, by its own fold;
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -21,11 +24,9 @@ The test suite's job is to confirm they collide.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Mapping
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb
-from operator import add, itemgetter
+from operator import add
 
 from ._record import Record
 from .errors import DomainError
@@ -200,10 +201,6 @@ def euler_chow_product_formula(p: int, n: int, m: int, order: int) -> MultiSerie
     of such subvarieties."""
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
-    return _formula_series(p, n, m, order)
-
-
-def _formula_series(p: int, n: int, m: int, order: int) -> MultiSeries:
     slots = multidegree_slots(p, n, m)
     factors = []
     for i, (k, l) in enumerate(slots):
@@ -214,112 +211,53 @@ def _formula_series(p: int, n: int, m: int, order: int) -> MultiSeries:
 
 
 def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSeries:
-    """The same series, rebuilt by induction on n.
+    """The same series, rebuilt by induction on n with no binomials.
 
-    A cycle in the bigger product splits into its part inside the
-    hyperplane-times-second-factor, a cone over a cycle one dimension
-    lower (which shifts the first multidegree index up by one), and a
-    cycle pulled in from the second factor alone at component (0, p).
-    The coefficient at a multidegree is the convolution over all such
-    splittings.  Base of the induction: a point times the second factor.
-    The induction is a table built bottom-up over n, one per call.
+    The series has one factor per slot (a, l), each in its own variable, so
+    the induction keeps one degree row per slot.  A k-cycle in the bigger
+    product splits into its part inside the hyperplane-times-second-factor
+    (slot (a, l) one dimension down), a cone over a (k-1)-cycle one
+    dimension down (the cone raises its slot (a-1, l) to (a, l)), and, at
+    slot (0, k), a cycle pulled in from the second factor alone.  So each
+    step multiplies rows slot by slot with _truncated_product, and row
+    (0, k) also by _lam_row(k, m, order).  Base of the induction: a point
+    times the second factor, whose one slot (0, k) holds
+    _lam_row(k, m, order).  The table is built bottom-up over n, one per
+    call, and the series is the outer product of the last rows, truncated
+    at the order.
     """
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
-    return _recursive_series(p, n, m, order)
-
-
-def _recursive_series(p: int, n: int, m: int, order: int) -> MultiSeries:
-    # series[k - low] holds the terms for cycle dimension k with the first
-    # factor of dimension j; only the dimensions k >= p - (n - j) are needed
-    # above it.  The table lives for one call.
+    # rows[k] maps each slot of cycle dimension k, with the first factor of
+    # dimension j, to its row; only the dimensions k >= p - (n - j) are
+    # needed above it.  Slot (0, k) has no cone part, and slot (j, k - j)
+    # no inside part.
     low = max(0, p - n)
-    series = [_formula_series(k, 0, m, order).terms for k in range(low, p + 1)]
-    pulled_rows = [_lam_row(k, m, order) for k in range(low, p + 1)]
+    pulled = {k: _lam_row(k, m, order) for k in range(low, min(p, m) + 1)}
+    rows = {k: {(0, k): pulled[k]} if k <= m else {} for k in range(low, p + 1)}
     for j in range(1, n + 1):
-        low_j = max(0, p - (n - j))
-        series = [
-            _product_step(
-                k, j, m, order,
-                inside=series[k - low],
-                cone_base=series[k - 1 - low] if k >= 1 else None,
-                pulled_row=pulled_rows[k - low],
-            )
-            for k in range(low_j, p + 1)
-        ]
-        pulled_rows, low = pulled_rows[low_j - low :], low_j
-    return MultiSeries(len(multidegree_slots(p, n, m)), order, series[-1])
+        new = {}
+        for k in range(max(0, p - (n - j)), p + 1):
+            step = new[k] = {}
+            for a, l in multidegree_slots(k, j, m):
+                if a == 0:
+                    step[a, l] = _truncated_product(rows[k][a, l], pulled[k], order)
+                elif a == j:
+                    step[a, l] = rows[k - 1][a - 1, l]
+                else:
+                    step[a, l] = _truncated_product(
+                        rows[k][a, l], rows[k - 1][a - 1, l], order
+                    )
+        rows = new
 
-
-def _spread(
-    terms: Mapping[tuple[int, ...], int],
-    slots: list[tuple[int, int]],
-    slot_index: dict[tuple[int, int], int],
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """(degree, exponents, coefficient) for each term, its slots moved to
-    their places in slot_index, in ascending degree."""
-    places = [slot_index[s] for s in slots]
-    spread = []
-    for exponents, c in terms.items():
-        moved = [0] * len(slot_index)
-        for i, e in zip(places, exponents):
-            moved[i] = e
-        spread.append((sum(exponents), tuple(moved), c))
-    spread.sort(key=itemgetter(0))
-    return spread
-
-
-def _product_step(
-    p: int,
-    n: int,
-    m: int,
-    order: int,
-    inside: Mapping[tuple[int, ...], int],
-    cone_base: Mapping[tuple[int, ...], int] | None,
-    pulled_row: list[int],
-) -> dict[tuple[int, ...], int]:
-    """One induction step: the series for (p, n, m) from the inside series
-    (p, n-1, m), the cone base (p-1, n-1, m) and the row of cycles pulled
-    in from the second factor at component (0, p)."""
-    cur_slots = multidegree_slots(p, n, m)
-    slot_index = {slot: i for i, slot in enumerate(cur_slots)}
-    arity = len(cur_slots)
-
-    inside_terms = _spread(inside, multidegree_slots(p, n - 1, m), slot_index)
-    if cone_base is not None:
-        cone_slots = [(k + 1, l) for (k, l) in multidegree_slots(p - 1, n - 1, m)]
-        cone_terms = _spread(cone_base, cone_slots, slot_index)
-    else:
-        cone_terms = [(0, (0,) * arity, 1)]
-    cone_degrees = [degree for degree, _, _ in cone_terms]
-
-    # inside x cone first ...
-    joint: dict[tuple[int, ...], int] = {}
-    for degree_b, beta, cb in inside_terms:
-        fitting = bisect_right(cone_degrees, order - degree_b)
-        for _, gamma, cg in islice(cone_terms, fitting):
-            key = tuple(map(add, beta, gamma))
-            joint[key] = joint.get(key, 0) + cb * cg
-
-    # ... then the cycles pulled in along the (0, p) slot: one truncated
-    # row product per line of joint terms that differ only in that slot
-    kappa_index = slot_index.get((0, p))
-    if kappa_index is None:
-        out = {key: c * pulled_row[0] for key, c in joint.items()}
-    else:
-        lines: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-        for key, c in joint.items():
-            head, tail = key[:kappa_index], key[kappa_index + 1 :]
-            line = lines.get((head, tail))
-            if line is None:
-                line = lines[head, tail] = [0] * (order - sum(head) - sum(tail) + 1)
-            line[key[kappa_index]] = c
-        out = {}
-        for (head, tail), line in lines.items():
-            for e, c in enumerate(_truncated_product(line, pulled_row, len(line) - 1)):
-                if c:
-                    out[head + (e,) + tail] = c
-    return out
+    terms = {(): 1}
+    for row in rows[p].values():
+        terms = {
+            key + (e,): c * r
+            for key, c in terms.items()
+            for e, r in enumerate(row[: order - sum(key) + 1])
+        }
+    return MultiSeries(len(rows[p]), order, terms)
 
 
 # ---------------------------------------------------------------------------

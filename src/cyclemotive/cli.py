@@ -35,6 +35,7 @@ from .errors import (
     _ascii_int,
     _json_ints,
     _json_loads,
+    _long_integer,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -76,13 +77,26 @@ def _int_option(text: str) -> int:
 _int_option.__name__ = "int"  # argparse names the type in its usage errors
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _text(value, render=str) -> str:
+    """render(value) for output.  An integer past the interpreter's digit
+    limit cannot be printed, which is an input error: the input asked for a
+    result too large to print."""
+    try:
+        return render(value)
+    except ValueError:
+        raise DomainError(f"the result holds {_long_integer()}") from None
+
+
 def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _text(value, _CANONICAL.encode)
 
 
 def json_value(value):
     # integers stay numbers; polynomials use their canonical text form
-    return value if isinstance(value, int) else str(value)
+    return value if isinstance(value, int) else _text(value)
 
 
 def series_coefficients(series: MultiSeries) -> list[int]:
@@ -107,7 +121,7 @@ def cmd_motive(args) -> int:
     if args.json:
         print(canonical_json({"measure": args.measure, "value": json_value(value)}))
     else:
-        print(value)
+        print(_text(value))
     return EXIT_OK
 
 
@@ -134,11 +148,10 @@ def cmd_chow(args) -> int:
                 return EXIT_MISMATCH
             value = closed
         output["value"] = value
-        lines.append(str(value))
+        lines.append(_text(value))
 
         if args.htilde:
-            img = chow_htilde(idx)
-            output["htilde"] = str(img)
+            img = output["htilde"] = _text(chow_htilde(idx))
             lines.append(f"htilde {img}")
 
         if args.congruence:
@@ -146,11 +159,12 @@ def cmd_chow(args) -> int:
             report = chow_congruence_targets(idx, q, m)
             output["congruence"] = report.to_json()
             if report.testable:
+                actual = _text(report.actual)
                 mark_q = "ok" if report.mod_q_ok else "FAIL"
                 mark_qm1 = "ok" if report.mod_q_minus_1_ok else "FAIL"
                 lines.append(
-                    f"{report.actual} = {report.expected_mod_q} mod {q} {mark_q}; "
-                    f"{report.actual} = {report.expected_mod_q_minus_1} "
+                    f"{actual} = {report.expected_mod_q} mod {q} {mark_q}; "
+                    f"{actual} = {report.expected_mod_q_minus_1} "
                     f"mod {q - 1} {mark_qm1}"
                 )
                 if not report.ok:
@@ -168,7 +182,7 @@ def cmd_chow(args) -> int:
             raise DomainError("series order must be >= 0")
         coeffs = series_coefficients(chow_series(args.p, args.n, args.series))
         output["series"] = coeffs
-        lines.append(",".join(str(c) for c in coeffs))
+        lines.append(",".join(map(_text, coeffs)))
 
     if args.d is None and args.series is None:
         raise DomainError("nothing to do: pass -d and/or --series")
@@ -228,7 +242,7 @@ def cmd_toric(args) -> int:
         q, m = parse_q_m(args.count, "--count")
         value = toric_count(fan, q, m)
         output["count"] = value
-        lines.append(str(value))
+        lines.append(_text(value))
     if args.euler_series:
         parts = args.euler_series.split(",")
         if len(parts) not in (2, 3):
@@ -251,9 +265,9 @@ def cmd_toric(args) -> int:
             "terms": [[list(e), c] for e, c in terms],
         }
         if series.arity == 1:
-            lines.append(",".join(str(c) for c in series_coefficients(series)))
+            lines.append(",".join(map(_text, series_coefficients(series))))
         else:
-            lines.extend(f"{list(e)} {c}" for e, c in terms)
+            lines.extend(f"{list(e)} {_text(c)}" for e, c in terms)
 
     if args.json:
         print(canonical_json(output))

@@ -40,6 +40,13 @@ class BudgetError(RuntimeError):
     """A brute-force enumeration would exceed the configured point budget."""
 
 
+def _long_integer() -> str:
+    """What int() and str() refuse past the interpreter's digit limit, for
+    the messages that report it."""
+    limit = sys.get_int_max_str_digits()
+    return f"an integer longer than sys.get_int_max_str_digits() = {limit} digits"
+
+
 def _json_loads(text: str, what: str):
     """Decode JSON text; `what` names the input in the error message."""
     try:
@@ -48,9 +55,7 @@ def _json_loads(text: str, what: str):
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
     except ValueError:
         # int() refuses a literal longer than the interpreter's digit limit
-        raise ParseError(
-            f"{what} holds an integer longer than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise ParseError(f"{what} holds {_long_integer()}") from None
 
 
 def _json_int(value, field: str) -> int:

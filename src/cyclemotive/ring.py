@@ -34,7 +34,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _long_integer
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -543,6 +543,15 @@ _FACTOR = re.compile(r"([A-Za-z])(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?")
 _TERM = re.compile(rf"\s*((?:[+-]\s*)*)(?:([0-9]+)\s*)?((?:(?:\*|{_FACTOR.pattern})\s*)*)")
 
 
+def _int(digits: str) -> int:
+    """int() of a matched digit run, which only the interpreter's digit
+    limit can refuse."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"polynomial text holds {_long_integer()}") from None
+
+
 def _parse_terms(
     text: str, variables: Sequence[str], allow_negative_exponents: bool
 ) -> dict:
@@ -563,13 +572,13 @@ def _parse_terms(
         for name, minus, digits in found:
             if name not in variables:
                 raise ParseError(f"unknown variable {name!r}")
-            e = int(minus + (digits or "1"))
+            e = _int(minus + (digits or "1"))
             if e < 0 and not allow_negative_exponents:
                 raise ParseError("negative exponent not allowed here")
             exps[variables.index(name)] += e
         key = tuple(exps) if len(exps) > 1 else exps[0]
         sign = -1 if signs.count("-") % 2 else 1
-        terms[key] = terms.get(key, 0) + sign * int(coeff or "1")
+        terms[key] = terms.get(key, 0) + sign * _int(coeff or "1")
         pos = m.end()
     return terms
 

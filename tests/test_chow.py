@@ -20,6 +20,7 @@ from cyclemotive.chow import (
     irreducible_invariant_product,
     multidegree_slots,
 )
+from cyclemotive import chow
 from cyclemotive.chow import _lam_row, _truncated_product
 from cyclemotive.errors import DomainError
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
@@ -269,13 +270,31 @@ def test_product_recursive_examples():
     assert len(s.terms) == 4
 
 
+# every p for n, m <= 4: takes in slots that start empty (p > m) and order 0
+PRODUCT_GRID = [
+    (p, n, m, order)
+    for n in range(5)
+    for m in range(5)
+    for p in range(n + m + 1)
+    for order in range(7)
+]
+
+
 def test_product_recursive_equals_formula_grid():
-    for n in range(3):
-        for m in range(3):
-            for p in range(n + m + 1):
-                assert euler_chow_product_recursive(
-                    p, n, m, 5
-                ) == euler_chow_product_formula(p, n, m, 5)
+    for shape in PRODUCT_GRID:
+        assert euler_chow_product_recursive(*shape) == euler_chow_product_formula(*shape)
+
+
+def test_product_recursive_uses_no_formula(monkeypatch):
+    """The recursion is the formula's independent check, so it must reach
+    its numbers without binomials or the inverse-product expansion."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product recursion used the formula route")
+
+    monkeypatch.setattr(chow, "comb", refuse)
+    monkeypatch.setattr(chow, "expand_inverse_product", refuse)
+    for shape in PRODUCT_GRID:
+        euler_chow_product_recursive(*shape)
 
 
 def test_product_recursive_equals_formula_deep_shapes():

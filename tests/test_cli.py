@@ -426,6 +426,28 @@ def test_over_long_integer_file_exits_2(capsys, tmp_path, kind):
     assert f"{sys.get_int_max_str_digits()} digits" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("motive", P2_EXPR, "--measure", "count:2,20000"),
+    ("toric", P2_FAN, "--count", "2,20000"),
+    ("chow", "-p", "0", "-n", "2", "-d", "1", "--congruence", "2,20000"),
+    ("motive", "LONG_PRODUCT"),
+], ids=["motive-count", "toric-count", "chow-congruence", "motive-product"])
+def test_over_long_result_exits_2(capsys, tmp_path, argv, as_json):
+    """A result holding an integer past the interpreter's digit limit is
+    refused as an input error, not printed as a traceback."""
+    if argv[-1] == "LONG_PRODUCT":
+        leaf = {"leaf": "custom", "e_poly": [[0, 0, int("7" * 3000)]], "countable": True}
+        expr = tmp_path / "long_product.json"
+        expr.write_text(json.dumps({"op": "product", "args": [leaf, leaf]}))
+        argv = (*argv[:-1], str(expr))
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert "sys.get_int_max_str_digits()" in err
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("motive", "--measure", "count:2", GLUED_CONE_EXPR),    # elliptic leaf
     ("motive", "--measure", "count-poly", GLUED_CONE_EXPR),

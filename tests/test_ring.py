@@ -359,6 +359,11 @@ def test_parser_accepts(ring, text, expected):
     )),
     ("Laurent1", "u^--1"),
     ("LPoly", "L^-1"),
+    # past the interpreter's int() digit limit
+    pytest.param("Poly2", "9" * 5000 + "u", id="Poly2-long-coefficient"),
+    pytest.param("Poly2", "u^" + "9" * 5000, id="Poly2-long-exponent"),
+    pytest.param("Laurent1", "u^-" + "9" * 5000, id="Laurent1-long-exponent"),
+    pytest.param("LPoly", "9" * 5000 + "L", id="LPoly-long-coefficient"),
 ])
 def test_parser_rejects_garbage(ring, text):
     with pytest.raises(ParseError):
