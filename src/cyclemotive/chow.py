@@ -8,14 +8,17 @@ Three routes to the same numbers are kept deliberately separate:
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
   with no binomials at all, as a table built bottom-up over the ambient
-  dimension; each convolution of two rows a, b up to degree d is one
-  big-integer product of the rows packed into integers (Kronecker
-  substitution), with slots of max_i (bits(a[i]) + max_(j <= d-i)
-  bits(b[j])) + bits(d + 1) bits: every coefficient of degree <= d fits
-  its slot, so no carry reaches a kept slot.  The product-of-projective-
-  spaces recursion keeps one degree row per multidegree component (k, l),
-  seeds its table from the single-space rows, and multiplies the rows
-  out into a series only at the end, by its own fold;
+  dimension, one pass per call; the last step takes only the wanted
+  coefficient, as one dot product.  Each convolution of two rows a, b up
+  to degree d is two big-integer products of half the packed width
+  (Kronecker substitution at X and -X): the even- and odd-index entries
+  are packed into ints with slots of Y = X^2 = 2^w for
+  w = max_i (bits(a[i]) + max_(j <= d-i) bits(b[j])) + bits(d + 1), so
+  every coefficient of degree <= d fits its slot of Y and the ones above
+  carry only upward.  The product-of-projective-spaces recursion keeps
+  one degree row per multidegree component (k, l), seeds its table from
+  the single-space rows, and multiplies the rows out into a series only
+  at the end, by its own fold;
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -24,9 +27,9 @@ The test suite's job is to confirm they collide.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
-from operator import add
+from operator import add, mul
 
 from ._record import Record
 from .errors import DomainError
@@ -66,71 +69,103 @@ def chow_invariant_closed(idx: ChowIndex) -> int:
 
 def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
     """[sum(a[i] * b[e - i] for i <= e) for e <= d] for rows of at least
-    d + 1 non-negative integers, as one big-integer product (Kronecker
-    substitution).
+    d + 1 non-negative integers, as two half-size big-integer products
+    (Kronecker substitution at the two points X and -X).
 
-    Each row is packed into an int, one fixed-width slot per coefficient,
-    and the width is sized from the products that land in slots 0..d only.
-    With B[j] = max(bits(b[0]), ..., bits(b[j])), a term a[i] * b[e - i] of
-    coefficient e <= d is below 2^(bits(a[i]) + B[d - i]), since
-    e - i <= d - i.  Coefficient e sums at most d + 1 such terms, so it is
-    below 2^w for w = max_i (bits(a[i]) + B[d - i]) + bits(d + 1), and a
-    slot of at least w bits holds it.  Slots 0..d of the packed product are
-    then the coefficients themselves: none of them overflows, so no carry
-    reaches a kept slot.  Slots above d may overflow into the ones above
-    them; they are discarded.
+    Each row is split into its even-index and odd-index entries, and each
+    half is packed into an int, one slot of w bits per entry, so that with
+    Y = 2^w and X = 2^(w/2) the row is a(X) = ae(Y) + X * ao(Y).  Then
+    u = a(X) * b(X) and v = a(-X) * b(-X) are the products of
+    ae + X * ao and ae - X * ao with the same for b, and (u + v) / 2 and
+    (u - v) / (2X) are the even and odd halves of the product row, each
+    packed at Y.  The width w is sized from the products that land in
+    coefficients 0..d only.  With B[j] = max(bits(b[0]), ..., bits(b[j])),
+    a term a[i] * b[e - i] of coefficient e <= d is below
+    2^(bits(a[i]) + B[d - i]), since e - i <= d - i.  Coefficient e sums at
+    most d + 1 such terms, so it is below 2^w for
+    w = max_i (bits(a[i]) + B[d - i]) + bits(d + 1), rounded up to whole
+    bytes: every kept coefficient fits its slot of Y.  All coefficients are
+    non-negative, so the ones above d, which may overflow, carry only
+    upward, and each half masked to its kept slots holds the kept
+    coefficients themselves.
     """
     a, b = a[: d + 1], b[: d + 1]
     b_max_bits = list(accumulate(map(int.bit_length, b), max))  # B above
     bits = max(map(add, map(int.bit_length, a), reversed(b_max_bits)))
     width = (bits + (d + 1).bit_length() + 7) // 8
+    half = 4 * width  # X = 2^half
 
     def pack(row: list[int]) -> int:
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in row), "little")
+        return int.from_bytes(
+            b"".join(map(int.to_bytes, row, repeat(width), repeat("little"))), "little"
+        )
 
-    data = (pack(a) * pack(b)).to_bytes((len(a) + len(b)) * width, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, (d + 1) * width, width)
-    ]
+    ae, ao = pack(a[0::2]), pack(a[1::2]) << half
+    be, bo = pack(b[0::2]), pack(b[1::2]) << half
+    u = (ae + ao) * (be + bo)
+    v = (ae - ao) * (be - bo)
+
+    def unpack(packed: int, count: int) -> list[int]:
+        size = count * width
+        data = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+
+    out = [0] * (d + 1)
+    out[0::2] = unpack((u + v) >> 1, d // 2 + 1)
+    out[1::2] = unpack((u - v) >> (half + 1), (d + 1) // 2)
+    return out
 
 
-def _lam_row(p: int, n: int, d: int) -> list[int]:
-    """[lambda(p, e, n) for e <= d], built bottom-up over the ambient
-    dimension by the fixed-point recursion.
+def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
+    """[[lambda(k, e, n) for e <= d] for low <= k <= p], from one table
+    built bottom-up over the ambient dimension by the fixed-point recursion.
 
     The only base facts are: the empty cycle is a point, a point has one
     cycle of each degree, and there are no positive-degree cycles of
     dimension above the ambient space.  Zero-cycles split their degree over
-    a hyperplane and the point off it, so each p = 0 row is the running sum
+    a hyperplane and the point off it, so each k = 0 row is the running sum
     of the row below.  In positive dimension a cycle splits into the part
     inside a hyperplane and a cone whose base is one dimension lower, so the
-    row is the truncated convolution of those two rows below, computed as
-    one integer product by _truncated_product.
+    row is the truncated convolution of those two rows below, computed by
+    _truncated_product.  At k equal to the ambient dimension the inside row
+    is the empty cycle's, and the row is the cone row itself.
     """
     empty = [1] + [0] * d
-    # rows[k - low] is the row of cycle dimension k in the current ambient
-    # dimension j; only the dimensions k >= p - (n - j) are needed above it
-    low = max(0, p - n)
-    rows = [[1] * (d + 1) if k == 0 else empty for k in range(low, p + 1)]
+    # rows[k - lo] is the row of cycle dimension k in the current ambient
+    # dimension j; only the dimensions k >= low - (n - j) are needed above it
+    lo = max(0, low - n)
+    rows = [[1] * (d + 1) if k == 0 else empty for k in range(lo, p + 1)]
     for j in range(1, n + 1):
-        low_j = max(0, p - (n - j))
+        lo_j = max(0, low - (n - j))
         new = []
-        for k in range(low_j, p + 1):
+        for k in range(lo_j, p + 1):
             if k > j:
                 new.append(empty)
             elif k == 0:
-                new.append(list(accumulate(rows[k - low])))
+                new.append(list(accumulate(rows[k - lo])))
+            elif k == j:
+                new.append(rows[k - 1 - lo])
             else:
-                new.append(_truncated_product(rows[k - low], rows[k - 1 - low], d))
-        rows, low = new, low_j
-    return rows[-1]
+                new.append(_truncated_product(rows[k - lo], rows[k - 1 - lo], d))
+        rows, lo = new, lo_j
+    return rows
 
 
 def chow_invariant_recursive(idx: ChowIndex) -> int:
     """Same number as chow_invariant_closed, computed purely by the
-    hyperplane/cone degree convolution.  No binomials anywhere."""
-    return _lam_row(idx.p, idx.n, idx.d)[idx.d]
+    hyperplane/cone degree convolution.  No binomials anywhere.
+
+    The table stops one ambient dimension short: the last step needs only
+    the degree-d coefficient, one dot product of the inside and cone rows,
+    or for zero-cycles the sum of the row below."""
+    p, d, n = idx.p, idx.d, idx.n
+    if n == 0:
+        return 1
+    rows = _lam_rows(max(0, p - 1), p, n - 1, d)
+    if p == 0:
+        return sum(rows[0])
+    cone, inside = rows
+    return sum(map(mul, inside, reversed(cone)))
 
 
 def chow_series(p: int, n: int, order: int) -> MultiSeries:
@@ -220,11 +255,11 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     dimension down (the cone raises its slot (a-1, l) to (a, l)), and, at
     slot (0, k), a cycle pulled in from the second factor alone.  So each
     step multiplies rows slot by slot with _truncated_product, and row
-    (0, k) also by _lam_row(k, m, order).  Base of the induction: a point
-    times the second factor, whose one slot (0, k) holds
-    _lam_row(k, m, order).  The table is built bottom-up over n, one per
-    call, and the series is the outer product of the last rows, truncated
-    at the order.
+    (0, k) also by the second factor's row of k-cycles.  Base of the
+    induction: a point times the second factor, whose one slot (0, k) holds
+    that row.  The second factor's rows come from one _lam_rows table, the
+    product's table is built bottom-up over n, one per call, and the series
+    is the outer product of the last rows, truncated at the order.
     """
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
@@ -233,7 +268,7 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     # needed above it.  Slot (0, k) has no cone part, and slot (j, k - j)
     # no inside part.
     low = max(0, p - n)
-    pulled = {k: _lam_row(k, m, order) for k in range(low, min(p, m) + 1)}
+    pulled = dict(enumerate(_lam_rows(low, min(p, m), m, order), low))
     rows = {k: {(0, k): pulled[k]} if k <= m else {} for k in range(low, p + 1)}
     for j in range(1, n + 1):
         new = {}

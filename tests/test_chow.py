@@ -21,7 +21,7 @@ from cyclemotive.chow import (
     multidegree_slots,
 )
 from cyclemotive import chow
-from cyclemotive.chow import _lam_row, _truncated_product
+from cyclemotive.chow import _lam_rows, _truncated_product
 from cyclemotive.errors import DomainError
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
 from cyclemotive.ring import Laurent1, expand_inverse_product
@@ -74,6 +74,28 @@ def test_recursion_deep_ambient_space():
     assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
 
 
+def test_recursion_equals_closed_form_benchmark_scale():
+    # degrees and ambient dimensions where the packed slots are hundreds of
+    # bits wide and the rows hundreds of entries long
+    for p, d, n in [(6, 227, 11), (1, 316, 20), (3, 400, 6), (5, 257, 10), (0, 400, 20)]:
+        idx = ChowIndex(p, d, n)
+        assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
+
+
+def test_recursion_uses_no_formula(monkeypatch):
+    """The recursion is the closed form's independent check, so it must
+    reach its numbers without binomials or the inverse-product expansion."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion used the formula route")
+
+    monkeypatch.setattr(chow, "comb", refuse)
+    monkeypatch.setattr(chow, "expand_inverse_product", refuse)
+    for n in range(7):
+        for p in range(n + 1):
+            for d in range(11):
+                chow_invariant_recursive(ChowIndex(p, d, n))
+
+
 def _schoolbook_product(a, b, d):
     return [sum(a[i] * b[e - i] for i in range(e + 1)) for e in range(d + 1)]
 
@@ -94,6 +116,10 @@ def _all_max(k, d):
 _RISING = [2 ** (97 * i) - 1 for i in range(41)]
 
 
+def _zero_parity(row, parity):
+    return [0 if i % 2 == parity else c for i, c in enumerate(row)]
+
+
 @settings(deadline=None)
 @given(row_pairs())
 # rows where the slot width is tight: every term at its largest ...
@@ -101,12 +127,23 @@ _RISING = [2 ** (97 * i) - 1 for i in range(41)]
 @example((_all_max(64, 1), _all_max(64, 1), 1))
 @example((_all_max(4000, 40), _all_max(4000, 40), 40))
 @example((_all_max(1, 40), _all_max(7, 40), 40))
+# ... at odd d, where the even and the odd half have the same length ...
+@example((_all_max(64, 39), _all_max(64, 39), 39))
+@example((_all_max(4000, 3), _all_max(4000, 3), 3))
+# ... at d = 0, where the odd half is empty, and d = 1, where it is one entry ...
+@example(([2**64 - 1, 2**500], [2**64 - 1, 7], 0))
+@example(([3, 2**200 - 1, 5], [2**200 - 1, 2**200 - 1], 1))
 # ... the large entries of one row meeting the small ones of the other ...
 @example((_RISING, _RISING[::-1], 40))
 @example((_RISING[::-1], _RISING, 40))
 # ... and rows of zeros, which need no bits of their own
 @example(([0] * 41, _RISING, 40))
 @example(([0], [0], 0))
+# ... and rows whose odd or even entries are all zero
+@example((_zero_parity(_RISING, 1), _RISING, 40))
+@example((_RISING, _zero_parity(_RISING[::-1], 1), 40))
+@example((_zero_parity(_RISING, 0), _zero_parity(_RISING[::-1], 0), 40))
+@example((_zero_parity(_all_max(64, 39), 1), _zero_parity(_all_max(64, 39), 0), 39))
 def test_packed_product_equals_schoolbook(rows):
     a, b, d = rows
     assert _truncated_product(a, b, d) == _schoolbook_product(a, b, d)
@@ -124,8 +161,11 @@ def test_lam_rows_equal_schoolbook_table():
         ])
     for n in range(9):
         for p in range(7):
-            for d in range(top + 1):
-                assert _lam_row(p, n, d) == table[n][p][: d + 1]
+            for low in range(p + 2):  # low = p + 1 asks for no rows
+                for d in range(top + 1):
+                    assert _lam_rows(low, p, n, d) == [
+                        row[: d + 1] for row in table[n][low : p + 1]
+                    ]
 
 
 def test_series_examples():
@@ -295,6 +335,22 @@ def test_product_recursive_uses_no_formula(monkeypatch):
     monkeypatch.setattr(chow, "expand_inverse_product", refuse)
     for shape in PRODUCT_GRID:
         euler_chow_product_recursive(*shape)
+
+
+def test_product_recursive_builds_one_table(monkeypatch):
+    """The rows pulled in from the second factor come from one table."""
+    calls = []
+    lam_rows = chow._lam_rows
+
+    def counted(*args):
+        calls.append(args)
+        return lam_rows(*args)
+
+    monkeypatch.setattr(chow, "_lam_rows", counted)
+    for shape in PRODUCT_GRID:
+        calls.clear()
+        euler_chow_product_recursive(*shape)
+        assert len(calls) == 1, shape
 
 
 def test_product_recursive_equals_formula_deep_shapes():
