@@ -2,9 +2,10 @@
 
 Four subcommands: evaluate a class expression under a measure, tabulate
 cycle-space invariants, work with fans, and run the verification suites.
-Values print as plain text by default; --json switches every subcommand to
-a canonical machine format (sorted keys, no whitespace) that round-trips
-byte for byte.
+--json switches every subcommand to a canonical machine format (sorted
+keys, no whitespace) that round-trips byte for byte.  motive, chow and
+toric build one answer in that format, and their plain text is rendered
+from it.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 unsupported measure or uncountable class, 4 cross-check mismatch.
@@ -32,7 +33,7 @@ from .errors import (
     NotCountableError,
     ParseError,
     UnsupportedError,
-    _ascii_int,
+    _ascii_ints,
     _json_ints,
     _json_loads,
     _long_integer,
@@ -44,7 +45,6 @@ from .motive import (
     measure_from_string,
     parse_q_m,
 )
-from .ring import MultiSeries
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -52,29 +52,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
-
-
-class OptionSpellingError(Exception):
-    """An integer option that int() reads but that is not spelled in ASCII
-    digits.  Not a ValueError, so it passes argparse's type check up to
-    main, which reports it as an input error."""
-
-
-def _int_option(text: str) -> int:
-    """An integer option: ASCII digits after an optional minus sign, so a
-    negative value still reaches its domain check.  What int() refuses stays
-    an argparse usage error."""
-    value = int(text)
-    try:
-        _ascii_int(text.removeprefix("-"))
-    except ValueError:
-        raise OptionSpellingError(
-            f"integer options are spelled in ASCII digits, got {text!r}"
-        ) from None
-    return value
-
-
-_int_option.__name__ = "int"  # argparse names the type in its usage errors
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -94,14 +71,62 @@ def canonical_json(value) -> str:
     return _text(value, _CANONICAL.encode)
 
 
-def json_value(value):
-    # integers stay numbers; polynomials use their canonical text form
-    return value if isinstance(value, int) else _text(value)
+def _integer(text: str) -> int:
+    """An integer option, read after parsing: ASCII digits after an optional
+    minus sign, so that a negative value still reaches its domain check."""
+    digits = text.removeprefix("-")
+    (value,) = _ascii_ints(
+        [digits], f"integer options are spelled in ASCII digits, got {text!r}"
+    )
+    return value if digits == text else -value
 
 
-def series_coefficients(series: MultiSeries) -> list[int]:
-    assert series.arity == 1
-    return [series.coefficient((d,)) for d in range(series.order + 1)]
+def _comma_list(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _congruence_text(report: dict) -> str:
+    """The residue sentence of a CongruenceReport.to_json()."""
+    q, actual = report["q"], report["actual"]
+    mod_q, mod_qm1 = report["expected_mod_q"], report["expected_mod_q_minus_1"]
+    if not report["testable"]:
+        return f"expected {mod_q} mod {q} and {mod_qm1} mod {q - 1}; {report['note']}"
+    mark_q, mark_qm1 = ("ok" if report[k] else "FAIL" for k in ("mod_q_ok", "mod_q_minus_1_ok"))
+    return f"{actual} = {mod_q} mod {q} {mark_q}; {actual} = {mod_qm1} mod {q - 1} {mark_qm1}"
+
+
+def _series_text(series: dict) -> str:
+    """A one-variable series as its comma-separated coefficients up to the
+    order; a series in several variables as one `[exponents] c` line per term."""
+    if series["arity"] == 1:
+        coefficients = {e: c for (e,), c in series["terms"]}
+        return _comma_list(coefficients.get(e, 0) for e in range(series["order"] + 1))
+    return "\n".join(f"{e} {c}" for e, c in series["terms"])
+
+
+# JSON key -> its line of plain text, in the order the lines print.  Keys
+# without a renderer (p, n, d, measure) appear in --json output only.
+_TEXT = {
+    "value": str,
+    "htilde": "htilde {}".format,
+    "congruence": _congruence_text,
+    "series": _comma_list,
+    "census": _comma_list,
+    "lambda": str,
+    "e_poly": str,
+    "count": str,
+    "euler_series": _series_text,
+}
+
+
+def _plain(answer: dict) -> str:
+    return "\n".join(_TEXT[key](value) for key, value in answer.items() if key in _TEXT)
+
+
+def _print_answer(answer: dict, as_json: bool) -> None:
+    """Print a subcommand's answer: canonical JSON, or one line of text per
+    key that has a renderer, in insertion order."""
+    print(_text(answer, _CANONICAL.encode if as_json else _plain))
 
 
 def _read_text(path: str) -> str:
@@ -118,79 +143,58 @@ def cmd_motive(args) -> int:
     measure = measure_from_string(args.measure)
     expr = expr_from_json(_read_text(args.file))
     value = eval_measure(expr, measure)
-    if args.json:
-        print(canonical_json({"measure": args.measure, "value": json_value(value)}))
-    else:
-        print(_text(value))
+    # integers stay numbers; polynomials use their canonical text form
+    value = value if isinstance(value, int) else _text(value)
+    _print_answer({"measure": args.measure, "value": value}, args.json)
     return EXIT_OK
 
 
+# --method -> the values of its routes.  Each route is looked up by name when
+# called, so a route replaced on this module later (a test double, a tracer)
+# is the one that runs.
+_METHODS = {
+    "closed": lambda idx: [chow_invariant_closed(idx)],
+    "recursive": lambda idx: [chow_invariant_recursive(idx)],
+    "both": lambda idx: [chow_invariant_closed(idx), chow_invariant_recursive(idx)],
+}
+
+
 def cmd_chow(args) -> int:
-    output: dict = {"p": args.p, "n": args.n}
-    lines: list[str] = []
+    p, n = _integer(args.p), _integer(args.n)
+    d = None if args.d is None else _integer(args.d)
+    order = None if args.series is None else _integer(args.series)
+    answer: dict = {"p": p, "n": n}
     exit_code = EXIT_OK
 
-    if args.d is not None:
-        idx = ChowIndex(args.p, args.d, args.n)
-        output["d"] = args.d
-        if args.method == "closed":
-            value = chow_invariant_closed(idx)
-        elif args.method == "recursive":
-            value = chow_invariant_recursive(idx)
-        else:
-            closed = chow_invariant_closed(idx)
-            recursive = chow_invariant_recursive(idx)
-            if closed != recursive:
-                print(
-                    f"cross-check mismatch: closed {closed} != recursive {recursive}",
-                    file=sys.stderr,
-                )
-                return EXIT_MISMATCH
-            value = closed
-        output["value"] = value
-        lines.append(_text(value))
-
+    if d is not None:
+        idx = ChowIndex(p, d, n)
+        values = _METHODS[args.method](idx)
+        if len(set(values)) > 1:
+            print("cross-check mismatch: closed {} != recursive {}".format(*values),
+                  file=sys.stderr)
+            return EXIT_MISMATCH
+        answer["d"] = d
+        answer["value"] = values[0]
         if args.htilde:
-            img = output["htilde"] = _text(chow_htilde(idx))
-            lines.append(f"htilde {img}")
-
+            answer["htilde"] = _text(chow_htilde(idx))
         if args.congruence:
-            q, m = parse_q_m(args.congruence, "--congruence")
-            report = chow_congruence_targets(idx, q, m)
-            output["congruence"] = report.to_json()
-            if report.testable:
-                actual = _text(report.actual)
-                mark_q = "ok" if report.mod_q_ok else "FAIL"
-                mark_qm1 = "ok" if report.mod_q_minus_1_ok else "FAIL"
-                lines.append(
-                    f"{actual} = {report.expected_mod_q} mod {q} {mark_q}; "
-                    f"{actual} = {report.expected_mod_q_minus_1} "
-                    f"mod {q - 1} {mark_qm1}"
-                )
-                if not report.ok:
-                    exit_code = EXIT_VERIFY_FAILED
-            else:
-                lines.append(
-                    f"expected {report.expected_mod_q} mod {q} and "
-                    f"{report.expected_mod_q_minus_1} mod {q - 1}; {report.note}"
-                )
+            report = chow_congruence_targets(idx, *parse_q_m(args.congruence, "--congruence"))
+            answer["congruence"] = report.to_json()
+            if report.ok is False:
+                exit_code = EXIT_VERIFY_FAILED
     elif args.htilde or args.congruence:
         raise DomainError("--htilde and --congruence need a degree (-d)")
 
-    if args.series is not None:
-        if args.series < 0:
+    if order is not None:
+        if order < 0:
             raise DomainError("series order must be >= 0")
-        coeffs = series_coefficients(chow_series(args.p, args.n, args.series))
-        output["series"] = coeffs
-        lines.append(",".join(map(_text, coeffs)))
+        series = chow_series(p, n, order)
+        answer["series"] = [series.coefficient((e,)) for e in range(order + 1)]
 
-    if args.d is None and args.series is None:
+    if d is None and order is None:
         raise DomainError("nothing to do: pass -d and/or --series")
 
-    if args.json:
-        print(canonical_json(output))
-    else:
-        print("\n".join(lines))
+    _print_answer(answer, args.json)
     return exit_code
 
 
@@ -216,63 +220,45 @@ def _load_grading(path: str):
     return grade
 
 
+def _euler_series(fan, text: str) -> dict:
+    parts = text.split(",")
+    if len(parts) not in (2, 3):
+        raise ParseError("--euler-series expects p,order[,grading-file]")
+    p, order = _ascii_ints(parts[:2], "--euler-series expects integer p and order")
+    if len(parts) == 3:
+        grading = _load_grading(parts[2])
+    else:
+        # degree grading: every class to the same single variable
+        grading = lambda descriptor: (1,)
+    series = toric.euler_series(fan, p, order, grading)
+    return {
+        "arity": series.arity,
+        "order": series.order,
+        "terms": [[list(e), c] for e, c in sorted(series.terms.items())],
+    }
+
+
+# toric flag (its argparse dest, which is also its JSON key) -> its answer
+# from the fan and the flag's value, in the order the answers print.  Library
+# routes are looked up by name when called, as in _METHODS.
+_TORIC = {
+    "census": lambda fan, _: list(fan.census),
+    "lambda": lambda fan, _: toric.toric_lambda(fan),
+    "e_poly": lambda fan, _: str(toric.toric_E_poly(fan)),
+    "count": lambda fan, text: toric_count(fan, *parse_q_m(text, "--count")),
+    "euler_series": _euler_series,
+}
+
+
 def cmd_toric(args) -> int:
     fan = toric.fan_from_json(_read_text(args.file))
-    if not (args.census or args.lam or args.e_poly or args.count or args.euler_series):
+    asked = {key: value for key in _TORIC if (value := getattr(args, key))}
+    if not asked:
         raise DomainError(
             "nothing to do: pass --census, --lambda, --e-poly, --count, "
             "or --euler-series"
         )
-    output: dict = {}
-    lines: list[str] = []
-
-    if args.census:
-        census = fan.census
-        output["census"] = list(census)
-        lines.append(",".join(str(d) for d in census))
-    if args.lam:
-        value = toric.toric_lambda(fan)
-        output["lambda"] = value
-        lines.append(str(value))
-    if args.e_poly:
-        text = str(toric.toric_E_poly(fan))
-        output["e_poly"] = text
-        lines.append(text)
-    if args.count:
-        q, m = parse_q_m(args.count, "--count")
-        value = toric_count(fan, q, m)
-        output["count"] = value
-        lines.append(_text(value))
-    if args.euler_series:
-        parts = args.euler_series.split(",")
-        if len(parts) not in (2, 3):
-            raise ParseError("--euler-series expects p,order[,grading-file]")
-        try:
-            p = _ascii_int(parts[0])
-            order = _ascii_int(parts[1])
-        except ValueError:
-            raise ParseError("--euler-series expects integer p and order") from None
-        if len(parts) == 3:
-            grading = _load_grading(parts[2])
-        else:
-            # degree grading: every class to the same single variable
-            grading = lambda descriptor: (1,)
-        series = toric.euler_series(fan, p, order, grading)
-        terms = sorted(series.terms.items())
-        output["euler_series"] = {
-            "arity": series.arity,
-            "order": series.order,
-            "terms": [[list(e), c] for e, c in terms],
-        }
-        if series.arity == 1:
-            lines.append(",".join(map(_text, series_coefficients(series))))
-        else:
-            lines.extend(f"{list(e)} {_text(c)}" for e, c in terms)
-
-    if args.json:
-        print(canonical_json(output))
-    else:
-        print("\n".join(lines))
+    _print_answer({key: _TORIC[key](fan, value) for key, value in asked.items()}, args.json)
     return EXIT_OK
 
 
@@ -310,15 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_motive.set_defaults(func=cmd_motive)
 
     p_chow = sub.add_parser("chow", help="cycle-space invariants")
-    p_chow.add_argument("-p", type=_int_option, required=True, help="cycle dimension")
-    p_chow.add_argument("-n", type=_int_option, required=True, help="ambient dimension")
-    p_chow.add_argument("-d", type=_int_option, default=None, help="degree")
-    p_chow.add_argument(
-        "--method",
-        choices=("closed", "recursive", "both"),
-        default="closed",
-    )
-    p_chow.add_argument("--series", type=_int_option, default=None, metavar="ORDER")
+    p_chow.add_argument("-p", required=True, help="cycle dimension")
+    p_chow.add_argument("-n", required=True, help="ambient dimension")
+    p_chow.add_argument("-d", default=None, help="degree")
+    p_chow.add_argument("--method", choices=tuple(_METHODS), default="closed")
+    p_chow.add_argument("--series", default=None, metavar="ORDER")
     p_chow.add_argument("--htilde", action="store_true")
     p_chow.add_argument("--congruence", metavar="Q[,M]")
     p_chow.add_argument("--json", action="store_true")
@@ -327,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toric = sub.add_parser("toric", help="fan invariants")
     p_toric.add_argument("file", help="fan JSON file")
     p_toric.add_argument("--census", action="store_true")
-    p_toric.add_argument("--lambda", dest="lam", action="store_true")
-    p_toric.add_argument("--e-poly", dest="e_poly", action="store_true")
+    p_toric.add_argument("--lambda", action="store_true")
+    p_toric.add_argument("--e-poly", action="store_true")
     p_toric.add_argument("--count", metavar="Q[,M]")
     p_toric.add_argument("--euler-series", metavar="P,ORDER[,GRADING]")
     p_toric.add_argument("--json", action="store_true")
@@ -354,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotCountableError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ParseError, FanError, DomainError, BudgetError, OptionSpellingError) as exc:
+    except (ParseError, FanError, DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:

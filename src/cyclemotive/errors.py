@@ -73,10 +73,14 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     return tuple(_json_int(x, field) for x in value)
 
 
-def _ascii_int(text: str) -> int:
-    """A non-negative integer spelled in ASCII digits only.  int() would also
-    take signs, spaces, underscores and non-ASCII digits; those raise
-    ValueError here, as does a digit string too long for int()."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a string of ASCII digits: {text!r}")
-    return int(text)
+def _ascii_ints(texts: list[str], message: str) -> list[int]:
+    """Non-negative integers spelled in ASCII digits only, one per text.
+    int() would also take signs, spaces, underscores and non-ASCII digits;
+    those raise ParseError(message) here, as does a digit string too long
+    for int()."""
+    if not all(text.isascii() and text.isdigit() for text in texts):
+        raise ParseError(message)
+    try:
+        return [int(text) for text in texts]
+    except ValueError:
+        raise ParseError(message) from None

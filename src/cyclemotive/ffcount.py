@@ -20,7 +20,6 @@ which decides primality exactly below 2^64.  Larger bases are refused.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from math import log2
 
@@ -36,7 +35,6 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
 
 DEFAULT_BUDGET = 10**6
-BUDGET_ENV = "CYCLEMOTIVE_BUDGET"
 BRUTE_FORCE_MAX_Q = 7
 
 
@@ -233,20 +231,8 @@ def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
             return count
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
-
-
 def rref_cell_census(
-    k: int, n: int, q: int, budget: int | None = None
+    k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """Brute-force census of k-dim subspaces of F_q^n by pivot pattern.
 
@@ -254,7 +240,7 @@ def rref_cell_census(
     row echelon form with those pivots; each matrix found is one subspace.
     The work is capped: the number of candidate matrices (summed over
     patterns from the free-entry counts, never from a closed form) must not
-    exceed the budget, by default 10^6 or the CYCLEMOTIVE_BUDGET variable.
+    exceed the budget, by default 10^6.
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -264,15 +250,14 @@ def rref_cell_census(
         raise DomainError(f"brute force needs a prime field size, got {q}")
     patterns = list(combinations(range(n), k))
     work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
-    limit = _resolve_budget(budget)
-    if work > limit:
+    if work > budget:
         raise BudgetError(
-            f"enumeration needs {work} candidate matrices, budget is {limit}"
+            f"enumeration needs {work} candidate matrices, budget is {budget}"
         )
     return {piv: cell_count(n, piv, q) for piv in patterns}
 
 
-def grassmannian_count_brute(k: int, n: int, q: int, budget: int | None = None) -> int:
+def grassmannian_count_brute(k: int, n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Total number of k-dimensional subspaces of F_q^n, by exhaustive
     enumeration of canonical forms.  The independent oracle for
     gaussian_binomial; see rref_cell_census for the preconditions."""

@@ -226,15 +226,13 @@ def specialize(a: Poly2, u0: int, v0: int) -> int:
 
 
 def antidiagonal_sums(a: Poly2) -> dict[int, int]:
-    """Sum of coefficients along each antidiagonal p - q = i.
+    """Sum of coefficients along each antidiagonal p - q = i: the terms of
+    the image mod uv - 1.
 
     Keys with zero sum are omitted, so the empty dict means every
     antidiagonal cancels.
     """
-    sums: dict[int, int] = {}
-    for (p, q), c in a.terms.items():
-        sums[p - q] = sums.get(p - q, 0) + c
-    return {i: s for i, s in sums.items() if s}
+    return dict(quotient_uv_minus1(a).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -245,16 +245,15 @@ def suite_congruences() -> list[dict]:
     residues = {}
 
     def reduction(p, n, q):
-        count = gaussian_binomial(n + 1, p + 1, q)
+        report = chow_congruence_targets(ChowIndex(p, 1, n), q)
+        count = report.actual
         if n == 3 and p == 1:
             residues[f"q={q}"] = {
                 "count": count,
                 "mod_q": count % q,
                 "mod_q_minus_1": count % (q - 1) if q > 2 else 0,
             }
-        ok_mod_q = count % q == 1
-        ok_mod_qm1 = (count - comb(n + 1, p + 1)) % (q - 1) == 0
-        if not (ok_mod_q and ok_mod_qm1):
+        if not report.ok:
             return {"p": p, "n": n, "q": q, "count": count}
 
     subspaces = [(k, n, q) for n in range(6) for k in range(n + 1) for q in (2, 3, 5)]

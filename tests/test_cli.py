@@ -166,6 +166,34 @@ def test_chow_mismatch_exit_code(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# every answer key at once: the plain lines follow one fixed order
+
+
+CHOW_ALL = ("chow", "-p", "1", "-d", "1", "-n", "3", "--htilde", "--congruence", "3",
+            "--series", "3")
+TORIC_ALL = ("toric", P2_FAN, "--census", "--lambda", "--e-poly", "--count", "2",
+             "--euler-series", "1,3")
+
+
+@pytest.mark.parametrize("argv, text, as_json", [
+    (CHOW_ALL,
+     "6\nhtilde 6\n130 = 1 mod 3 ok; 130 = 6 mod 2 ok\n1,6,21,56\n",
+     '{"congruence":{"actual":130,"expected_mod_q":1,"expected_mod_q_minus_1":6,'
+     '"mod_q_minus_1_ok":true,"mod_q_ok":true,'
+     '"note":"degree 1: linear cycles form a Grassmannian","q":3,"testable":true},'
+     '"d":1,"htilde":"6","n":3,"p":1,"series":[1,6,21,56],"value":6}\n'),
+    (TORIC_ALL,
+     "1,3,3\n3\n1+uv+u^2*v^2\n7\n1,3,6,10\n",
+     '{"census":[1,3,3],"count":7,"e_poly":"1+uv+u^2*v^2",'
+     '"euler_series":{"arity":1,"order":3,"terms":[[[0],1],[[1],3],[[2],6],[[3],10]]},'
+     '"lambda":3}\n'),
+], ids=["chow", "toric"])
+def test_full_answer_pinned(capsys, argv, text, as_json):
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, as_json, "")
+
+
+# ---------------------------------------------------------------------------
 # toric
 
 
@@ -331,6 +359,20 @@ def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("chow", "-p", "abc", "-n", "3", "-d", "1"),
+    ("chow", "-p", "1", "-n", "3", "-d", "x"),
+    ("chow", "-p", "1", "-n", "3", "--series", "1.5"),
+])
+def test_malformed_integer_option_is_one_line(capsys, argv):
+    """An integer option int() refuses gets the same one-line error as one
+    spelled in non-ASCII digits, not argparse's usage block."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert "integer options are spelled in ASCII digits" in err
 
 
 def test_invalid_fan_exits_2(capsys, tmp_path):

@@ -174,17 +174,9 @@ def test_brute_force_preconditions():
         grassmannian_count_brute(3, 12, 2)  # ~4e8 candidates
 
 
-def test_budget_override(monkeypatch):
+def test_budget_override():
     with pytest.raises(BudgetError):
         grassmannian_count_brute(2, 4, 2, budget=10)
-    monkeypatch.setenv("CYCLEMOTIVE_BUDGET", "10")
-    with pytest.raises(BudgetError):
-        grassmannian_count_brute(2, 4, 2)
-    monkeypatch.setenv("CYCLEMOTIVE_BUDGET", "1000")
-    assert grassmannian_count_brute(2, 4, 2) == 35
-    monkeypatch.setenv("CYCLEMOTIVE_BUDGET", "lots")
-    with pytest.raises(DomainError):
-        grassmannian_count_brute(2, 4, 2)
 
 
 @pytest.mark.parametrize("q, m, message", [
