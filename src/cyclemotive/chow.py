@@ -9,10 +9,11 @@ Three routes to the same numbers are kept deliberately separate:
 * recursion: the degree convolution induced by a torus action, computed
   with no binomials at all, as a table built bottom-up over the ambient
   dimension, one pass per call; the last step takes only the wanted
-  coefficient, as one dot product.  Each convolution of two rows a, b up
-  to degree d is two big-integer products of half the packed width
-  (Kronecker substitution at X and -X): the even- and odd-index entries
-  are packed into ints with slots of Y = X^2 = 2^w for
+  coefficient, as one dot product.  A 0-cycle row is running sums of a
+  point's row, so a convolution with it is as many running sums; any other
+  convolution of two rows a, b up to degree d is two big-integer products
+  of half the packed width (Kronecker substitution at X and -X): the even-
+  and odd-index entries are packed into ints with slots of Y = X^2 = 2^w for
   w = max_i (bits(a[i]) + max_(j <= d-i) bits(b[j])) + bits(d + 1), so
   every coefficient of degree <= d fits its slot of Y and the ones above
   carry only upward.  The product-of-projective-spaces recursion keeps
@@ -116,6 +117,13 @@ def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
     return out
 
 
+def _running_sums(row: list[int], times: int) -> list[int]:
+    """row after `times` running sums: its convolution with a 0-cycle row."""
+    for _ in range(times):
+        row = accumulate(row)
+    return list(row)
+
+
 def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
     """[[lambda(k, e, n) for e <= d] for low <= k <= p], from one table
     built bottom-up over the ambient dimension by the fixed-point recursion.
@@ -128,7 +136,10 @@ def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
     inside a hyperplane and a cone whose base is one dimension lower, so the
     row is the truncated convolution of those two rows below, computed by
     _truncated_product.  At k equal to the ambient dimension the inside row
-    is the empty cycle's, and the row is the cone row itself.
+    is the empty cycle's, and the row is the cone row itself.  At k = 1 and
+    ambient dimension j the cone row is the 0-cycle row, j running sums of
+    the empty cycle's; convolution commutes with a running sum, so the row
+    is j running sums of the inside row.  Rows with k >= 2 stay products.
     """
     empty = [1] + [0] * d
     # rows[k - lo] is the row of cycle dimension k in the current ambient
@@ -141,10 +152,10 @@ def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
         for k in range(lo_j, p + 1):
             if k > j:
                 new.append(empty)
-            elif k == 0:
-                new.append(list(accumulate(rows[k - lo])))
             elif k == j:
                 new.append(rows[k - 1 - lo])
+            elif k <= 1:  # one running sum at k = 0, j of them at k = 1
+                new.append(_running_sums(rows[k - lo], j if k else 1))
             else:
                 new.append(_truncated_product(rows[k - lo], rows[k - 1 - lo], d))
         rows, lo = new, lo_j
@@ -255,7 +266,8 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     dimension down (the cone raises its slot (a-1, l) to (a, l)), and, at
     slot (0, k), a cycle pulled in from the second factor alone.  So each
     step multiplies rows slot by slot with _truncated_product, and row
-    (0, k) also by the second factor's row of k-cycles.  Base of the
+    (0, k) also by the second factor's row of k-cycles; at k = 0 that row is
+    m + 1 running sums of a point's, which slot (0, 0) takes.  Base of the
     induction: a point times the second factor, whose one slot (0, k) holds
     that row.  The second factor's rows come from one _lam_rows table, the
     product's table is built bottom-up over n, one per call, and the series
@@ -275,7 +287,9 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
         for k in range(max(0, p - (n - j)), p + 1):
             step = new[k] = {}
             for a, l in multidegree_slots(k, j, m):
-                if a == 0:
+                if k == 0:
+                    step[a, l] = _running_sums(rows[k][a, l], m + 1)
+                elif a == 0:
                     step[a, l] = _truncated_product(rows[k][a, l], pulled[k], order)
                 elif a == j:
                     step[a, l] = rows[k - 1][a - 1, l]

@@ -37,6 +37,7 @@ from .errors import (
     _json_ints,
     _json_loads,
     _long_integer,
+    _shown,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -71,13 +72,13 @@ def canonical_json(value) -> str:
     return _text(value, _CANONICAL.encode)
 
 
-def _integer(text: str) -> int:
+def _integer(text: str, option: str) -> int:
     """An integer option, read after parsing: ASCII digits after an optional
-    minus sign, so that a negative value still reaches its domain check."""
+    minus sign, so that a negative value still reaches its domain check.
+    `option` names it in the error message."""
     digits = text.removeprefix("-")
-    (value,) = _ascii_ints(
-        [digits], f"integer options are spelled in ASCII digits, got {text!r}"
-    )
+    message = f"{option}: integer options are spelled in ASCII digits, got {_shown(text)}"
+    (value,) = _ascii_ints([digits], message)
     return value if digits == text else -value
 
 
@@ -160,9 +161,9 @@ _METHODS = {
 
 
 def cmd_chow(args) -> int:
-    p, n = _integer(args.p), _integer(args.n)
-    d = None if args.d is None else _integer(args.d)
-    order = None if args.series is None else _integer(args.series)
+    p, n = _integer(args.p, "-p"), _integer(args.n, "-n")
+    d = None if args.d is None else _integer(args.d, "-d")
+    order = None if args.series is None else _integer(args.series, "--series")
     answer: dict = {"p": p, "n": n}
     exit_code = EXIT_OK
 
@@ -177,12 +178,12 @@ def cmd_chow(args) -> int:
         answer["value"] = values[0]
         if args.htilde:
             answer["htilde"] = _text(chow_htilde(idx))
-        if args.congruence:
+        if args.congruence is not None:
             report = chow_congruence_targets(idx, *parse_q_m(args.congruence, "--congruence"))
             answer["congruence"] = report.to_json()
             if report.ok is False:
                 exit_code = EXIT_VERIFY_FAILED
-    elif args.htilde or args.congruence:
+    elif args.htilde or args.congruence is not None:
         raise DomainError("--htilde and --congruence need a degree (-d)")
 
     if order is not None:
@@ -252,7 +253,8 @@ _TORIC = {
 
 def cmd_toric(args) -> int:
     fan = toric.fan_from_json(_read_text(args.file))
-    asked = {key: value for key in _TORIC if (value := getattr(args, key))}
+    # a flag absent is False or None; an empty value is asked for, and refused
+    asked = {key: value for key in _TORIC if (value := getattr(args, key)) not in (None, False)}
     if not asked:
         raise DomainError(
             "nothing to do: pass --census, --lambda, --e-poly, --count, "

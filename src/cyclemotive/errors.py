@@ -47,6 +47,14 @@ def _long_integer() -> str:
     return f"an integer longer than sys.get_int_max_str_digits() = {limit} digits"
 
 
+def _shown(text: str) -> str:
+    """repr(text) for an error message, cut after 40 characters so that a
+    long input still gives a short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _json_loads(text: str, what: str):
     """Decode JSON text; `what` names the input in the error message."""
     try:

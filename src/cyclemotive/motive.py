@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
-from .errors import _ascii_ints, _json_int, _json_ints, _json_loads
+from .errors import _ascii_ints, _json_int, _json_ints, _json_loads, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -260,7 +260,7 @@ def parse_q_m(text: str, what: str) -> tuple[int, int]:
     to 1), each in ASCII digits; `what` names the input in the error
     message."""
     parts = text.split(",")
-    message = f"{what} expects q[,m], got {text!r}"
+    message = f"{what} expects q[,m], got {_shown(text)}"
     if len(parts) > 2:
         raise ParseError(message)
     q, m = _ascii_ints([*parts, "1"][:2], message)

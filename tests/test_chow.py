@@ -76,8 +76,10 @@ def test_recursion_deep_ambient_space():
 
 def test_recursion_equals_closed_form_benchmark_scale():
     # degrees and ambient dimensions where the packed slots are hundreds of
-    # bits wide and the rows hundreds of entries long
-    for p, d, n in [(6, 227, 11), (1, 316, 20), (3, 400, 6), (5, 257, 10), (0, 400, 20)]:
+    # bits wide and the rows hundreds of entries long; at p = 1 (the
+    # benchmark's deepest curves) every row is running sums
+    for p, d, n in [(6, 227, 11), (1, 316, 20), (1, 358, 15), (1, 400, 12),
+                    (3, 400, 6), (5, 257, 10), (0, 400, 20)]:
         idx = ChowIndex(p, d, n)
         assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
 
@@ -94,6 +96,33 @@ def test_recursion_uses_no_formula(monkeypatch):
         for p in range(n + 1):
             for d in range(11):
                 chow_invariant_recursive(ChowIndex(p, d, n))
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The argument triples of every chow._truncated_product call."""
+    calls = []
+    truncated_product = chow._truncated_product
+
+    def counted(*args):
+        calls.append(args)
+        return truncated_product(*args)
+
+    monkeypatch.setattr(chow, "_truncated_product", counted)
+    return calls
+
+
+def test_zero_and_one_cycles_take_running_sums_only(product_calls):
+    """A convolution with a 0-cycle row is taken as running sums, so the
+    recursion for p <= 1 multiplies no rows; p = 2 still does."""
+    for n in range(7):
+        for p in range(min(n, 1) + 1):
+            for d in range(11):
+                chow_invariant_recursive(ChowIndex(p, d, n))
+    chow_invariant_recursive(ChowIndex(1, 316, 20))
+    assert product_calls == []
+    chow_invariant_recursive(ChowIndex(2, 3, 4))
+    assert product_calls
 
 
 def _schoolbook_product(a, b, d):
@@ -351,6 +380,13 @@ def test_product_recursive_builds_one_table(monkeypatch):
         calls.clear()
         euler_chow_product_recursive(*shape)
         assert len(calls) == 1, shape
+
+
+def test_product_recursive_zero_cycles_take_running_sums_only(product_calls):
+    for shape in PRODUCT_GRID:
+        if shape[0] == 0:
+            euler_chow_product_recursive(*shape)
+    assert product_calls == []
 
 
 def test_product_recursive_equals_formula_deep_shapes():

@@ -375,6 +375,48 @@ def test_malformed_integer_option_is_one_line(capsys, argv):
     assert "integer options are spelled in ASCII digits" in err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("-p", ("chow", "-p", "abc", "-n", "3", "-d", "1")),
+    ("-n", ("chow", "-p", "1", "-n", "1_0", "-d", "1")),
+    ("-d", ("chow", "-p", "1", "-n", "3", "-d", "x")),
+    ("--series", ("chow", "-p", "1", "-n", "3", "--series", "1.5")),
+])
+def test_malformed_integer_option_is_named(capsys, option, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {option}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("chow", "-p", "9" * 5000, "-n", "3", "-d", "1"),           # past int()'s digit limit
+    ("chow", "-p", "1", "-n", "3", "-d", "x" * 5000),
+    ("motive", "--measure", "count:" + "9" * 5000 + "x", P2_EXPR),
+    ("chow", "-p", "1", "-n", "3", "-d", "1", "--congruence", "3," + "x" * 5000),
+    ("toric", P2_FAN, "--count", "x" * 5000),
+])
+def test_long_bad_value_gives_one_short_line(capsys, argv):
+    """A bad value is echoed cut to a fixed length, with its full length."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert len(err) < 200
+    assert "characters)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("toric", P2_FAN, "--census", "--count", ""),
+    ("toric", P2_FAN, "--census", "--euler-series", ""),
+    ("chow", "-p", "1", "-n", "3", "-d", "1", "--congruence", ""),
+])
+def test_empty_option_value_is_refused(capsys, argv):
+    """An empty value asks for the option and is refused by its parser,
+    not dropped as if the option were absent."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert argv[-2] in err
+
+
 def test_invalid_fan_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
