@@ -7,19 +7,15 @@ Three routes to the same numbers are kept deliberately separate:
 
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
-  with no binomials at all, as a table built bottom-up over the ambient
-  dimension, one pass per call; the last step takes only the wanted
-  coefficient, as one dot product.  A 0-cycle row is running sums of a
-  point's row, so a convolution with it is as many running sums; any other
-  convolution of two rows a, b up to degree d is two big-integer products
-  of half the packed width (Kronecker substitution at X and -X): the even-
-  and odd-index entries are packed into ints with slots of Y = X^2 = 2^w for
-  w = max_i (bits(a[i]) + max_(j <= d-i) bits(b[j])) + bits(d + 1), so
-  every coefficient of degree <= d fits its slot of Y and the ones above
-  carry only upward.  The product-of-projective-spaces recursion keeps
-  one degree row per multidegree component (k, l), seeds its table from
-  the single-space rows, and multiplies the rows out into a series only
-  at the end, by its own fold;
+  with no binomials at all.  One induction serves both spaces: projective
+  n-space is itself times a point, and _table builds the rows of n-space
+  times m-space bottom-up over n, one row per multidegree slot, one table
+  per call.  A convolution with a 0-cycle row is as many running sums; any
+  other convolution of two rows is two big-integer products of half the
+  packed width (Kronecker substitution at X and -X, see
+  _truncated_product).  The single-space recursion takes only the wanted
+  coefficient at the last step, as one dot product; the product recursion
+  multiplies its last rows out into a series, by its own fold;
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -124,42 +120,57 @@ def _running_sums(row: list[int], times: int) -> list[int]:
     return list(row)
 
 
-def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
-    """[[lambda(k, e, n) for e <= d] for low <= k <= p], from one table
-    built bottom-up over the ambient dimension by the fixed-point recursion.
+def _table(low: int, p: int, n: int, m: int, d: int,
+           pulled: dict[int, list[int]]) -> dict[int, dict[int, list[int]]]:
+    """{k: {a: row}} for low <= k <= p: the rows, up to degree d, of the
+    k-cycles in projective n-space times projective m-space, one per
+    multidegree slot (a, k - a) and keyed by a, built bottom-up over n by
+    the fixed-point recursion.  pulled[k] is the row of k-cycles in
+    projective m-space, for each k >= low - n up to m.
 
-    The only base facts are: the empty cycle is a point, a point has one
-    cycle of each degree, and there are no positive-degree cycles of
-    dimension above the ambient space.  Zero-cycles split their degree over
-    a hyperplane and the point off it, so each k = 0 row is the running sum
-    of the row below.  In positive dimension a cycle splits into the part
-    inside a hyperplane and a cone whose base is one dimension lower, so the
-    row is the truncated convolution of those two rows below, computed by
-    _truncated_product.  At k equal to the ambient dimension the inside row
-    is the empty cycle's, and the row is the cone row itself.  At k = 1 and
-    ambient dimension j the cone row is the 0-cycle row, j running sums of
-    the empty cycle's; convolution commutes with a running sum, so the row
-    is j running sums of the inside row.  Rows with k >= 2 stay products.
+    Base: a point times projective m-space, whose one slot (0, k) holds
+    pulled[k].  In ambient dimension j a k-cycle splits into its part
+    inside a hyperplane (slot (a, k - a) one dimension down) and a cone over
+    a (k-1)-cycle one dimension down (slot (a - 1, k - a), which the cone
+    raises to (a, k - a)); at slot (0, k) a k-cycle pulled in from the
+    second factor alone takes the cone's place.  So a row is the truncated
+    convolution of its inside row with its cone row or pulled[k]; at a = j
+    it is the cone row itself.  A convolution with a 0-cycle row is taken
+    as running sums: that row is m + 1 running sums of the empty cycle's
+    [1, 0, 0, ...] at j = 0 and m + 1 more per step, so each k = 0 row is
+    m + 1 running sums of the row below, and the row (1, 0) is j(m + 1)
+    running sums of its inside row.  Rows with k >= 2 stay products:
+    carrying a count of running sums past k = 1 would be the closed form.
     """
-    empty = [1] + [0] * d
-    # rows[k - lo] is the row of cycle dimension k in the current ambient
-    # dimension j; only the dimensions k >= low - (n - j) are needed above it
-    lo = max(0, low - n)
-    rows = [[1] * (d + 1) if k == 0 else empty for k in range(lo, p + 1)]
+    # only the dimensions k >= low - (n - j) are needed above dimension j
+    rows = {k: {a: pulled[k] for a, _ in multidegree_slots(k, 0, m)}
+            for k in range(max(0, low - n), p + 1)}
     for j in range(1, n + 1):
-        lo_j = max(0, low - (n - j))
-        new = []
-        for k in range(lo_j, p + 1):
-            if k > j:
-                new.append(empty)
-            elif k == j:
-                new.append(rows[k - 1 - lo])
-            elif k <= 1:  # one running sum at k = 0, j of them at k = 1
-                new.append(_running_sums(rows[k - lo], j if k else 1))
-            else:
-                new.append(_truncated_product(rows[k - lo], rows[k - 1 - lo], d))
-        rows, lo = new, lo_j
+        new = {}
+        for k in range(max(0, low - (n - j)), p + 1):
+            step = new[k] = {}
+            for a, _ in multidegree_slots(k, j, m):
+                if k == 0:
+                    step[a] = _running_sums(rows[k][a], m + 1)
+                elif a == 0:
+                    step[a] = _truncated_product(rows[k][a], pulled[k], d)
+                elif a == j:
+                    step[a] = rows[k - 1][a - 1]
+                elif k == 1:
+                    step[a] = _running_sums(rows[k][a], j * (m + 1))
+                else:
+                    step[a] = _truncated_product(rows[k][a], rows[k - 1][a - 1], d)
+        rows = new
     return rows
+
+
+def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
+    """[[lambda(k, e, n) for e <= d] for low <= k <= p]: the slot (k, 0)
+    rows of the _table of projective n-space times a point, whose 0-cycle
+    row is a point's one cycle of each degree.  Past k = n there are no
+    positive-degree cycles, and the empty cycle's row stands in."""
+    table = _table(low, p, n, 0, d, {0: [1] * (d + 1)})
+    return [table[k].get(k, [1] + [0] * d) for k in range(low, p + 1)]
 
 
 def chow_invariant_recursive(idx: ChowIndex) -> int:
@@ -257,56 +268,23 @@ def euler_chow_product_formula(p: int, n: int, m: int, order: int) -> MultiSerie
 
 
 def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSeries:
-    """The same series, rebuilt by induction on n with no binomials.
-
-    The series has one factor per slot (a, l), each in its own variable, so
-    the induction keeps one degree row per slot.  A k-cycle in the bigger
-    product splits into its part inside the hyperplane-times-second-factor
-    (slot (a, l) one dimension down), a cone over a (k-1)-cycle one
-    dimension down (the cone raises its slot (a-1, l) to (a, l)), and, at
-    slot (0, k), a cycle pulled in from the second factor alone.  So each
-    step multiplies rows slot by slot with _truncated_product, and row
-    (0, k) also by the second factor's row of k-cycles; at k = 0 that row is
-    m + 1 running sums of a point's, which slot (0, 0) takes.  Base of the
-    induction: a point times the second factor, whose one slot (0, k) holds
-    that row.  The second factor's rows come from one _lam_rows table, the
-    product's table is built bottom-up over n, one per call, and the series
-    is the outer product of the last rows, truncated at the order.
-    """
+    """The same series, rebuilt by induction on n with no binomials: one
+    _table call, seeded with the second factor's rows from one _lam_rows
+    table, gives the last degree row of each slot, and the series is their
+    outer product, truncated at the order."""
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
-    # rows[k] maps each slot of cycle dimension k, with the first factor of
-    # dimension j, to its row; only the dimensions k >= p - (n - j) are
-    # needed above it.  Slot (0, k) has no cone part, and slot (j, k - j)
-    # no inside part.
     low = max(0, p - n)
     pulled = dict(enumerate(_lam_rows(low, min(p, m), m, order), low))
-    rows = {k: {(0, k): pulled[k]} if k <= m else {} for k in range(low, p + 1)}
-    for j in range(1, n + 1):
-        new = {}
-        for k in range(max(0, p - (n - j)), p + 1):
-            step = new[k] = {}
-            for a, l in multidegree_slots(k, j, m):
-                if k == 0:
-                    step[a, l] = _running_sums(rows[k][a, l], m + 1)
-                elif a == 0:
-                    step[a, l] = _truncated_product(rows[k][a, l], pulled[k], order)
-                elif a == j:
-                    step[a, l] = rows[k - 1][a - 1, l]
-                else:
-                    step[a, l] = _truncated_product(
-                        rows[k][a, l], rows[k - 1][a - 1, l], order
-                    )
-        rows = new
-
+    rows = _table(p, p, n, m, order, pulled)[p].values()
     terms = {(): 1}
-    for row in rows[p].values():
+    for row in rows:
         terms = {
             key + (e,): c * r
             for key, c in terms.items()
             for e, r in enumerate(row[: order - sum(key) + 1])
         }
-    return MultiSeries(len(rows[p]), order, terms)
+    return MultiSeries(len(rows), order, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _integer(text: str, option: str) -> int:
     `option` names it in the error message."""
     digits = text.removeprefix("-")
     message = f"{option}: integer options are spelled in ASCII digits, got {_shown(text)}"
-    (value,) = _ascii_ints([digits], message)
+    (value,) = _ascii_ints([digits], option, message)
     return value if digits == text else -value
 
 
@@ -225,7 +225,8 @@ def _euler_series(fan, text: str) -> dict:
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise ParseError("--euler-series expects p,order[,grading-file]")
-    p, order = _ascii_ints(parts[:2], "--euler-series expects integer p and order")
+    message = "--euler-series expects integer p and order"
+    p, order = _ascii_ints(parts[:2], "--euler-series", message)
     if len(parts) == 3:
         grading = _load_grading(parts[2])
     else:

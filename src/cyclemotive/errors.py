@@ -81,14 +81,16 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     return tuple(_json_int(x, field) for x in value)
 
 
-def _ascii_ints(texts: list[str], message: str) -> list[int]:
+def _ascii_ints(texts: list[str], what: str, message: str) -> list[int]:
     """Non-negative integers spelled in ASCII digits only, one per text.
     int() would also take signs, spaces, underscores and non-ASCII digits;
-    those raise ParseError(message) here, as does a digit string too long
-    for int()."""
+    those raise ParseError(message) here.  A digit string too long for
+    int() raises a ParseError that says so; `what` names the input in it."""
     if not all(text.isascii() and text.isdigit() for text in texts):
         raise ParseError(message)
     try:
         return [int(text) for text in texts]
     except ValueError:
-        raise ParseError(message) from None
+        # past the interpreter's digit limit, which the longest text is
+        too_long = _shown(max(texts, key=len))
+        raise ParseError(f"{what}: {too_long} is {_long_integer()}") from None

@@ -234,8 +234,11 @@ class Measure(Record):
     m: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.tag, str):
+            kind = type(self.tag).__name__
+            raise UnsupportedError(f"a measure tag is a string, got {kind}")
         if self.tag not in (*_MEASURES, "count"):
-            raise UnsupportedError(f"unknown measure {self.tag!r}")
+            raise UnsupportedError(f"unknown measure {_shown(self.tag)}")
         if self.tag == "count":
             if self.q is None:
                 raise DomainError("count measure needs a field size q")
@@ -263,7 +266,7 @@ def parse_q_m(text: str, what: str) -> tuple[int, int]:
     message = f"{what} expects q[,m], got {_shown(text)}"
     if len(parts) > 2:
         raise ParseError(message)
-    q, m = _ascii_ints([*parts, "1"][:2], message)
+    q, m = _ascii_ints([*parts, "1"][:2], what, message)
     return q, m
 
 

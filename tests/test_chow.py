@@ -389,8 +389,20 @@ def test_product_recursive_zero_cycles_take_running_sums_only(product_calls):
     assert product_calls == []
 
 
+def test_product_recursive_one_cycles_multiply_once_per_step(product_calls):
+    """At p = 1 only the slot (0, 1) row, times the second factor's row of
+    1-cycles, is a product: the slot (1, 0) row is running sums."""
+    for shape in PRODUCT_GRID:
+        p, n, m, _ = shape
+        if p == 1 and m >= 1:
+            product_calls.clear()
+            euler_chow_product_recursive(*shape)
+            assert len(product_calls) == n, shape
+
+
 def test_product_recursive_equals_formula_deep_shapes():
-    for (p, n, m, order) in [(1, 2, 2, 42), (2, 2, 2, 24), (3, 3, 4, 12)]:
+    for (p, n, m, order) in [(1, 2, 2, 42), (2, 2, 2, 24), (3, 3, 4, 12),
+                             (0, 4, 5, 180), (1, 2, 3, 38)]:
         assert euler_chow_product_recursive(
             p, n, m, order
         ) == euler_chow_product_formula(p, n, m, order)

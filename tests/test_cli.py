@@ -403,6 +403,29 @@ def test_long_bad_value_gives_one_short_line(capsys, argv):
     assert "characters)" in err
 
 
+@pytest.mark.parametrize("what, argv", [
+    ("-p", ("chow", "-p", "9" * 5000, "-n", "3", "-d", "1")),
+    ("--euler-series", ("toric", P2_FAN, "--euler-series", "1," + "9" * 5000)),
+    ("count measure", ("motive", "--measure", "count:" + "9" * 5000, P2_EXPR)),
+])
+def test_over_long_digit_string_is_called_too_long(capsys, what, argv):
+    """An all-digit value past int()'s digit limit is called too long, not
+    malformed, in one short line that names the input."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert len(err) < 200
+    assert err.startswith(f"error: {what}: ")
+    assert "longer than sys.get_int_max_str_digits()" in err
+
+
+def test_long_unknown_measure_gives_one_short_line(capsys):
+    code, out, err = run(capsys, "motive", P2_EXPR, "--measure", "x" * 5000)
+    assert (code, out) == (3, "")
+    assert one_line_error(err)
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ("toric", P2_FAN, "--census", "--count", ""),
     ("toric", P2_FAN, "--census", "--euler-series", ""),

@@ -152,6 +152,12 @@ def test_leaf_validation():
         Cellular((2, 1))
 
 
+def test_measure_tag_must_be_a_string():
+    for tag in (["x"], 1):
+        with pytest.raises(UnsupportedError, match=type(tag).__name__):
+            Measure(tag)
+
+
 def test_measure_validation():
     with pytest.raises(UnsupportedError):
         Measure("bogus")
