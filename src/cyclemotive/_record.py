@@ -6,7 +6,10 @@ from positional or keyword arguments, runs the class's `__post_init__`
 check if it has one, and then cannot be assigned to.  It compares equal
 only to a record of the same class with equal fields, hashes as the tuple
 of its fields, reprs as `Name(field=value, ...)` and supports positional
-`match` patterns.
+`match` patterns.  `to_json()` writes a record as a JSON object: its
+fields in order, then the derived values its class names in `_derived`,
+with tuples written as lists and nested records by their own `to_json()`.
+This is the one JSON writer of every record that leaves the program.
 
 These are the value semantics of a frozen dataclass, kept by one shared
 set of methods: nothing is generated or compiled per class at import.
@@ -22,6 +25,8 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    # names of properties that to_json() writes after the fields
+    _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -85,8 +90,25 @@ class Record:
                          zip(self.__match_args__, self._values(self)))
         return f"{self.__class__.__qualname__}({body})"
 
+    def to_json(self) -> dict:
+        out = {name: _json(value) for name, value in
+               zip(self.__match_args__, self._values(self))}
+        for name in self._derived:
+            out[name] = _json(getattr(self, name))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _json(value):
+    """A field value as JSON data: a tuple as a list and a record by its
+    own to_json(), each element in turn; anything else as it is."""
+    if type(value) is tuple:
+        return [_json(v) for v in value]
+    if isinstance(value, Record):
+        return value.to_json()
+    return value

@@ -142,14 +142,15 @@ def _table(low: int, p: int, n: int, m: int, d: int,
     running sums of its inside row.  Rows with k >= 2 stay products:
     carrying a count of running sums past k = 1 would be the closed form.
     """
-    # only the dimensions k >= low - (n - j) are needed above dimension j
-    rows = {k: {a: pulled[k] for a, _ in multidegree_slots(k, 0, m)}
+    # only the dimensions k >= low - (n - j) are needed above dimension j, and
+    # the slots a of dimension k are multidegree_slots(k, j, m), read inline
+    rows = {k: {a: pulled[k] for a in range(max(0, k - m), 1)}
             for k in range(max(0, low - n), p + 1)}
     for j in range(1, n + 1):
         new = {}
         for k in range(max(0, low - (n - j)), p + 1):
             step = new[k] = {}
-            for a, _ in multidegree_slots(k, j, m):
+            for a in range(max(0, k - m), min(j, k) + 1):
                 if k == 0:
                     step[a] = _running_sums(rows[k][a], m + 1)
                 elif a == 0:

@@ -3,9 +3,9 @@
 Four subcommands: evaluate a class expression under a measure, tabulate
 cycle-space invariants, work with fans, and run the verification suites.
 --json switches every subcommand to a canonical machine format (sorted
-keys, no whitespace) that round-trips byte for byte.  motive, chow and
-toric build one answer in that format, and their plain text is rendered
-from it.
+keys, no whitespace) that round-trips byte for byte.  Each subcommand
+builds one answer in that format, and one printer writes it, or renders
+its plain text from it.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 unsupported measure or uncountable class, 4 cross-check mismatch.
@@ -68,10 +68,6 @@ def _text(value, render=str) -> str:
         raise DomainError(f"the result holds {_long_integer()}") from None
 
 
-def canonical_json(value) -> str:
-    return _text(value, _CANONICAL.encode)
-
-
 def _integer(text: str, option: str) -> int:
     """An integer option, read after parsing: ASCII digits after an optional
     minus sign, so that a negative value still reaches its domain check.
@@ -105,7 +101,19 @@ def _series_text(series: dict) -> str:
     return "\n".join(f"{e} {c}" for e, c in series["terms"])
 
 
-# JSON key -> its line of plain text, in the order the lines print.  Keys
+def _suites_text(suites: list) -> str:
+    """One pass or FAIL line per check of run_suites(), each followed by the
+    check's failure records."""
+    lines = []
+    for suite in suites:
+        for check in suite["checks"]:
+            mark = "pass" if check["ok"] else "FAIL"
+            lines.append(f"{mark}  {suite['suite']}: {check['name']} ({check['cases']} cases)")
+            lines += [f"      {failure}" for failure in check["failures"]]
+    return "\n".join(lines)
+
+
+# JSON key -> its lines of plain text, in the order the lines print.  Keys
 # without a renderer (p, n, d, measure) appear in --json output only.
 _TEXT = {
     "value": str,
@@ -117,16 +125,18 @@ _TEXT = {
     "e_poly": str,
     "count": str,
     "euler_series": _series_text,
+    "suites": _suites_text,
+    "ok": lambda ok: "all suites pass" if ok else "FAILURES above",
 }
 
 
 def _plain(answer: dict) -> str:
-    return "\n".join(_TEXT[key](value) for key, value in answer.items() if key in _TEXT)
+    return "\n".join(render(answer[key]) for key, render in _TEXT.items() if key in answer)
 
 
 def _print_answer(answer: dict, as_json: bool) -> None:
-    """Print a subcommand's answer: canonical JSON, or one line of text per
-    key that has a renderer, in insertion order."""
+    """Print a subcommand's answer: canonical JSON, or the text of each key
+    that has a renderer, in the order of _TEXT."""
     print(_text(answer, _CANONICAL.encode if as_json else _plain))
 
 
@@ -210,7 +220,10 @@ def _load_grading(path: str):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"grading entry must be a pair, got {entry!r}")
         cone, exponent = entry
-        table[_json_ints(cone, "grading cone")] = _json_ints(exponent, "grading exponent")
+        key = _json_ints(cone, "grading cone")
+        if key in table:
+            raise ParseError(f"grading file lists orbit closure {list(key)} twice")
+        table[key] = _json_ints(exponent, "grading exponent")
 
     def grade(descriptor):
         key = tuple(descriptor.ray_indices)
@@ -222,7 +235,7 @@ def _load_grading(path: str):
 
 
 def _euler_series(fan, text: str) -> dict:
-    parts = text.split(",")
+    parts = text.split(",", 2)  # the grading path may hold commas
     if len(parts) not in (2, 3):
         raise ParseError("--euler-series expects p,order[,grading-file]")
     message = "--euler-series expects integer p and order"
@@ -232,12 +245,7 @@ def _euler_series(fan, text: str) -> dict:
     else:
         # degree grading: every class to the same single variable
         grading = lambda descriptor: (1,)
-    series = toric.euler_series(fan, p, order, grading)
-    return {
-        "arity": series.arity,
-        "order": series.order,
-        "terms": [[list(e), c] for e, c in sorted(series.terms.items())],
-    }
+    return toric.euler_series(fan, p, order, grading).to_json()
 
 
 # toric flag (its argparse dest, which is also its JSON key) -> its answer
@@ -268,16 +276,7 @@ def cmd_toric(args) -> int:
 def cmd_verify(args) -> int:
     names = None if args.suite in (None, "all") else [args.suite]
     report = run_suites(names)
-    if args.json:
-        print(canonical_json(report))
-    else:
-        for suite in report["suites"]:
-            for check in suite["checks"]:
-                mark = "pass" if check["ok"] else "FAIL"
-                print(f"{mark}  {suite['suite']}: {check['name']} ({check['cases']} cases)")
-                for failure in check["failures"]:
-                    print(f"      {failure}")
-        print("all suites pass" if report["ok"] else "FAILURES above")
+    _print_answer(report, args.json)
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 

@@ -289,6 +289,8 @@ class CongruenceReport(Record):
     actual: int | None = None
     note: str = ""
 
+    _derived = ("testable", "mod_q_ok", "mod_q_minus_1_ok")
+
     @property
     def testable(self) -> bool:
         return self.actual is not None
@@ -312,16 +314,3 @@ class CongruenceReport(Record):
         if self.actual is None:
             return None
         return bool(self.mod_q_ok and self.mod_q_minus_1_ok)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "expected_mod_q": self.expected_mod_q,
-            "expected_mod_q_minus_1": self.expected_mod_q_minus_1,
-            "actual": self.actual,
-            "testable": self.testable,
-            "mod_q_ok": self.mod_q_ok,
-            "mod_q_minus_1_ok": self.mod_q_minus_1_ok,
-            "note": self.note,
-        }
-

@@ -305,22 +305,11 @@ class HodgeConstraintReport(Record):
     axes_ok: bool
     bad_axis_monomials: tuple[tuple[int, int], ...]
 
+    _derived = ("ok",)
+
     @property
     def ok(self) -> bool:
         return self.antidiagonals_ok and self.euler_ok and self.axes_ok
-
-    def to_json(self) -> dict:
-        return {
-            "fixed_dim_bound": self.fixed_dim_bound,
-            "antidiagonals_ok": self.antidiagonals_ok,
-            "bad_antidiagonals": list(self.bad_antidiagonals),
-            "euler_ok": self.euler_ok,
-            "euler_expected": self.euler_expected,
-            "euler_actual": self.euler_actual,
-            "axes_ok": self.axes_ok,
-            "bad_axis_monomials": [list(m) for m in self.bad_axis_monomials],
-            "ok": self.ok,
-        }
 
 
 def hodge_constraints_check(
@@ -358,7 +347,16 @@ _NODE_OPS = {
     "product": Product,
     "cone": Cone,
 }
-# leaf kind -> record class and one reader per field, in field order
+
+
+def _json_fan(data, field: str) -> toric.Fan:
+    if not isinstance(data, Mapping):  # a string would be decoded again
+        raise ParseError("fan JSON must be an object")
+    return toric.fan_from_json(data)
+
+
+# leaf kind -> record class and one reader per field, in field order; each
+# leaf is written back as {"leaf": kind, **leaf.to_json()}
 _LEAVES = {
     "point": (Point, ()),
     "affine_space": (AffineSpace, (_json_int,)),
@@ -366,6 +364,7 @@ _LEAVES = {
     "proj_space": (ProjSpace, (_json_int,)),
     "grassmannian": (Grassmannian, (_json_int, _json_int)),
     "cellular": (Cellular, (_json_ints,)),
+    "toric_fan": (ToricFan, (_json_fan,)),
 }
 _OP_NAMES = {cls: op for op, cls in _NODE_OPS.items()}
 _LEAF_KINDS = {cls: kind for kind, (cls, _) in _LEAVES.items()}
@@ -397,11 +396,6 @@ def _expr_from_data(data) -> MotiveExpr:
             cls, readers = _LEAVES[kind]
             fields = cls.__match_args__
             return cls(*[read(data[f], f) for f, read in zip(fields, readers)])
-        if kind == "toric_fan":
-            fan = data["fan"]
-            if not isinstance(fan, Mapping):  # a string would be decoded again
-                raise ParseError("fan JSON must be an object")
-            return ToricFan(toric.fan_from_json(fan))
         if kind == "elliptic":
             return ELLIPTIC
         if kind == "custom":
@@ -438,14 +432,8 @@ def expr_to_json(e: MotiveExpr) -> dict:
         args = [expr_to_json(getattr(e, f)) for f in cls.__match_args__]
         return {"op": _OP_NAMES[cls], "args": args}
     if cls in _LEAF_KINDS:
-        out = {"leaf": _LEAF_KINDS[cls]}
-        for f in cls.__match_args__:
-            value = getattr(e, f)
-            out[f] = list(value) if type(value) is tuple else value
-        return out
+        return {"leaf": _LEAF_KINDS[cls], **e.to_json()}
     match e:
-        case ToricFan(fan):
-            return {"leaf": "toric_fan", "fan": toric.fan_to_json(fan)}
         case SmoothProjectiveLeaf(name, e_poly, countable):
             if e == ELLIPTIC:
                 return {"leaf": "elliptic"}

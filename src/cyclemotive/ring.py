@@ -449,6 +449,12 @@ class MultiSeries(_TermMap):
     def coefficient(self, e: Sequence[int]) -> int:
         return self._terms.get(tuple(e), 0)
 
+    def to_json(self) -> dict:
+        """The series as JSON data: its shape and its [exponents, coefficient]
+        terms in ascending exponent order."""
+        terms = [[list(e), c] for e, c in sorted(self._terms.items())]
+        return {"arity": self.arity, "order": self.order, "terms": terms}
+
     def __repr__(self) -> str:
         return f"MultiSeries(arity={self.arity}, order={self.order}, {len(self._terms)} terms)"
 

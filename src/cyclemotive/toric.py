@@ -250,8 +250,4 @@ def fan_from_json(source: str | Mapping) -> Fan:
 
 
 def fan_to_json(fan: Fan) -> dict:
-    return {
-        "dim": fan.dim,
-        "rays": [list(r) for r in fan.rays],
-        "cones": [list(c) for c in fan.cones],
-    }
+    return fan.to_json()

@@ -4,6 +4,11 @@ Each suite runs a family of checks and returns one dict per check, with
 keys `name`, `ok`, `cases`, `values` and `failures`; the CLI renders them
 and turns any failure into a nonzero exit.  Suites rebuild their own
 fixtures so they do not depend on the test tree.
+
+A check that compares a route with a reference goes through `_agree`, and
+its failure records have one shape, `{"args": [...case], "got", "want"}`.
+Only the checks whose records carry more than two values (hodge-constraints,
+toric, congruence reduction, the irreducible locus) build their own.
 """
 
 from __future__ import annotations
@@ -73,6 +78,24 @@ def _check(name: str, cases: list[tuple], run, values: dict | None = None) -> di
     }
 
 
+def _agree(name: str, cases: list[tuple], route, reference) -> dict:
+    """Check route(*case) == reference(*case) on every case, each of JSON
+    data.  A failure record is {"args": [...case], "got", "want"}, with an
+    int as it is, a value with to_json() by it, and a ring value by str()."""
+
+    def written(value):
+        if isinstance(value, int):
+            return value
+        return value.to_json() if hasattr(value, "to_json") else str(value)
+
+    def compare(*case):
+        got, want = route(*case), reference(*case)
+        if got != want:
+            return {"args": [*case], "got": written(got), "want": written(want)}
+
+    return _check(name, cases, compare)
+
+
 def _fact(name: str, ok: bool, values: dict) -> dict:
     """Report a check of one computed value."""
     return {"name": name, "ok": ok, "cases": 1, "values": values, "failures": []}
@@ -84,36 +107,24 @@ _PDN_GRID = [(p, d, n) for n in range(7) for p in range(n + 1) for d in range(11
 _PNM_GRID = [(p, n, m) for n in range(3) for m in range(3) for p in range(n + m + 1)]
 
 
+def _closed(p, d, n):
+    return chow_invariant_closed(ChowIndex(p, d, n))
+
+
 def suite_lawson_yau() -> list[dict]:
-    def recursion(p, d, n):
-        got = chow_invariant_recursive(ChowIndex(p, d, n))
-        want = chow_invariant_closed(ChowIndex(p, d, n))
-        if got != want:
-            return {"args": [p, d, n], "got": got, "want": want}
-
-    def binomial(p, d, n):
-        got = chow_invariant_closed(ChowIndex(p, d, n))
-        want = comb(comb(n + 1, p + 1) + d - 1, d)
-        if got != want:
-            return {"args": [p, d, n], "got": got, "want": want}
-
     return [
-        _check("recursion equals closed form", _PDN_GRID, recursion),
-        _check("closed form equals binomial", _PDN_GRID, binomial),
+        _agree("recursion equals closed form", _PDN_GRID,
+               lambda p, d, n: chow_invariant_recursive(ChowIndex(p, d, n)), _closed),
+        _agree("closed form equals binomial", _PDN_GRID,
+               _closed, lambda p, d, n: comb(comb(n + 1, p + 1) + d - 1, d)),
     ]
 
 
 def suite_series() -> list[dict]:
     series = {(p, n): chow_series(p, n, 8) for n in range(6) for p in range(n + 1)}
-
-    def coefficient(p, d, n):
-        got = series[p, n].coefficient((d,))
-        want = chow_invariant_closed(ChowIndex(p, d, n))
-        if got != want:
-            return {"args": [p, d, n], "got": got, "want": want}
-
     cases = [(p, d, n) for p, n in series for d in range(9)]
-    return [_check("series coefficients equal closed form", cases, coefficient)]
+    return [_agree("series coefficients equal closed form", cases,
+                   lambda p, d, n: series[p, n].coefficient((d,)), _closed)]
 
 
 def suite_hodge_remark() -> list[dict]:
@@ -133,12 +144,6 @@ def suite_quotients() -> list[dict]:
     torus_image = eval_measure(Torus(1), H_TILDE)
     affine_image = eval_measure(AffineSpace(1), H_BAR)
 
-    def constant(p, d, n):
-        img = chow_htilde(ChowIndex(p, d, n))
-        want = Laurent1.constant(chow_invariant_closed(ChowIndex(p, d, n)))
-        if img != want:
-            return {"args": [p, d, n], "got": str(img), "want": str(want)}
-
     return [
         _fact(
             "multiplicative group dies mod uv-1",
@@ -146,7 +151,9 @@ def suite_quotients() -> list[dict]:
             {"image": str(torus_image)},
         ),
         _fact("additive group dies mod uv", affine_image.is_zero(), {}),
-        _check("cycle-space image is the constant Euler number", _PDN_GRID, constant),
+        _agree("cycle-space image is the constant Euler number", _PDN_GRID,
+               lambda p, d, n: chow_htilde(ChowIndex(p, d, n)),
+               lambda p, d, n: Laurent1.constant(_closed(p, d, n))),
     ]
 
 
@@ -212,36 +219,18 @@ def suite_toric() -> list[dict]:
 
 def suite_euler_chow() -> list[dict]:
     fans = {n: projective_fan(n) for n in range(1, 4)}
-
-    def orbit_product(n, p):
-        lhs = euler_series(fans[n], p, order=6, grading=lambda d: (1,))
-        if lhs != chow_series(p, n, 6):
-            return {"fan": f"p{n}", "p": p}
-
-    def product(p, n, m, order):
-        got = euler_chow_product_recursive(p, n, m, order)
-        if got != euler_chow_product_formula(p, n, m, order):
-            return {"p": p, "n": n, "m": m, "order": order}
-
     projective = [(n, p) for n in fans for p in range(n + 1)]
     products = [(p, n, m, order) for p, n, m in _PNM_GRID for order in range(6)]
     return [
-        _check(
-            "fan orbit product equals cycle series on projective fans",
-            projective,
-            orbit_product,
-        ),
-        _check("product recursion equals product formula", products, product),
+        _agree("fan orbit product equals cycle series on projective fans", projective,
+               lambda n, p: euler_series(fans[n], p, order=6, grading=lambda d: (1,)),
+               lambda n, p: chow_series(p, n, 6)),
+        _agree("product recursion equals product formula", products,
+               euler_chow_product_recursive, euler_chow_product_formula),
     ]
 
 
 def suite_congruences() -> list[dict]:
-    def census(k, n, q):
-        brute = grassmannian_count_brute(k, n, q)
-        formula = gaussian_binomial(n, k, q)
-        if brute != formula:
-            return {"k": k, "n": n, "q": q, "brute": brute, "formula": formula}
-
     residues = {}
 
     def reduction(p, n, q):
@@ -260,7 +249,8 @@ def suite_congruences() -> list[dict]:
     fields = (2, 3, 4, 5, 7, 8, 9)
     cycles = [(p, n, q) for n in range(7) for p in range(n + 1) for q in fields]
     return [
-        _check("brute-force subspace census equals formula", subspaces, census),
+        _agree("brute-force subspace census equals formula", subspaces,
+               grassmannian_count_brute, lambda k, n, q: gaussian_binomial(n, k, q)),
         _check(
             "linear cycle counts reduce to 1 mod q and binomial mod q-1",
             cycles,
@@ -279,33 +269,26 @@ def suite_irreducible() -> list[dict]:
         if d == 1 and got != eval_measure(Grassmannian(p + 1, n + 1), EULER):
             return {"p": p, "d": d, "n": n, "grassmannian": True}
 
-    def units(slots, alpha, p, n, m):
-        got = irreducible_invariant_product(alpha, p, n, m)
-        want = 0
-        if sum(alpha) == 1:
-            k, l = slots[alpha.index(1)]
-            want = comb(n + 1, k + 1) * comb(m + 1, l + 1)
-        if got != want:
-            return {"alpha": list(alpha), "p": p, "n": n, "m": m, "got": got}
+    def units(alpha, p, n, m):
+        if sum(alpha) != 1:
+            return 0
+        k, l = multidegree_slots(p, n, m)[alpha.index(1)]
+        return comb(n + 1, k + 1) * comb(m + 1, l + 1)
 
     product_cases = []
     for p, n, m in _PNM_GRID:
-        slots = multidegree_slots(p, n, m)
-        k = len(slots)
-        basis = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-        vectors = basis + [tuple(2 * a for a in unit) for unit in basis]
+        k = len(multidegree_slots(p, n, m))
+        basis = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+        vectors = basis + [[2 * a for a in unit] for unit in basis]
         if k >= 2:
-            vectors.append((1,) * k)
-        vectors.append((0,) * k)
-        product_cases += [(slots, alpha, p, n, m) for alpha in vectors]
+            vectors.append([1] * k)
+        vectors.append([0] * k)
+        product_cases += [(alpha, p, n, m) for alpha in vectors]
     grid = [(p, d, n) for n in range(6) for p in range(n + 1) for d in range(1, 5)]
     return [
         _check("irreducible locus values on the grid", grid, locus),
-        _check(
-            "product irreducible locus: units and only units count",
-            product_cases,
-            units,
-        ),
+        _agree("product irreducible locus: units and only units count", product_cases,
+               irreducible_invariant_product, units),
     ]
 
 

@@ -269,6 +269,8 @@ def test_multidegree_slots():
     assert multidegree_slots(1, 1, 0) == [(1, 0)]
     assert multidegree_slots(0, 3, 2) == [(0, 0)]
     assert multidegree_slots(3, 2, 1) == [(2, 1)]
+    with pytest.raises(DomainError):
+        multidegree_slots(-1, 0, 0)
 
 
 def test_irreducible_invariant_product():

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclemotive import cli, verify
-from cyclemotive.ring import Laurent1
+from cyclemotive.errors import DomainError
+from cyclemotive.ffcount import CongruenceReport
+from cyclemotive.ring import Laurent1, MultiSeries, Poly2
 from conftest import DATA, SRC
 
 P2_EXPR = str(DATA / "p2.json")
@@ -222,6 +224,15 @@ def test_toric_euler_series_bidegree_grading(capsys):
                    for i in range(3) for j in range(3) if i + j <= 2}
 
 
+def test_grading_path_may_hold_commas(capsys, tmp_path):
+    grading = tmp_path / "a,b" / "c,d.json"
+    grading.parent.mkdir()
+    grading.write_text(Path(BIDEGREE_GRADING).read_text())
+    want = run(capsys, "toric", P1XP1_FAN, "--euler-series", f"1,2,{BIDEGREE_GRADING}")
+    assert want[0] == 0
+    assert run(capsys, "toric", P1XP1_FAN, "--euler-series", f"1,2,{grading}") == want
+
+
 def test_toric_count_extension_field(capsys):
     code, out, _ = run(capsys, "toric", P1XP1_FAN, "--count", "2,2")
     assert code == 0
@@ -254,6 +265,17 @@ def test_verify_all_json_matches_golden(capsys):
     assert out == (DATA / "verify_all.json").read_text()
 
 
+def test_verify_all_text_matches_golden(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "verify_all.txt").read_text()
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(DomainError, match="^unknown suite"):
+        verify.run_suites(["nope"])
+
+
 @pytest.mark.parametrize("suite, route, check, cases, case_keys", [
     ("lawson-yau", "chow_invariant_recursive", "recursion equals closed form", 308,
      ("args",)),
@@ -280,6 +302,99 @@ def test_verify_reports_a_broken_route(capsys, monkeypatch, suite, route, check,
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 1
     assert f"FAIL  {suite}: {check} ({cases} cases)" in out
+
+
+def _plus_one(route):
+    return lambda *args: route(*args) + 1
+
+
+def _one_more_constant_term(route):
+    def broken(*args):
+        series = route(*args)
+        return series + MultiSeries.one(series.arity, series.order)
+    return broken
+
+
+def _one_more_point(route):
+    def broken(idx, q):
+        r = route(idx, q)
+        return CongruenceReport(r.q, r.expected_mod_q, r.expected_mod_q_minus_1, r.actual + 1)
+    return broken
+
+
+# (suite, route on verify, its broken form from the true route, check, cases):
+# every check of every suite, each failing on its first five cases or more
+_BROKEN_CHECKS = [
+    ("lawson-yau", "chow_invariant_recursive", _plus_one,
+     "recursion equals closed form", 308),
+    ("lawson-yau", "chow_invariant_closed", _plus_one, "closed form equals binomial", 308),
+    ("series", "chow_series", lambda route: lambda p, n, order: route(p, n + 1, order),
+     "series coefficients equal closed form", 189),
+    ("hodge-remark", "eval_E", lambda route: lambda e: route(e) + Poly2.monomial(1, 0),
+     "glued-cone class reproduced", 1),
+    ("hodge-remark", "eval_E", lambda route: lambda e: route(e) + Poly2.monomial(1, 0),
+     "euler number is 4", 1),
+    ("hodge-remark", "eval_E", lambda route: lambda e: route(e) + Poly2.monomial(1, 0),
+     "first virtual betti number is 2", 1),
+    ("quotients", "eval_measure", lambda route: lambda e, m: Laurent1.constant(1),
+     "multiplicative group dies mod uv-1", 1),
+    ("quotients", "eval_measure", lambda route: lambda e, m: Laurent1.constant(1),
+     "additive group dies mod uv", 1),
+    ("quotients", "chow_htilde", lambda route: lambda idx: route(idx) + Laurent1({1: 1}),
+     "cycle-space image is the constant Euler number", 308),
+    ("hodge-constraints", "hodge_constraints_check",
+     lambda route: lambda h, chi, bound: route(h, chi + 1, bound),
+     "projective spaces pass all three constraints", 6),
+    ("hodge-constraints", "hodge_constraints_check",
+     lambda route: lambda h, chi, bound: route(h, chi + 1, bound),
+     "grassmannians pass all three constraints", 21),
+    ("toric", "toric_count", _plus_one, "census, euler number, and point counts agree", 18),
+    ("euler-chow", "euler_series",
+     lambda route: lambda fan, p, order, grading: route(fan, p, order, lambda d: (2,)),
+     "fan orbit product equals cycle series on projective fans", 9),
+    ("euler-chow", "euler_chow_product_recursive", _one_more_constant_term,
+     "product recursion equals product formula", 162),
+    ("congruences", "grassmannian_count_brute", _plus_one,
+     "brute-force subspace census equals formula", 63),
+    ("congruences", "chow_congruence_targets", _one_more_point,
+     "linear cycle counts reduce to 1 mod q and binomial mod q-1", 196),
+    ("irreducible", "irreducible_invariant", _plus_one,
+     "irreducible locus values on the grid", 84),
+    ("irreducible", "irreducible_invariant_product", _plus_one,
+     "product irreducible locus: units and only units count", 107),
+]
+# the checks that compare a route with a reference through verify._agree
+_AGREE_CHECKS = {
+    "recursion equals closed form", "closed form equals binomial",
+    "series coefficients equal closed form", "cycle-space image is the constant Euler number",
+    "fan orbit product equals cycle series on projective fans",
+    "product recursion equals product formula", "brute-force subspace census equals formula",
+    "product irreducible locus: units and only units count",
+}
+
+
+@pytest.mark.parametrize("suite, route, broken, check, cases", _BROKEN_CHECKS,
+                         ids=[f"{suite}: {check}" for suite, _, _, check, _ in _BROKEN_CHECKS])
+def test_verify_reports_every_broken_check(capsys, monkeypatch, suite, route, broken,
+                                           check, cases):
+    monkeypatch.setattr(verify, route, broken(getattr(verify, route)))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    (failed,) = [c for c in report["suites"][0]["checks"] if c["name"] == check]
+    assert (failed["ok"], failed["cases"]) == (False, cases)
+    # a one-case check reports its values, a check of many cases its
+    # first five failure records
+    records = failed["failures"]
+    assert len(records) == (0 if cases == 1 else 5)
+    if check in _AGREE_CHECKS:
+        assert all(set(r) == {"args", "got", "want"} and r["got"] != r["want"]
+                   for r in records)
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert f"FAIL  {suite}: {check} ({cases} cases)" in out.splitlines()
+    assert out.endswith("FAILURES above\n")
 
 
 def test_verify_failure_records_print_canonical_text(monkeypatch):
@@ -334,6 +449,7 @@ def test_json_round_trips_byte_identical(capsys, argv):
     ("chow", "-p", "3", "-n", "1", "--series", "2"),    # p > n
     ("chow", "-p", "1", "-n", "3"),                     # nothing requested
     ("chow", "-p", "1", "-n", "3", "--htilde"),         # htilde needs -d
+    ("chow", "-p", "1", "-n", "3", "--series", "-1"),   # negative order
     ("chow", "-p", "1", "-d", "1", "-n", "3", "--congruence", "3,x"),  # malformed m
     ("toric", P2_FAN),                                  # nothing requested
     ("toric", P1XP1_FAN, "--euler-series", "1"),        # missing order
@@ -488,6 +604,19 @@ def test_grading_file_needs_json_integers(capsys, tmp_path, entry):
     code, out, err = run(capsys, "toric", P1XP1_FAN, "--euler-series", f"1,2,{bad}")
     assert (code, out) == (2, "")
     assert one_line_error(err)
+
+
+@pytest.mark.parametrize("grading, message", [
+    ({"0": [1, 0]}, "grading file must be a JSON array of pairs"),
+    ([[[0], [1, 0]], [[1]]], "grading entry must be a pair, got [[1]]"),
+    ([[[0], [1, 0]], [[1], [1, 0]], [[2], [0, 1]], [[3], [0, 1]], [[0], [0, 1]]],
+     "grading file lists orbit closure [0] twice"),
+], ids=["not-an-array", "not-a-pair", "cone-twice"])
+def test_malformed_grading_file_exits_2(capsys, tmp_path, grading, message):
+    bad = tmp_path / "grading.json"
+    bad.write_text(json.dumps(grading))
+    code, out, err = run(capsys, "toric", P1XP1_FAN, "--euler-series", f"1,2,{bad}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _argv_reading(kind, path):

@@ -66,6 +66,8 @@ def test_gaussian_binomial_domain():
         gaussian_binomial(3, -1, 2)
     with pytest.raises(DomainError):
         gaussian_binomial(3, 1, 1)
+    with pytest.raises(DomainError):
+        gaussian_binomial_poly(2, 3)
 
 
 def test_gaussian_duality():

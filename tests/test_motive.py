@@ -150,6 +150,8 @@ def test_leaf_validation():
         Cellular(())
     with pytest.raises(DomainError):
         Cellular((2, 1))
+    with pytest.raises(DomainError):
+        Cellular((-1,))
 
 
 def test_measure_tag_must_be_a_string():
@@ -199,6 +201,8 @@ def test_hodge_constraints_bound():
     report = hodge_constraints_check(curve, 0, 0)
     assert report.bad_antidiagonals == (-1, 1)
     assert report.euler_ok
+    with pytest.raises(DomainError):
+        hodge_constraints_check(curve, 0, -1)
 
 
 def test_expr_json_fixture_files():

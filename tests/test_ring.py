@@ -477,13 +477,22 @@ class _Pairs(Mapping):
     ((1, 2.5, {(1,): 1}), "arity 1 and order 2.5 must be integers"),
     ((True, 3, {(1,): 1}), "arity True and order 3 must be integers"),
     ((1, 3, [((1,), 1)]), "terms must be a mapping, not list"),
+    ((-1, 3, {}), "arity must be non-negative"),
+    ((1, -1, {}), "truncation order must be non-negative"),
 ], ids=["float-exponent", "bool-exponent", "negative-exponent", "list-exponent",
         "str-exponent", "wrong-arity", "float-coefficient", "bool-coefficient",
         "first-bad-term", "beyond-order-exponent", "beyond-order-coefficient",
-        "float-arity", "float-order", "bool-arity", "pairs-terms"])
+        "float-arity", "float-order", "bool-arity", "pairs-terms",
+        "negative-arity", "negative-order"])
 def test_series_constructor_messages(args, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         MultiSeries(*args)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4)])
+def test_series_of_two_shapes_do_not_add(shape):
+    with pytest.raises(DomainError, match="^series mismatch: "):
+        MultiSeries.one(1, 3) + MultiSeries.one(*shape)
 
 
 def test_multiseries_truncation_discards_high_degree():

@@ -91,6 +91,12 @@ def test_validation_rejects_bad_fans():
         fan_validate(Fan(2, ((1, 0),), ((),)))  # empty cone listed
     with pytest.raises(FanError):
         fan_validate(Fan(2, ((1,),), ((0,),)))  # ray length mismatch
+    with pytest.raises(FanError):
+        Fan(-1, (), ()).census  # negative ambient dimension
+    with pytest.raises(DomainError):
+        projective_fan(-1)
+    with pytest.raises(DomainError):
+        affine_fan(0)
 
 
 def test_fan_json_round_trip():
