@@ -240,8 +240,8 @@ def irreducible_invariant_product(
         raise DomainError(
             f"multidegree has {len(alpha)} entries, expected {len(slots)}"
         )
-    if any(a < 0 for a in alpha):
-        raise DomainError("multidegree entries must be non-negative")
+    if any(type(a) is not int or a < 0 for a in alpha):
+        raise DomainError("multidegree entries must be non-negative ints")
     if sum(alpha) != 1:
         return 0
     k, l = slots[alpha.index(1)]

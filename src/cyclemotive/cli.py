@@ -103,13 +103,13 @@ def _series_text(series: dict) -> str:
 
 def _suites_text(suites: list) -> str:
     """One pass or FAIL line per check of run_suites(), each followed by the
-    check's failure records."""
+    check's failure records, one canonical JSON line each."""
     lines = []
     for suite in suites:
         for check in suite["checks"]:
             mark = "pass" if check["ok"] else "FAIL"
             lines.append(f"{mark}  {suite['suite']}: {check['name']} ({check['cases']} cases)")
-            lines += [f"      {failure}" for failure in check["failures"]]
+            lines += [f"      {_CANONICAL.encode(failure)}" for failure in check["failures"]]
     return "\n".join(lines)
 
 

@@ -122,7 +122,10 @@ class PrimePower(Record):
 
 def check_field(q: int, m: int) -> None:
     """Check that q and m name the field with q^m elements: q a prime
-    power and m >= 1."""
+    power and m >= 1, each an int (a bool is not one)."""
+    for value, what in ((q, "field size"), (m, "field extension degree")):
+        if type(value) is not int:
+            raise DomainError(f"{what} must be an int, got {type(value).__name__}")
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")

@@ -243,8 +243,8 @@ class Measure(Record):
             if self.q is None:
                 raise DomainError("count measure needs a field size q")
             check_field(self.q, self.m)
-        elif self.q is not None:
-            raise DomainError(f"measure {self.tag!r} takes no field size")
+        elif self.q is not None or self.m != 1:
+            raise DomainError(f"measure {self.tag!r} takes no field size or degree")
 
 
 E_POLY = Measure("e-poly")

@@ -5,10 +5,10 @@ keys `name`, `ok`, `cases`, `values` and `failures`; the CLI renders them
 and turns any failure into a nonzero exit.  Suites rebuild their own
 fixtures so they do not depend on the test tree.
 
-A check that compares a route with a reference goes through `_agree`, and
-its failure records have one shape, `{"args": [...case], "got", "want"}`.
-Only the checks whose records carry more than two values (hodge-constraints,
-toric, congruence reduction, the irreducible locus) build their own.
+Every check is one `_agree` call: it compares a route with a reference
+over cases of JSON data, and each failure record has the one shape
+`{"args": [...case], "got", "want"}`.  A check of one computed value has
+the single case `()`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .motive import (
     eval_measure,
     hodge_constraints_check,
 )
-from .ring import Laurent1, parse_poly2, specialize
+from .ring import Laurent1, Poly2, parse_poly2, specialize
 from .toric import (
     Fan,
     affine_fan,
@@ -61,14 +61,24 @@ from .toric import (
 )
 
 
-def _check(name: str, cases: list[tuple], run, values: dict | None = None) -> dict:
-    """Run `run(*case)` on every case and report the check.
+def _written(value):
+    """A value as a failure record holds it: an int or a list of ints as it
+    is, a value with to_json() by it, and a ring value by str()."""
+    if isinstance(value, (int, list)):
+        return value
+    return value.to_json() if hasattr(value, "to_json") else str(value)
 
-    `run` returns None when the case holds and a failure record when it
-    does not; the first five records are kept.  `values` is reported as
-    given, after the cases ran, so `run` may fill it in as it goes.
-    """
-    failures = [f for f in (run(*case) for case in cases) if f is not None]
+
+def _agree(name: str, cases: list[tuple], route, reference,
+           values: dict | None = None) -> dict:
+    """Check route(*case) == reference(*case) on every case, each of JSON
+    data, and report the check with `values` as given.  The first five
+    failures are kept, each as {"args": [...case], "got", "want"}."""
+    failures = []
+    for case in cases:
+        got, want = route(*case), reference(*case)
+        if got != want:
+            failures.append({"args": [*case], "got": _written(got), "want": _written(want)})
     return {
         "name": name,
         "ok": not failures,
@@ -76,29 +86,6 @@ def _check(name: str, cases: list[tuple], run, values: dict | None = None) -> di
         "values": {} if values is None else values,
         "failures": failures[:5],
     }
-
-
-def _agree(name: str, cases: list[tuple], route, reference) -> dict:
-    """Check route(*case) == reference(*case) on every case, each of JSON
-    data.  A failure record is {"args": [...case], "got", "want"}, with an
-    int as it is, a value with to_json() by it, and a ring value by str()."""
-
-    def written(value):
-        if isinstance(value, int):
-            return value
-        return value.to_json() if hasattr(value, "to_json") else str(value)
-
-    def compare(*case):
-        got, want = route(*case), reference(*case)
-        if got != want:
-            return {"args": [*case], "got": written(got), "want": written(want)}
-
-    return _check(name, cases, compare)
-
-
-def _fact(name: str, ok: bool, values: dict) -> dict:
-    """Report a check of one computed value."""
-    return {"name": name, "ok": ok, "cases": 1, "values": values, "failures": []}
 
 
 # (p, d, n): p-cycles of degree d in P^n.
@@ -134,23 +121,21 @@ def suite_hodge_remark() -> list[dict]:
     euler = specialize(value, 1, 1)
     betti1 = value.coefficient(1, 0) + value.coefficient(0, 1)
     return [
-        _fact("glued-cone class reproduced", value == expected, {"e_poly": str(value)}),
-        _fact("euler number is 4", euler == 4, {"euler": euler}),
-        _fact("first virtual betti number is 2", betti1 == 2, {"betti1": betti1}),
+        _agree("glued-cone class reproduced", [()], lambda: value, lambda: expected,
+               {"e_poly": str(value)}),
+        _agree("euler number is 4", [()], lambda: euler, lambda: 4, {"euler": euler}),
+        _agree("first virtual betti number is 2", [()], lambda: betti1, lambda: 2,
+               {"betti1": betti1}),
     ]
 
 
 def suite_quotients() -> list[dict]:
     torus_image = eval_measure(Torus(1), H_TILDE)
     affine_image = eval_measure(AffineSpace(1), H_BAR)
-
     return [
-        _fact(
-            "multiplicative group dies mod uv-1",
-            torus_image == Laurent1(),
-            {"image": str(torus_image)},
-        ),
-        _fact("additive group dies mod uv", affine_image.is_zero(), {}),
+        _agree("multiplicative group dies mod uv-1", [()], lambda: torus_image, Laurent1,
+               {"image": str(torus_image)}),
+        _agree("additive group dies mod uv", [()], lambda: affine_image, Poly2),
         _agree("cycle-space image is the constant Euler number", _PDN_GRID,
                lambda p, d, n: chow_htilde(ChowIndex(p, d, n)),
                lambda p, d, n: Laurent1.constant(_closed(p, d, n))),
@@ -158,20 +143,20 @@ def suite_quotients() -> list[dict]:
 
 
 def suite_hodge_constraints() -> list[dict]:
-    def constraints(variety, expr, euler):
+    def verdicts(expr, euler):
         report = hodge_constraints_check(eval_E(expr), euler, 0)
-        if not report.ok:
-            return {"variety": variety, "report": report.to_json()}
+        return [report.antidiagonals_ok, report.euler_ok, report.axes_ok]
 
-    spaces = [(f"proj_space({n})", ProjSpace(n), n + 1) for n in range(6)]
-    grassmannians = [
-        (f"grassmannian({k},{n})", Grassmannian(k, n), comb(n, k))
-        for n in range(1, 7)
-        for k in range(1, n + 1)
-    ]
+    def all_hold(*case):
+        return [True] * 3
+
+    spaces = [(n,) for n in range(6)]
+    grassmannians = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
     return [
-        _check("projective spaces pass all three constraints", spaces, constraints),
-        _check("grassmannians pass all three constraints", grassmannians, constraints),
+        _agree("projective spaces pass all three constraints", spaces,
+               lambda n: verdicts(ProjSpace(n), n + 1), all_hold),
+        _agree("grassmannians pass all three constraints", grassmannians,
+               lambda k, n: verdicts(Grassmannian(k, n), comb(n, k)), all_hold),
     ]
 
 
@@ -192,29 +177,29 @@ def builtin_fans() -> dict[str, Fan]:
 
 
 def suite_toric() -> list[dict]:
-    values = {}
+    fans = builtin_fans()
+    values = {
+        name: {"census": list(fan.census), "lambda": toric_lambda(fan)}
+        for name, fan in fans.items()
+    }
 
-    # Three cases per fan: the census against lambda and E(1, 1) (q None),
+    # Three cases per fan: lambda and E(1, 1) against the census (q None),
     # and the point count against the counting polynomial at q = 2 and 3.
-    def agree(name, fan, q):
+    def route(name, q):
+        fan = fans[name]
         if q is None:
-            census = fan.census
-            lam = toric_lambda(fan)
-            e_at_one = specialize(toric_E_poly(fan), 1, 1)
-            values[name] = {"census": list(census), "lambda": lam}
-            if lam != census[fan.dim] or e_at_one != lam:
-                return {"fan": name, "lambda": lam, "e_at_one": e_at_one}
-            return None
-        count = toric_count(fan, q)
-        if count != eval_count_poly(ToricFan(fan)).evaluate(q):
-            return {"fan": name, "q": q, "toric_count": count}
+            return [toric_lambda(fan), specialize(toric_E_poly(fan), 1, 1)]
+        return toric_count(fan, q)
 
-    cases = [
-        (name, fan, q) for name, fan in builtin_fans().items() for q in (None, 2, 3)
-    ]
-    return [
-        _check("census, euler number, and point counts agree", cases, agree, values)
-    ]
+    def reference(name, q):
+        fan = fans[name]
+        if q is None:
+            return [fan.census[fan.dim]] * 2
+        return eval_count_poly(ToricFan(fan)).evaluate(q)
+
+    cases = [(name, q) for name in fans for q in (None, 2, 3)]
+    return [_agree("census, euler number, and point counts agree", cases, route, reference,
+                   values)]
 
 
 def suite_euler_chow() -> list[dict]:
@@ -231,43 +216,34 @@ def suite_euler_chow() -> list[dict]:
 
 
 def suite_congruences() -> list[dict]:
-    residues = {}
-
-    def reduction(p, n, q):
+    def residues(p, n, q):
         report = chow_congruence_targets(ChowIndex(p, 1, n), q)
-        count = report.actual
-        if n == 3 and p == 1:
-            residues[f"q={q}"] = {
-                "count": count,
-                "mod_q": count % q,
-                "mod_q_minus_1": count % (q - 1) if q > 2 else 0,
-            }
-        if not report.ok:
-            return {"p": p, "n": n, "q": q, "count": count}
+        return [report.mod_q_ok, report.mod_q_minus_1_ok]
 
     subspaces = [(k, n, q) for n in range(6) for k in range(n + 1) for q in (2, 3, 5)]
     fields = (2, 3, 4, 5, 7, 8, 9)
     cycles = [(p, n, q) for n in range(7) for p in range(n + 1) for q in fields]
+    sample_g24 = {}
+    for q in fields:  # the lines of P^3, i.e. G(2, 4)
+        count = chow_congruence_targets(ChowIndex(1, 1, 3), q).actual
+        sample_g24[f"q={q}"] = {"count": count, "mod_q": count % q, "mod_q_minus_1": count % (q - 1)}
     return [
         _agree("brute-force subspace census equals formula", subspaces,
                grassmannian_count_brute, lambda k, n, q: gaussian_binomial(n, k, q)),
-        _check(
-            "linear cycle counts reduce to 1 mod q and binomial mod q-1",
-            cycles,
-            reduction,
-            {"sample_g24": residues},
-        ),
+        _agree("linear cycle counts reduce to 1 mod q and binomial mod q-1", cycles,
+               residues, lambda p, n, q: [True, True], {"sample_g24": sample_g24}),
     ]
 
 
 def suite_irreducible() -> list[dict]:
+    # the locus and, at degree 1, the Euler number of the Grassmannian of
+    # linear cycles, each against the count of coordinate subspaces
     def locus(p, d, n):
-        got = irreducible_invariant(p, d, n)
-        want = coordinate_subspace_count(p, n) if d == 1 else 0
-        if got != want:
-            return {"p": p, "d": d, "n": n, "got": got}
-        if d == 1 and got != eval_measure(Grassmannian(p + 1, n + 1), EULER):
-            return {"p": p, "d": d, "n": n, "grassmannian": True}
+        euler = eval_measure(Grassmannian(p + 1, n + 1), EULER) if d == 1 else 0
+        return [irreducible_invariant(p, d, n), euler]
+
+    def subspaces(p, d, n):
+        return [coordinate_subspace_count(p, n) if d == 1 else 0] * 2
 
     def units(alpha, p, n, m):
         if sum(alpha) != 1:
@@ -286,7 +262,7 @@ def suite_irreducible() -> list[dict]:
         product_cases += [(alpha, p, n, m) for alpha in vectors]
     grid = [(p, d, n) for n in range(6) for p in range(n + 1) for d in range(1, 5)]
     return [
-        _check("irreducible locus values on the grid", grid, locus),
+        _agree("irreducible locus values on the grid", grid, locus, subspaces),
         _agree("product irreducible locus: units and only units count", product_cases,
                irreducible_invariant_product, units),
     ]

@@ -285,6 +285,9 @@ def test_irreducible_invariant_product():
         irreducible_invariant_product((1, 0, 0), 1, 1, 1)  # wrong length
     with pytest.raises(DomainError):
         irreducible_invariant_product((1, -1), 1, 1, 1)
+    for alpha, p, n, m in [((1.0, 0), 1, 1, 1), (("x",), 0, 0, 0), ((True, 0), 1, 1, 1)]:
+        with pytest.raises(DomainError, match="^multidegree entries must be non-negative ints$"):
+            irreducible_invariant_product(alpha, p, n, m)
 
 
 def test_irreducible_product_full_unit_grid():

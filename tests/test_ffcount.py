@@ -184,7 +184,10 @@ def test_budget_override():
 @pytest.mark.parametrize("q, m, message", [
     (6, 1, "6 is not a prime power"),
     (2, 0, "field extension degree must be >= 1, got 0"),
-], ids=["q=6", "m=0"])
+    (4, 1.5, "field extension degree must be an int, got float"),
+    (4.0, 1, "field size must be an int, got float"),
+    (True, 1, "field size must be an int, got bool"),
+], ids=["q=6", "m=0", "m=1.5", "q=4.0", "q=True"])
 @pytest.mark.parametrize("field_user", [
     count_at,
     lambda q, m: chow_congruence_targets(ChowIndex(0, 1, 2), q, m),

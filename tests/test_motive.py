@@ -169,6 +169,12 @@ def test_measure_validation():
         count_at(2, 0)
     with pytest.raises(DomainError):
         Measure("euler", q=2)
+    with pytest.raises(DomainError, match="^measure 'euler' takes no field size or degree$"):
+        Measure("euler", m=0)
+    with pytest.raises(DomainError, match="^field extension degree must be an int, got float$"):
+        Measure("count", q=4, m=1.5)
+    with pytest.raises(DomainError, match="^field size must be an int, got float$"):
+        Measure("count", q=4.0)
     assert count_at(4).q == 4  # prime powers allowed in formulas
     assert measure_from_string("count:2,3") == count_at(2, 3)
     assert measure_from_string("count:5") == count_at(5)
