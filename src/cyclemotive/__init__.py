@@ -6,6 +6,9 @@ invariants, toric orbit censuses, infinite-product generating series, and
 finite-field counts with their congruence checks.  Everything is exact
 integer arithmetic, and every headline formula has an independent
 brute-force or dual-route verification in the test suite.
+
+The runtime verification suites live in `cyclemotive.verify`, which this
+import does not load; `cyclemotive.verify.run_suites` runs them.
 """
 
 __version__ = "0.1.0"
@@ -89,4 +92,3 @@ from .toric import (
     toric_E_poly,
     toric_lambda,
 )
-from .verify import run_suites

@@ -29,7 +29,7 @@ from math import comb
 from operator import add, mul
 
 from ._record import Record
-from .errors import DomainError
+from .errors import DomainError, _check_ints
 from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
@@ -42,6 +42,7 @@ class ChowIndex(Record):
     n: int
 
     def __post_init__(self):
+        _check_ints({"p": self.p, "d": self.d, "n": self.n})
         if not 0 <= self.p <= self.n:
             raise DomainError(f"need 0 <= p <= n, got p={self.p}, n={self.n}")
         if self.d < 0:
@@ -51,6 +52,7 @@ class ChowIndex(Record):
 def coordinate_subspace_count(p: int, n: int) -> int:
     """Number of p-dimensional coordinate subspaces of projective n-space,
     binom(n+1, p+1): the exponent in every closed form below."""
+    _check_ints({"p": p, "n": n})
     if not 0 <= p <= n:
         raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}")
     return comb(n + 1, p + 1)
@@ -212,6 +214,7 @@ def chow_htilde(idx: ChowIndex) -> Laurent1:
 def irreducible_invariant(p: int, d: int, n: int) -> int:
     """Euler number of the locus of irreducible degree-d subvarieties:
     the count of linear subspaces for d = 1, zero for every higher degree."""
+    _check_ints({"p": p, "d": d, "n": n})
     if not 0 <= p <= n:
         raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}")
     if d < 1:
@@ -224,6 +227,7 @@ def irreducible_invariant(p: int, d: int, n: int) -> int:
 def multidegree_slots(p: int, n: int, m: int) -> list[tuple[int, int]]:
     """Component labels (k, l), k+l = p, for p-cycles in the product of
     projective n-space and projective m-space, in ascending k order."""
+    _check_ints({"p": p, "n": n, "m": m})
     if p < 0 or n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
     return [(k, p - k) for k in range(max(0, p - m), min(n, p) + 1)]
@@ -273,6 +277,7 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     _table call, seeded with the second factor's rows from one _lam_rows
     table, gives the last degree row of each slot, and the series is their
     outer product, truncated at the order."""
+    _check_ints({"p": p, "n": n, "m": m, "order": order})
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
     low = max(0, p - n)

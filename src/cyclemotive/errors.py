@@ -1,11 +1,11 @@
 """Exception types shared across the package, the JSON decoder for input
-files, and the integer checks for JSON values and command-line spellings.
+files, and the integer checks for library arguments, JSON values and
+command-line spellings.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
 """
 
-import json
 import sys
 
 
@@ -56,7 +56,11 @@ def _shown(text: str) -> str:
 
 
 def _json_loads(text: str, what: str):
-    """Decode JSON text; `what` names the input in the error message."""
+    """Decode JSON text; `what` names the input in the error message.
+    json is imported here, its only use, so that `import cyclemotive`
+    does not load it."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -64,6 +68,15 @@ def _json_loads(text: str, what: str):
     except ValueError:
         # int() refuses a literal longer than the interpreter's digit limit
         raise ParseError(f"{what} holds {_long_integer()}") from None
+
+
+def _check_ints(named: dict) -> None:
+    """Refuse with DomainError each value of `named` that is not an int,
+    naming it by its key.  A bool is refused too, though it subclasses
+    int."""
+    for what, value in named.items():
+        if type(value) is not int:
+            raise DomainError(f"{what} must be an int, got {type(value).__name__}")
 
 
 def _json_int(value, field: str) -> int:

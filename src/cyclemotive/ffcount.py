@@ -24,7 +24,7 @@ from itertools import combinations
 from math import log2
 
 from ._record import Record
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, _check_ints
 from .ring import LPoly
 from .toric import Fan
 
@@ -123,9 +123,7 @@ class PrimePower(Record):
 def check_field(q: int, m: int) -> None:
     """Check that q and m name the field with q^m elements: q a prime
     power and m >= 1, each an int (a bool is not one)."""
-    for value, what in ((q, "field size"), (m, "field extension degree")):
-        if type(value) is not int:
-            raise DomainError(f"{what} must be an int, got {type(value).__name__}")
+    _check_ints({"field size": q, "field extension degree": m})
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
@@ -134,6 +132,7 @@ def check_field(q: int, m: int) -> None:
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
     field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact."""
+    _check_ints({"n": n, "k": k, "q": q})
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     if q < 2:
@@ -156,6 +155,7 @@ def gaussian_binomial_poly(n: int, k: int) -> LPoly:
     filled bottom-up and lives for this call only: row j holds [j+r, j]
     for r = 0..n-k, starting from [r, 0] = [j, j] = 1.
     """
+    _check_ints({"n": n, "k": k})
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     row = [LPoly.one()] * (n - k + 1)
@@ -245,6 +245,7 @@ def rref_cell_census(
     patterns from the free-entry counts, never from a closed form) must not
     exceed the budget, by default 10^6.
     """
+    _check_ints({"k": k, "n": n, "q": q})
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     if q > BRUTE_FORCE_MAX_Q:

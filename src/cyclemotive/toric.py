@@ -19,7 +19,15 @@ from itertools import combinations
 from math import gcd
 
 from ._record import Record
-from .errors import DomainError, FanError, ParseError, _json_int, _json_ints, _json_loads
+from .errors import (
+    DomainError,
+    FanError,
+    ParseError,
+    _check_ints,
+    _json_int,
+    _json_ints,
+    _json_loads,
+)
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
 Ray = tuple[int, ...]
@@ -190,6 +198,7 @@ def projective_fan(n: int) -> Fan:
     """Fan of n-dimensional projective space: the n standard basis rays plus
     their negated sum, with every proper subset of the rays as a cone.
     Dimension 0 is the point fan: no rays, only the implicit zero cone."""
+    _check_ints({"n": n})
     if n < 0:
         raise DomainError("projective fan needs dimension >= 0")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -201,6 +210,7 @@ def projective_fan(n: int) -> Fan:
 
 def affine_fan(n: int) -> Fan:
     """Fan of affine n-space: the positive orthant and all its faces."""
+    _check_ints({"n": n})
     if n < 1:
         raise DomainError("affine fan needs dimension >= 1")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

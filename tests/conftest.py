@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,16 @@ from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(probe: str) -> str:
+    """stdout of `probe` run by `python -S` with the sources on the path:
+    a fresh interpreter in which no site hook has imported anything."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def load_fan(name):

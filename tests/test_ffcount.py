@@ -7,7 +7,15 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclemotive.chow import ChowIndex, chow_congruence_targets
+from cyclemotive.chow import (
+    ChowIndex,
+    chow_congruence_targets,
+    coordinate_subspace_count,
+    euler_chow_product_formula,
+    euler_chow_product_recursive,
+    irreducible_invariant,
+    multidegree_slots,
+)
 from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import (
     CongruenceReport,
@@ -22,6 +30,7 @@ from cyclemotive.ffcount import (
     toric_count,
 )
 from cyclemotive.motive import count_at
+from cyclemotive.toric import affine_fan, projective_fan
 from conftest import load_fan
 
 P1 = load_fan("p1")
@@ -196,6 +205,35 @@ def test_budget_override():
 def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         field_user(q, m)
+
+
+INDEX_TYPE_CASES = [
+    (gaussian_binomial, (3, 1, 2.5), "q must be an int, got float"),
+    (gaussian_binomial, (3.0, 1, 2), "n must be an int, got float"),
+    (gaussian_binomial, (3, True, 2), "k must be an int, got bool"),
+    (gaussian_binomial_poly, (3, 1.0), "k must be an int, got float"),
+    (grassmannian_count_brute, (1, 3, 2.0), "q must be an int, got float"),
+    (rref_cell_census, (1, "3", 2), "n must be an int, got str"),
+    (ChowIndex, (1.0, 2, 3), "p must be an int, got float"),
+    (ChowIndex, (1, True, 3), "d must be an int, got bool"),
+    (coordinate_subspace_count, (1, 3.0), "n must be an int, got float"),
+    (irreducible_invariant, (1.0, 1, 3), "p must be an int, got float"),
+    (multidegree_slots, (1.5, 1, 1), "p must be an int, got float"),
+    (euler_chow_product_formula, (1, 1, 1.0, 3), "m must be an int, got float"),
+    (euler_chow_product_recursive, (1, 1.0, 1, 3), "n must be an int, got float"),
+    (projective_fan, (2.0,), "n must be an int, got float"),
+    (affine_fan, (False,), "n must be an int, got bool"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", INDEX_TYPE_CASES, ids=[
+    f"{function.__name__}({','.join(map(repr, args))})" for function, args, _ in INDEX_TYPE_CASES
+])
+def test_indices_must_be_ints(function, args, message):
+    """Every index argument is an int, not merely a number that compares or
+    multiplies like one: 3.0 would give 7.0, True would be taken as 1."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 def test_prime_power():

@@ -3,10 +3,7 @@ construction, checks and `match` behave as for frozen dataclasses, and
 importing the CLI loads neither `dataclasses` nor `inspect`."""
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -26,7 +23,7 @@ from cyclemotive import (
     projective_fan,
 )
 from cyclemotive.toric import OrbitClosure
-from conftest import SRC
+from conftest import fresh_python
 
 
 def test_equality_is_type_sensitive():
@@ -139,8 +136,4 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         "import sys, cyclemotive.cli\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert fresh_python(probe) == "[]\n"
