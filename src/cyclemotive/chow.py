@@ -276,7 +276,9 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     """The same series, rebuilt by induction on n with no binomials: one
     _table call, seeded with the second factor's rows from one _lam_rows
     table, gives the last degree row of each slot, and the series is their
-    outer product, truncated at the order."""
+    outer product, truncated at the order.  Every row entry is a count of
+    fixed points, at least 1, and the fold keeps every total degree within
+    the order, so the map is canonical and wraps with no second check."""
     _check_ints({"p": p, "n": n, "m": m, "order": order})
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
@@ -290,7 +292,7 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
             for key, c in terms.items()
             for e, r in enumerate(row[: order - sum(key) + 1])
         }
-    return MultiSeries(len(rows), order, terms)
+    return MultiSeries(len(rows), order)._like(terms)
 
 
 # ---------------------------------------------------------------------------

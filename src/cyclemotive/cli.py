@@ -209,9 +209,9 @@ def cmd_chow(args) -> int:
     return exit_code
 
 
-def _load_grading(path: str):
+def _load_grading(path: str, fan, p: int):
     """Grading file: JSON array of [cone_ray_indices, exponent_vector]
-    pairs covering every p-dimensional orbit closure."""
+    pairs listing the fan's p-dimensional orbit closures, each once."""
     data = _json_loads(_read_text(path), "grading file")
     if not isinstance(data, list):
         raise ParseError("grading file must be a JSON array of pairs")
@@ -224,14 +224,16 @@ def _load_grading(path: str):
         if key in table:
             raise ParseError(f"grading file lists orbit closure {list(key)} twice")
         table[key] = _json_ints(exponent, "grading exponent")
-
-    def grade(descriptor):
-        key = tuple(descriptor.ray_indices)
+    closures = [d.ray_indices for d in toric.invariant_subvarieties(fan, p)]
+    for key in closures:
         if key not in table:
             raise ParseError(f"grading file misses orbit closure {list(key)}")
-        return table[key]
-
-    return grade
+    listed = set(closures)
+    for key in table:
+        if key not in listed:
+            raise ParseError(f"grading file lists cone {list(key)}, "
+                             f"which is no {p}-dimensional orbit closure")
+    return lambda descriptor: table[descriptor.ray_indices]
 
 
 def _euler_series(fan, text: str) -> dict:
@@ -241,7 +243,7 @@ def _euler_series(fan, text: str) -> dict:
     message = "--euler-series expects integer p and order"
     p, order = _ascii_ints(parts[:2], "--euler-series", message)
     if len(parts) == 3:
-        grading = _load_grading(parts[2])
+        grading = _load_grading(parts[2], fan, p)
     else:
         # degree grading: every class to the same single variable
         grading = lambda descriptor: (1,)

@@ -20,10 +20,11 @@ its text form.  The two one-variable types share one more body,
 coefficient lookup, exact integer evaluation by Horner's rule, and text in
 ascending powers of their variable.  ``str()`` of a polynomial is its
 canonical text and the only printer, and one regular grammar, stated
-under "Text form" below, reads it back.  A series checks a whole term map
-in bulk first and falls back to the term-by-term check, with its messages,
-only when the map holds a bad term.  Everything is computed exactly;
-equality is equality of canonical forms.
+under "Text form" below, reads it back.  A value is checked once, where it
+enters from outside: the constructors check every term, and the series
+builders check their factor lists.  Ring arithmetic and the series builders
+wrap maps they built themselves, unchecked.  Everything is computed
+exactly; equality is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, ParseError, _long_integer
@@ -91,7 +91,9 @@ class _TermMap:
         return {e: c for e, c in out.items() if c}
 
     def _like(self, terms: dict):
-        """A value of this type and shape around an already canonical map."""
+        """A value of this type and shape around a map that the library built
+        canonical itself, with no check: outside maps go through the
+        constructor and _canonical instead."""
         obj = object.__new__(type(self))
         obj._terms = terms
         return obj
@@ -375,7 +377,8 @@ class MultiSeries(_TermMap):
 
     Terms are keyed by length-r exponent tuples; every stored exponent has
     total degree <= order, and arithmetic discards anything beyond the
-    truncation order.  Arity 0 is allowed (constants).
+    truncation order.  Arity 0 is allowed (constants).  Outside maps are
+    checked term by term; the series builders wrap their own with _like.
     """
 
     __slots__ = ("arity", "order")
@@ -395,24 +398,7 @@ class MultiSeries(_TermMap):
             raise DomainError("truncation order must be non-negative")
         self.arity = arity
         self.order = order
-        terms = _mapping(terms)
-        self._terms = self._checked(terms) if terms else {}
-
-    def _checked(self, terms: Mapping) -> dict:
-        """The map checked whole, in a few passes that run in C, and
-        truncated at the order.  A map that fails any of them goes through
-        _canonical instead, which raises the message for its first bad term."""
-        keys = terms.keys()
-        if (
-            set(map(type, terms.values())) <= {int}
-            and set(map(type, keys)) <= {tuple}
-            and set(map(len, keys)) <= {self.arity}
-            and set(map(type, chain.from_iterable(keys))) <= {int}
-            and min(chain.from_iterable(keys), default=0) >= 0
-        ):
-            order = self.order
-            return {e: c for e, c in terms.items() if c and sum(e) <= order}
-        return self._canonical(terms.items())
+        super().__init__(terms)
 
     def _key(self, e: object) -> tuple[int, ...] | None:
         e = _exponent_tuple(e, self.arity)
@@ -479,8 +465,14 @@ def expand_inverse_product(
     pass.  The cost is linear in the order whatever the multiplicity, and
     no binomial shortcut is taken, so closed-form coefficient identities
     remain independent checks.
+
+    The factor list is outside data and is checked here.  The map built
+    from it is canonical by construction, so it is wrapped with no second
+    check: every coefficient is a sum of products of positive integers,
+    and the fold's bound keeps every total degree <= order.
     """
-    terms = dict(MultiSeries.one(arity, order).terms)
+    one = MultiSeries.one(arity, order)
+    terms = dict(one.terms)
     for exponent, multiplicity in factors:
         m = _exponent_tuple(exponent, arity)
         if not any(m):
@@ -502,7 +494,7 @@ def expand_inverse_product(
                 out[key] = out.get(key, 0) + c * a
                 key = tuple(map(operator.add, key, m))
         terms = out
-    return MultiSeries(arity, order, terms)
+    return one._like(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclemotive import ffcount, toric
+from cyclemotive import ffcount, ring, toric
 from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -52,4 +52,20 @@ def predicate_calls(monkeypatch):
         return real(matrix, q)
 
     monkeypatch.setattr(ffcount, "is_rref", counting)
+    return calls
+
+
+@pytest.fixture
+def series_checks(monkeypatch):
+    """(arity, order, term count) of every map of more than one term that
+    `MultiSeries.__init__` is given to check, in call order."""
+    calls = []
+    real = ring.MultiSeries.__init__
+
+    def counting(self, arity, order, terms=None):
+        if terms is not None and len(terms) > 1:
+            calls.append((arity, order, len(terms)))
+        real(self, arity, order, terms)
+
+    monkeypatch.setattr(ring.MultiSeries, "__init__", counting)
     return calls

@@ -413,6 +413,18 @@ def test_product_recursive_equals_formula_deep_shapes():
         ) == euler_chow_product_formula(p, n, m, order)
 
 
+def test_no_library_series_is_checked_twice(series_checks):
+    """The series builders check their input once and wrap the maps they
+    build: none hands a whole term map back to the constructor."""
+    chow_series(1, 3, 12)
+    euler_chow_product_formula(1, 2, 2, 8)
+    euler_chow_product_recursive(1, 2, 2, 8)
+    fan = projective_fan(3)
+    euler_series(fan, 1, 8)
+    euler_series(fan, 1, 8, grading=lambda d: (1,))
+    assert series_checks == []
+
+
 def test_product_domain():
     with pytest.raises(DomainError):
         euler_chow_product_formula(4, 1, 1, 3)

@@ -29,6 +29,7 @@ P2_FAN = str(DATA / "fan_p2.json")
 P3_FAN = str(DATA / "fan_p3.json")
 P1XP1_FAN = str(DATA / "fan_p1xp1.json")
 BIDEGREE_GRADING = str(DATA / "grading_p1xp1_bidegree.json")
+BIDEGREE = json.loads(Path(BIDEGREE_GRADING).read_text())
 # subprocesses import the package from this tree, installed or not
 TREE_ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
@@ -598,7 +599,7 @@ def test_fan_file_needs_json_integers(capsys, tmp_path, fan):
     [[True], [1, 0]],
 ])
 def test_grading_file_needs_json_integers(capsys, tmp_path, entry):
-    grading = json.loads(Path(BIDEGREE_GRADING).read_text())
+    grading = list(BIDEGREE)
     grading[1] = entry  # the entry for the divisor of ray 1
     bad = tmp_path / "grading.json"
     bad.write_text(json.dumps(grading))
@@ -612,7 +613,15 @@ def test_grading_file_needs_json_integers(capsys, tmp_path, entry):
     ([[[0], [1, 0]], [[1]]], "grading entry must be a pair, got [[1]]"),
     ([[[0], [1, 0]], [[1], [1, 0]], [[2], [0, 1]], [[3], [0, 1]], [[0], [0, 1]]],
      "grading file lists orbit closure [0] twice"),
-], ids=["not-an-array", "not-a-pair", "cone-twice"])
+    # the bidegree grading plus one entry that names no curve of the quadric
+    (BIDEGREE + [[[9], [1, 0]]],
+     "grading file lists cone [9], which is no 1-dimensional orbit closure"),
+    (BIDEGREE + [[[0, 1], [1, 0]]],
+     "grading file lists cone [0, 1], which is no 1-dimensional orbit closure"),
+    (BIDEGREE + [[[0, 2], [1, 0]]],
+     "grading file lists cone [0, 2], which is no 1-dimensional orbit closure"),
+], ids=["not-an-array", "not-a-pair", "cone-twice", "no-such-ray", "not-a-cone",
+        "point-cone"])
 def test_malformed_grading_file_exits_2(capsys, tmp_path, grading, message):
     bad = tmp_path / "grading.json"
     bad.write_text(json.dumps(grading))

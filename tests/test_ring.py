@@ -9,6 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclemotive.chow import (
+    chow_series,
+    euler_chow_product_formula,
+    euler_chow_product_recursive,
+)
 from cyclemotive.errors import DomainError, ParseError
 from cyclemotive.ring import (
     LPoly,
@@ -26,6 +31,8 @@ from cyclemotive.ring import (
     quotient_uv_minus1,
     specialize,
 )
+from cyclemotive.toric import euler_series
+from cyclemotive.verify import builtin_fans
 
 # the running example: class of (elliptic curve cone) glued to a plane
 GLUED_CONE = parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")
@@ -304,6 +311,55 @@ def test_expansion_equals_product_of_geometric_powers(case):
         )
         expected = expected * geometric**c
     assert expand_inverse_product(factors, arity=arity, order=order) == expected
+
+
+def assert_canonical(s: MultiSeries) -> None:
+    """s, built by the library and wrapped with no check, is what the
+    constructor makes of its own map: no zero coefficient, no key above
+    the order, every key and coefficient of the right type."""
+    assert s == MultiSeries(s.arity, s.order, dict(s.terms))
+    assert all(s.terms.values())
+    assert all(sum(e) <= s.order for e in s.terms)
+
+
+@st.composite
+def factor_lists(draw):
+    """Factors drawn from a small pool of non-zero exponents, so that they
+    repeat and overlap, with multiplicities up to 10^6."""
+    arity = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 3)] * arity).filter(any)
+    pool = draw(st.lists(exponent, min_size=1, max_size=3))
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 10**6)), min_size=1, max_size=4
+    ))
+    return factors, arity, draw(st.integers(0, 25))
+
+
+@given(factor_lists())
+@settings(deadline=None)
+def test_expansion_is_canonical(case):
+    factors, arity, order = case
+    assert_canonical(expand_inverse_product(factors, arity=arity, order=order))
+
+
+def test_library_built_series_are_canonical():
+    for n in range(6):
+        for p in range(n + 1):
+            for order in range(26):
+                assert_canonical(chow_series(p, n, order))
+    shapes = [(p, n, m, order) for n in range(4) for m in range(4)
+              for p in range(n + m + 1) for order in range(13)]
+    for shape in shapes:
+        assert_canonical(euler_chow_product_formula(*shape))
+        assert_canonical(euler_chow_product_recursive(*shape))
+    for shape in [(1, 2, 2, 42), (2, 2, 2, 24), (3, 3, 4, 12), (0, 4, 5, 180),
+                  (1, 2, 3, 38)]:  # the deep shapes of test_chow.py
+        assert_canonical(euler_chow_product_recursive(*shape))
+    for fan in builtin_fans().values():
+        for p in range(fan.dim + 1):
+            for order in range(7):
+                assert_canonical(euler_series(fan, p, order))
+                assert_canonical(euler_series(fan, p, order, grading=lambda d: (1,)))
 
 
 PARSERS = {"Poly2": parse_poly2, "Laurent1": parse_laurent1, "LPoly": parse_lpoly}
