@@ -84,7 +84,6 @@ from .toric import (
     affine_fan,
     euler_series,
     fan_from_json,
-    fan_to_json,
     fan_validate,
     invariant_subvarieties,
     product_fan,

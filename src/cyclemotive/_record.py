@@ -8,8 +8,8 @@ only to a record of the same class with equal fields, hashes as the tuple
 of its fields, reprs as `Name(field=value, ...)` and supports positional
 `match` patterns.  `to_json()` writes a record as a JSON object: its
 fields in order, then the derived values its class names in `_derived`,
-with tuples written as lists and nested records by their own `to_json()`.
-This is the one JSON writer of every record that leaves the program.
+each written by `_json`, the one JSON writer of every value that leaves
+the program.
 
 These are the value semantics of a frozen dataclass, kept by one shared
 set of methods: nothing is generated or compiled per class at import.
@@ -105,10 +105,15 @@ class Record:
 
 
 def _json(value):
-    """A field value as JSON data: a tuple as a list and a record by its
-    own to_json(), each element in turn; anything else as it is."""
-    if type(value) is tuple:
+    """A value as JSON data: an int, string, bool or None as it is, a tuple
+    or list as a list and a dict as a dict of written values, a value with
+    to_json() by it, and anything else, a polynomial, by str()."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (tuple, list)):
         return [_json(v) for v in value]
-    if isinstance(value, Record):
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if hasattr(value, "to_json"):
         return value.to_json()
-    return value
+    return str(value)

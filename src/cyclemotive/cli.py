@@ -3,9 +3,9 @@
 Four subcommands: evaluate a class expression under a measure, tabulate
 cycle-space invariants, work with fans, and run the verification suites.
 --json switches every subcommand to a canonical machine format (sorted
-keys, no whitespace) that round-trips byte for byte.  Each subcommand
-builds one answer in that format, and one printer writes it, or renders
-its plain text from it.
+keys, no whitespace) that round-trips byte for byte.  Only this module
+reads or writes JSON text: `_read_json` decodes each input file for the
+library readers, and `_print_answer` writes each answer once.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 unsupported measure or uncountable class, 4 cross-check mismatch.
@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import toric
+from ._record import _json
 from .chow import (
     ChowIndex,
     chow_congruence_targets,
@@ -35,7 +36,6 @@ from .errors import (
     UnsupportedError,
     _ascii_ints,
     _json_ints,
-    _json_loads,
     _long_integer,
     _shown,
 )
@@ -56,16 +56,6 @@ EXIT_MISMATCH = 4
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _text(value, render=str) -> str:
-    """render(value) for output.  An integer past the interpreter's digit
-    limit cannot be printed, which is an input error: the input asked for a
-    result too large to print."""
-    try:
-        return render(value)
-    except ValueError:
-        raise DomainError(f"the result holds {_long_integer()}") from None
 
 
 def _integer(text: str, option: str) -> int:
@@ -135,27 +125,38 @@ def _plain(answer: dict) -> str:
 
 
 def _print_answer(answer: dict, as_json: bool) -> None:
-    """Print a subcommand's answer: canonical JSON, or the text of each key
-    that has a renderer, in the order of _TEXT."""
-    print(_text(answer, _CANONICAL.encode if as_json else _plain))
+    """Print a subcommand's answer, written by `_record._json`: canonical
+    JSON, or the text of each key that has a renderer, in the order of
+    _TEXT.  An integer past the interpreter's digit limit cannot be printed,
+    which is an input error: the input asked for a result too large to print."""
+    try:
+        data = _json(answer)
+        text = _CANONICAL.encode(data) if as_json else _plain(data)
+    except ValueError:
+        raise DomainError(f"the result holds {_long_integer()}") from None
+    print(text)
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str, what: str):
+    """The JSON data in a file; `what` names the input in the error message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:
+        # int() refuses a literal longer than the interpreter's digit limit
+        raise ParseError(f"{what} holds {_long_integer()}") from None
 
 
 def cmd_motive(args) -> int:
     measure = measure_from_string(args.measure)
-    expr = expr_from_json(_read_text(args.file))
+    expr = expr_from_json(_read_json(args.file, "expression"))
     value = eval_measure(expr, measure)
-    # integers stay numbers; polynomials use their canonical text form
-    value = value if isinstance(value, int) else _text(value)
     _print_answer({"measure": args.measure, "value": value}, args.json)
     return EXIT_OK
 
@@ -187,10 +188,10 @@ def cmd_chow(args) -> int:
         answer["d"] = d
         answer["value"] = values[0]
         if args.htilde:
-            answer["htilde"] = _text(chow_htilde(idx))
+            answer["htilde"] = chow_htilde(idx)
         if args.congruence is not None:
             report = chow_congruence_targets(idx, *parse_q_m(args.congruence, "--congruence"))
-            answer["congruence"] = report.to_json()
+            answer["congruence"] = report
             if report.ok is False:
                 exit_code = EXIT_VERIFY_FAILED
     elif args.htilde or args.congruence is not None:
@@ -212,13 +213,13 @@ def cmd_chow(args) -> int:
 def _load_grading(path: str, fan, p: int):
     """Grading file: JSON array of [cone_ray_indices, exponent_vector]
     pairs listing the fan's p-dimensional orbit closures, each once."""
-    data = _json_loads(_read_text(path), "grading file")
+    data = _read_json(path, "grading file")
     if not isinstance(data, list):
         raise ParseError("grading file must be a JSON array of pairs")
     table = {}
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(f"grading entry must be a pair, got {entry!r}")
+            raise ParseError(f"grading entry must be a pair, got {_shown(entry)}")
         cone, exponent = entry
         key = _json_ints(cone, "grading cone")
         if key in table:
@@ -236,7 +237,7 @@ def _load_grading(path: str, fan, p: int):
     return lambda descriptor: table[descriptor.ray_indices]
 
 
-def _euler_series(fan, text: str) -> dict:
+def _euler_series(fan, text: str):
     parts = text.split(",", 2)  # the grading path may hold commas
     if len(parts) not in (2, 3):
         raise ParseError("--euler-series expects p,order[,grading-file]")
@@ -247,23 +248,23 @@ def _euler_series(fan, text: str) -> dict:
     else:
         # degree grading: every class to the same single variable
         grading = lambda descriptor: (1,)
-    return toric.euler_series(fan, p, order, grading).to_json()
+    return toric.euler_series(fan, p, order, grading)
 
 
 # toric flag (its argparse dest, which is also its JSON key) -> its answer
 # from the fan and the flag's value, in the order the answers print.  Library
 # routes are looked up by name when called, as in _METHODS.
 _TORIC = {
-    "census": lambda fan, _: list(fan.census),
+    "census": lambda fan, _: fan.census,
     "lambda": lambda fan, _: toric.toric_lambda(fan),
-    "e_poly": lambda fan, _: str(toric.toric_E_poly(fan)),
+    "e_poly": lambda fan, _: toric.toric_E_poly(fan),
     "count": lambda fan, text: toric_count(fan, *parse_q_m(text, "--count")),
     "euler_series": _euler_series,
 }
 
 
 def cmd_toric(args) -> int:
-    fan = toric.fan_from_json(_read_text(args.file))
+    fan = toric.fan_from_json(_read_json(args.file, "fan"))
     # a flag absent is False or None; an empty value is asked for, and refused
     asked = {key: value for key in _TORIC if (value := getattr(args, key)) not in (None, False)}
     if not asked:

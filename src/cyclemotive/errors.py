@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the JSON decoder for input
-files, and the integer checks for library arguments, JSON values and
-command-line spellings.
+"""Exception types shared across the package, and the integer checks for
+library arguments, decoded JSON values and command-line spellings.  JSON
+text is decoded by the CLI only; the library readers take decoded data.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
@@ -47,27 +47,15 @@ def _long_integer() -> str:
     return f"an integer longer than sys.get_int_max_str_digits() = {limit} digits"
 
 
-def _shown(text: str) -> str:
-    """repr(text) for an error message, cut after 40 characters so that a
-    long input still gives a short line."""
+def _shown(value) -> str:
+    """repr(value) for an error message, cut after 40 characters so that a
+    long input still gives a short line.  A string is cut before its repr,
+    so the cut text keeps its quotes."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def _json_loads(text: str, what: str):
-    """Decode JSON text; `what` names the input in the error message.
-    json is imported here, its only use, so that `import cyclemotive`
-    does not load it."""
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from None
-    except ValueError:
-        # int() refuses a literal longer than the interpreter's digit limit
-        raise ParseError(f"{what} holds {_long_integer()}") from None
+        return repr(value)
+    cut = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{cut}... ({len(text)} characters)"
 
 
 def _check_ints(named: dict) -> None:
@@ -83,14 +71,16 @@ def _json_int(value, field: str) -> int:
     """A JSON integer taken as it is: floats, strings and booleans are
     refused rather than rounded or converted."""
     if type(value) is not int:
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+        raise ParseError(f"field {field!r} must be an integer, got {_shown(value)}")
     return value
 
 
 def _json_ints(value, field: str) -> tuple[int, ...]:
     """A JSON array of integers, as a tuple."""
     if not isinstance(value, list):
-        raise ParseError(f"field {field!r} must be an array of integers, got {value!r}")
+        raise ParseError(
+            f"field {field!r} must be an array of integers, got {_shown(value)}"
+        )
     return tuple(_json_int(x, field) for x in value)
 
 

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
-from .errors import _ascii_ints, _json_int, _json_ints, _json_loads, _shown
+from .errors import _ascii_ints, _check_ints, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -48,6 +48,7 @@ class AffineSpace(MotiveExpr):
     n: int
 
     def __post_init__(self):
+        _check_ints({"n": self.n})
         if self.n < 0:
             raise DomainError(f"affine space dimension must be >= 0, got {self.n}")
 
@@ -56,6 +57,7 @@ class Torus(MotiveExpr):
     n: int
 
     def __post_init__(self):
+        _check_ints({"n": self.n})
         if self.n < 1:
             raise DomainError(f"torus rank must be >= 1, got {self.n}")
 
@@ -64,6 +66,7 @@ class ProjSpace(MotiveExpr):
     n: int
 
     def __post_init__(self):
+        _check_ints({"n": self.n})
         if self.n < 0:
             raise DomainError(f"projective dimension must be >= 0, got {self.n}")
 
@@ -73,6 +76,7 @@ class Grassmannian(MotiveExpr):
     n: int
 
     def __post_init__(self):
+        _check_ints({"k": self.k, "n": self.n})
         if not 1 <= self.k <= self.n:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
@@ -83,6 +87,9 @@ class Cellular(MotiveExpr):
     cells: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.cells) is not tuple:
+            raise DomainError(f"cells must be a tuple, got {type(self.cells).__name__}")
+        _check_ints({f"cells[{i}]": c for i, c in enumerate(self.cells)})
         if not self.cells:
             raise DomainError("cellular class needs at least one cell")
         if any(c < 0 for c in self.cells):
@@ -315,6 +322,7 @@ class HodgeConstraintReport(Record):
 def hodge_constraints_check(
     h: Poly2, chi: int, fixed_dim_bound: int
 ) -> HodgeConstraintReport:
+    _check_ints({"chi": chi, "fixed_dim_bound": fixed_dim_bound})
     if fixed_dim_bound < 0:
         raise DomainError("fixed-point dimension bound must be >= 0")
     sums = antidiagonal_sums(h)
@@ -349,12 +357,6 @@ _NODE_OPS = {
 }
 
 
-def _json_fan(data, field: str) -> toric.Fan:
-    if not isinstance(data, Mapping):  # a string would be decoded again
-        raise ParseError("fan JSON must be an object")
-    return toric.fan_from_json(data)
-
-
 # leaf kind -> record class and one reader per field, in field order; each
 # leaf is written back as {"leaf": kind, **leaf.to_json()}
 _LEAVES = {
@@ -364,32 +366,32 @@ _LEAVES = {
     "proj_space": (ProjSpace, (_json_int,)),
     "grassmannian": (Grassmannian, (_json_int, _json_int)),
     "cellular": (Cellular, (_json_ints,)),
-    "toric_fan": (ToricFan, (_json_fan,)),
+    "toric_fan": (ToricFan, (lambda data, field: toric.fan_from_json(data),)),
 }
 _OP_NAMES = {cls: op for op, cls in _NODE_OPS.items()}
 _LEAF_KINDS = {cls: kind for kind, (cls, _) in _LEAVES.items()}
 
 
-def expr_from_json(source: str | Mapping) -> MotiveExpr:
-    data = _json_loads(source, "expression") if isinstance(source, str) else source
+def expr_from_json(data: Mapping) -> MotiveExpr:
+    """Read an expression tree from decoded JSON data."""
     return _expr_from_data(data)
 
 
 def _expr_from_data(data) -> MotiveExpr:
     if not isinstance(data, Mapping):
-        raise ParseError(f"expression node must be an object, got {data!r}")
+        raise ParseError(f"expression node must be an object, got {_shown(data)}")
     if "op" in data:
         op = data["op"]
         ctor = _NODE_OPS.get(op) if isinstance(op, str) else None
         if ctor is None:
-            raise UnsupportedError(f"unknown expression op {op!r}")
+            raise UnsupportedError(f"unknown expression op {_shown(op)}")
         args = data.get("args")
         want = len(ctor.__match_args__)
         if not isinstance(args, list) or len(args) != want:
             raise ParseError(f"op {op!r} needs exactly {want} args")
         return ctor(*[_expr_from_data(a) for a in args])
     if "leaf" not in data:
-        raise ParseError(f"expression node needs 'op' or 'leaf': {data!r}")
+        raise ParseError(f"expression node needs 'op' or 'leaf': {_shown(data)}")
     kind = data["leaf"]
     try:
         if isinstance(kind, str) and kind in _LEAVES:
@@ -402,28 +404,28 @@ def _expr_from_data(data) -> MotiveExpr:
             countable = data["countable"]
             if not isinstance(countable, bool):
                 raise ParseError(
-                    f"field 'countable' must be true or false, got {countable!r}"
+                    f"field 'countable' must be true or false, got {_shown(countable)}"
                 )
             name = data.get("name", "custom")
             if not isinstance(name, str):
-                raise ParseError(f"field 'name' must be a string, got {name!r}")
+                raise ParseError(f"field 'name' must be a string, got {_shown(name)}")
             entries = data["e_poly"]
             if not isinstance(entries, list):
-                raise ParseError(f"field 'e_poly' must be an array, got {entries!r}")
+                raise ParseError(f"field 'e_poly' must be an array, got {_shown(entries)}")
             terms: dict[tuple[int, int], int] = {}
             for entry in entries:
                 if not isinstance(entry, list) or len(entry) != 3:
                     raise ParseError(
-                        f"field 'e_poly' entries must be [p, q, c] arrays, got {entry!r}"
+                        f"field 'e_poly' entries must be [p, q, c] arrays, got {_shown(entry)}"
                     )
                 p, q, c = _json_ints(entry, "e_poly")
                 terms[p, q] = terms.get((p, q), 0) + c
             return SmoothProjectiveLeaf(name, Poly2(terms), countable)
     except KeyError as exc:
-        raise ParseError(f"leaf {kind!r} is missing field {exc}") from None
+        raise ParseError(f"leaf {_shown(kind)} is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed leaf {kind!r}: {exc}") from None
-    raise UnsupportedError(f"unknown leaf kind {kind!r}")
+        raise ParseError(f"malformed leaf {_shown(kind)}: {exc}") from None
+    raise UnsupportedError(f"unknown leaf kind {_shown(kind)}")
 
 
 def expr_to_json(e: MotiveExpr) -> dict:

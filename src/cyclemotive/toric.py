@@ -26,7 +26,7 @@ from .errors import (
     _check_ints,
     _json_int,
     _json_ints,
-    _json_loads,
+    _shown,
 )
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
@@ -53,23 +53,23 @@ class Fan(Record):
             raise FanError("ambient dimension must be >= 0")
         for ray in self.rays:
             if len(ray) != n:
-                raise FanError(f"ray {ray} has wrong length (ambient dimension {n})")
+                raise FanError(f"ray {_shown(ray)} has wrong length (ambient dimension {n})")
             g = gcd(*ray)
             if g == 0:
-                raise FanError(f"zero ray {ray}")
+                raise FanError(f"zero ray {_shown(ray)}")
             if g != 1:
-                raise FanError(f"ray {ray} is not primitive (gcd {g})")
+                raise FanError(f"ray {_shown(ray)} is not primitive (gcd {g})")
         seen: set[Cone] = set()
         ranks = []
         for cone in self.cones:
             if not cone:
                 raise FanError("empty cone listed (the zero cone is implicit)")
             if any(i < 0 or i >= len(self.rays) for i in cone):
-                raise FanError(f"cone {cone} has a ray index out of range")
+                raise FanError(f"cone {_shown(cone)} has a ray index out of range")
             if tuple(sorted(set(cone))) != cone:
-                raise FanError(f"cone {cone} is not a strictly increasing index list")
+                raise FanError(f"cone {_shown(cone)} is not a strictly increasing index list")
             if cone in seen:
-                raise FanError(f"duplicate cone {cone}")
+                raise FanError(f"duplicate cone {_shown(cone)}")
             seen.add(cone)
             ranks.append(_int_rank([self.rays[i] for i in cone]))
         return tuple(ranks)
@@ -146,6 +146,7 @@ def invariant_subvarieties(fan: Fan, p: int) -> list[OrbitClosure]:
     For p = n the answer is the single descriptor of the implicit zero cone,
     the variety itself.
     """
+    _check_ints({"p": p})
     ranks = fan.ranks
     n = fan.dim
     if not 0 <= p <= n:
@@ -236,12 +237,12 @@ def product_fan(a: Fan, b: Fan) -> Fan:
 
 # ---------------------------------------------------------------------------
 # JSON exchange format: {"dim": n, "rays": [[...]], "cones": [[...]]}, every
-# number a JSON integer
+# number a JSON integer.  A fan is written back by fan.to_json().
 
 
-def fan_from_json(source: str | Mapping) -> Fan:
-    """Read and check a fan; its census is kept on the returned fan."""
-    data = _json_loads(source, "fan") if isinstance(source, str) else source
+def fan_from_json(data: Mapping) -> Fan:
+    """Read and check a fan from decoded JSON data; its census is kept on
+    the returned fan."""
     if not isinstance(data, Mapping):
         raise ParseError("fan JSON must be an object")
     missing = {"dim", "rays", "cones"} - set(data)
@@ -257,7 +258,3 @@ def fan_from_json(source: str | Mapping) -> Fan:
     )
     fan.census  # an invalid fan raises FanError here
     return fan
-
-
-def fan_to_json(fan: Fan) -> dict:
-    return fan.to_json()

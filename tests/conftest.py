@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ def fresh_python(probe: str) -> str:
 
 
 def load_fan(name):
-    return fan_from_json((DATA / f"fan_{name}.json").read_text())
+    return fan_from_json(json.loads((DATA / f"fan_{name}.json").read_text()))
 
 
 @pytest.fixture

@@ -637,6 +637,43 @@ def _argv_reading(kind, path):
     }[kind]
 
 
+# what each kind of input file is called in its messages
+_FILE_NAMES = {"expression": "expression", "fan": "fan", "grading": "grading file"}
+
+
+@pytest.mark.parametrize("kind", ["expression", "fan", "grading"])
+def test_malformed_json_file_exits_2(capsys, tmp_path, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = run(capsys, *_argv_reading(kind, str(bad)))
+    assert (code, out) == (2, "")
+    assert one_line_error(err)
+    assert err.startswith(f"error: {_FILE_NAMES[kind]} is not valid JSON: ")
+
+
+_LONG = "a" * 100_000
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("expression", {"op": "cone", "args": [_LONG]}),
+    ("expression", {"leaf": _LONG}),
+    ("expression", {"leaf": "proj_space", "n": _LONG}),
+    ("expression", {"name": _LONG}),
+    ("grading", [[_LONG]]),
+    ("fan", {"dim": 1, "rays": [[1] * 100_000], "cones": []}),
+], ids=["node", "leaf-kind", "integer-field", "no-op-or-leaf", "grading-entry", "ray"])
+def test_long_json_value_gives_one_short_line(capsys, tmp_path, kind, value):
+    """A bad value in an input file is echoed cut to a fixed length, with
+    its full length, as a bad option value is."""
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(value))
+    code, out, err = run(capsys, *_argv_reading(kind, str(bad)))
+    assert code in (2, 3) and out == ""
+    assert one_line_error(err)
+    assert len(err) < 200
+    assert "characters)" in err
+
+
 @pytest.mark.parametrize("kind", ["expression", "fan", "grading"])
 def test_non_utf8_file_exits_2(capsys, tmp_path, kind):
     bad = tmp_path / "latin1.json"

@@ -29,8 +29,17 @@ from cyclemotive.ffcount import (
     rref_cell_census,
     toric_count,
 )
-from cyclemotive.motive import count_at
-from cyclemotive.toric import affine_fan, projective_fan
+from cyclemotive.motive import (
+    AffineSpace,
+    Cellular,
+    Grassmannian,
+    ProjSpace,
+    Torus,
+    count_at,
+    hodge_constraints_check,
+)
+from cyclemotive.ring import Poly2
+from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
 from conftest import load_fan
 
 P1 = load_fan("p1")
@@ -223,6 +232,17 @@ INDEX_TYPE_CASES = [
     (euler_chow_product_recursive, (1, 1.0, 1, 3), "n must be an int, got float"),
     (projective_fan, (2.0,), "n must be an int, got float"),
     (affine_fan, (False,), "n must be an int, got bool"),
+    (AffineSpace, (2.0,), "n must be an int, got float"),
+    (Torus, (2.0,), "n must be an int, got float"),
+    (Torus, (True,), "n must be an int, got bool"),
+    (ProjSpace, (2.0,), "n must be an int, got float"),
+    (Grassmannian, (1, 3.0), "n must be an int, got float"),
+    (Cellular, ([1, 2],), "cells must be a tuple, got list"),
+    (Cellular, ((1, 2.0),), "cells[1] must be an int, got float"),
+    (invariant_subvarieties, (P1, 1.0), "p must be an int, got float"),
+    (euler_series, (P1, 1.0, 3), "p must be an int, got float"),
+    (hodge_constraints_check, (Poly2.one(), 1, 0.5), "fixed_dim_bound must be an int, got float"),
+    (hodge_constraints_check, (Poly2.one(), 1.0, 0), "chi must be an int, got float"),
 ]
 
 

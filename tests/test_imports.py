@@ -5,7 +5,9 @@
 on its first call, so a timed call never pays for an import.
 """
 
-from conftest import fresh_python
+import re
+
+from conftest import SRC, fresh_python
 
 CLI_ONLY = "('cyclemotive.verify', 'json', 'argparse')"
 
@@ -13,6 +15,14 @@ CLI_ONLY = "('cyclemotive.verify', 'json', 'argparse')"
 def test_package_import_loads_no_verify_json_or_argparse():
     probe = f"import sys, cyclemotive\nprint([m for m in {CLI_ONLY} if m in sys.modules])\n"
     assert fresh_python(probe) == "[]\n"
+
+
+def test_only_the_cli_imports_json():
+    """JSON text is read and written at the CLI only; the library takes and
+    gives decoded data.  A deferred import in a function body counts too."""
+    importers = [path.name for path in sorted((SRC / "cyclemotive").glob("*.py"))
+                 if re.search(r"^\s*(import|from) json\b", path.read_text(), re.MULTILINE)]
+    assert importers == ["cli.py"]
 
 
 def test_cli_import_still_loads_verify():
