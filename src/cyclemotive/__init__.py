@@ -72,7 +72,6 @@ from .ring import (
     LPoly,
     MultiSeries,
     Poly2,
-    antidiagonal_sums,
     expand_inverse_product,
     parse_poly2,
     quotient_uv,

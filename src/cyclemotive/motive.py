@@ -24,7 +24,6 @@ from .ring import (
     Laurent1,
     LPoly,
     Poly2,
-    antidiagonal_sums,
     lpoly_from_diagonal,
     lpoly_to_poly2,
     parse_poly2,
@@ -216,15 +215,16 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
 # ---------------------------------------------------------------------------
 # measures
 
-# tag -> evaluator.  Each evaluator looks its route up by name when called,
-# so a route replaced on this module later (a test double, a tracer) is the
-# one that runs.  "count" also needs the field size: see eval_measure.
+# tag -> evaluator(e, measure).  Each evaluator looks its route up by name
+# when called, so a route replaced on this module later (a test double, a
+# tracer) is the one that runs.
 _MEASURES = {
-    "e-poly": lambda e: eval_E(e),
-    "euler": lambda e: specialize(eval_E(e), 1, 1),
-    "h-tilde": lambda e: quotient_uv_minus1(eval_E(e)),
-    "h-bar": lambda e: quotient_uv(eval_E(e)),
-    "count-poly": lambda e: eval_count_poly(e),
+    "e-poly": lambda e, measure: eval_E(e),
+    "euler": lambda e, measure: specialize(eval_E(e), 1, 1),
+    "h-tilde": lambda e, measure: quotient_uv_minus1(eval_E(e)),
+    "h-bar": lambda e, measure: quotient_uv(eval_E(e)),
+    "count-poly": lambda e, measure: eval_count_poly(e),
+    "count": lambda e, measure: eval_count_poly(e).evaluate(measure.q**measure.m),
 }
 
 
@@ -244,7 +244,7 @@ class Measure(Record):
         if not isinstance(self.tag, str):
             kind = type(self.tag).__name__
             raise UnsupportedError(f"a measure tag is a string, got {kind}")
-        if self.tag not in (*_MEASURES, "count"):
+        if self.tag not in _MEASURES:
             raise UnsupportedError(f"unknown measure {_shown(self.tag)}")
         if self.tag == "count":
             if self.q is None:
@@ -285,9 +285,7 @@ def measure_from_string(text: str) -> Measure:
 
 
 def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LPoly:
-    if measure.tag == "count":
-        return eval_count_poly(e).evaluate(measure.q**measure.m)
-    return _MEASURES[measure.tag](e)
+    return _MEASURES[measure.tag](e, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +296,11 @@ class HodgeConstraintReport(Record):
     """Three structural checks on a Hodge polynomial claimed to come from a
     class whose torus-fixed locus has dimension <= fixed_dim_bound:
 
-    (a) antidiagonal sums vanish beyond the bound,
-    (b) the coefficient total matches the stated Euler number,
-    (c) the strictly-positive axis coefficients vanish.
+    (a) antidiagonal sums, the terms of the h-tilde image (mod uv - 1),
+        vanish beyond the bound,
+    (b) their total matches the stated Euler number,
+    (c) the axis terms of the h-bar image (mod uv), all but the constant,
+        vanish.
     """
 
     fixed_dim_bound: int
@@ -325,12 +325,10 @@ def hodge_constraints_check(
     _check_ints({"chi": chi, "fixed_dim_bound": fixed_dim_bound})
     if fixed_dim_bound < 0:
         raise DomainError("fixed-point dimension bound must be >= 0")
-    sums = antidiagonal_sums(h)
+    sums = quotient_uv_minus1(h).terms
     bad_anti = tuple(sorted(i for i in sums if abs(i) > fixed_dim_bound))
     actual_chi = sum(sums.values())
-    bad_axes = tuple(
-        sorted((p, q) for (p, q) in h.terms if (p == 0) != (q == 0))
-    )
+    bad_axes = tuple(sorted(e for e in quotient_uv(h).terms if e != (0, 0)))
     return HodgeConstraintReport(
         fixed_dim_bound=fixed_dim_bound,
         antidiagonals_ok=not bad_anti,

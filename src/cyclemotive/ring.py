@@ -34,7 +34,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError, _long_integer
+from .errors import DomainError, ParseError, _check_ints, _long_integer
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -141,6 +141,7 @@ class _TermMap:
         return self._like({e: c for e, c in out.items() if c})
 
     def __pow__(self, k: int):
+        _check_ints({"k": k})
         if k < 0:
             raise DomainError(f"negative power {k} of a {type(self).__name__}")
         result = self._like({self._unit: 1})
@@ -211,11 +212,6 @@ class Poly2(_TermMap):
     def coefficient(self, p: int, q: int) -> int:
         return self._terms.get((p, q), 0)
 
-    def is_diagonal(self) -> bool:
-        """True when every monomial has equal exponents, i.e. the value is a
-        polynomial in the product uv."""
-        return all(p == q for p, q in self._terms)
-
     def __str__(self) -> str:
         """Canonical text, in the order given under "Text form" below."""
         ordered = sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
@@ -224,17 +220,8 @@ class Poly2(_TermMap):
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
     """Exact evaluation at integer arguments (u0, v0)."""
+    _check_ints({"u0": u0, "v0": v0})
     return sum(c * u0**p * v0**q for (p, q), c in a.terms.items())
-
-
-def antidiagonal_sums(a: Poly2) -> dict[int, int]:
-    """Sum of coefficients along each antidiagonal p - q = i: the terms of
-    the image mod uv - 1.
-
-    Keys with zero sum are omitted, so the empty dict means every
-    antidiagonal cancels.
-    """
-    return dict(quotient_uv_minus1(a).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +256,7 @@ class _OneVariable(_TermMap):
         """Exact value at an integer, by Horner's rule on x^(-low) times the
         polynomial (low the lowest negative exponent), divided back exactly.
         Raises DomainError when that division leaves a remainder."""
+        _check_ints({"x": x})
         terms = self._terms
         low = min(min(terms, default=0), 0)
         if low and x == 0:
@@ -292,9 +280,6 @@ class Laurent1(_OneVariable):
 
     __slots__ = ()
     _variable = "u"
-
-    def is_constant(self) -> bool:
-        return set(self._terms) <= {0}
 
 
 def quotient_uv_minus1(a: Poly2) -> Laurent1:
@@ -358,7 +343,7 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
     Returns None when some monomial has unequal exponents, i.e. the value
     is not a function of the product uv.
     """
-    if not a.is_diagonal():
+    if any(p != q for p, q in a.terms):
         return None
     return LPoly({p: c for (p, _), c in a.terms.items()})
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import re
 
 import pytest
@@ -38,7 +39,7 @@ from cyclemotive.motive import (
     count_at,
     hodge_constraints_check,
 )
-from cyclemotive.ring import Poly2
+from cyclemotive.ring import LPoly, Poly2, specialize
 from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
 from conftest import load_fan
 
@@ -243,6 +244,11 @@ INDEX_TYPE_CASES = [
     (euler_series, (P1, 1.0, 3), "p must be an int, got float"),
     (hodge_constraints_check, (Poly2.one(), 1, 0.5), "fixed_dim_bound must be an int, got float"),
     (hodge_constraints_check, (Poly2.one(), 1.0, 0), "chi must be an int, got float"),
+    (LPoly.L().evaluate, (2.0,), "x must be an int, got float"),
+    (LPoly.L().evaluate, (2.5,), "x must be an int, got float"),
+    (specialize, (Poly2.uv(), 1.5, 1), "u0 must be an int, got float"),
+    (operator.pow, (Poly2.uv(), 2.0), "k must be an int, got float"),
+    (operator.pow, (Poly2.uv(), True), "k must be an int, got bool"),
 ]
 
 

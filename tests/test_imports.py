@@ -1,8 +1,9 @@
 """What each import loads, in a fresh interpreter without `site`.
 
 `import cyclemotive` loads the library only: the verification suites,
-`json` and `argparse` come with the CLI.  No library call imports a module
-on its first call, so a timed call never pays for an import.
+`json` and `argparse` come with the CLI, and the CLI loads nothing from
+outside the standard library.  No library call imports a module on its
+first call, so a timed call never pays for an import.
 """
 
 import re
@@ -30,6 +31,17 @@ def test_cli_import_still_loads_verify():
     # `import cyclemotive.cli`
     probe = "import sys, cyclemotive.cli\nprint('cyclemotive.verify' in sys.modules)\n"
     assert fresh_python(probe) == "True\n"
+
+
+def test_cli_import_loads_only_the_standard_library():
+    probe = """
+import sys
+before = set(sys.modules)
+import cyclemotive.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - {"cyclemotive"} - set(sys.stdlib_module_names)))
+"""
+    assert fresh_python(probe) == "[]\n"
 
 
 # One call of every library entry point the benchmark's in-process ops

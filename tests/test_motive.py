@@ -26,6 +26,7 @@ from cyclemotive.motive import (
     Difference,
     DisjointUnion,
     Grassmannian,
+    HodgeConstraintReport,
     Measure,
     Point,
     Product,
@@ -42,7 +43,7 @@ from cyclemotive.motive import (
     hodge_constraints_check,
     measure_from_string,
 )
-from cyclemotive.ring import LPoly, Laurent1, parse_lpoly, parse_poly2, specialize
+from cyclemotive.ring import LPoly, Laurent1, Poly2, parse_lpoly, parse_poly2, specialize
 
 from conftest import DATA, load_fan
 
@@ -209,6 +210,41 @@ def test_hodge_constraints_bound():
     assert report.euler_ok
     with pytest.raises(DomainError):
         hodge_constraints_check(curve, 0, -1)
+
+
+def reference_constraints(h, chi, bound):
+    """The report from its definitions: the sums along each antidiagonal
+    p - q with zero sums dropped, their total as the Euler number, and the
+    monomials on exactly one axis."""
+    sums = {}
+    for (p, q), c in h.terms.items():
+        sums[p - q] = sums.get(p - q, 0) + c
+    sums = {i: c for i, c in sums.items() if c}
+    bad_anti = tuple(sorted(i for i in sums if abs(i) > bound))
+    actual = sum(sums.values())
+    bad_axes = tuple(sorted((p, q) for p, q in h.terms if (p == 0) != (q == 0)))
+    return HodgeConstraintReport(
+        fixed_dim_bound=bound,
+        antidiagonals_ok=not bad_anti,
+        bad_antidiagonals=bad_anti,
+        euler_ok=actual == chi,
+        euler_expected=chi,
+        euler_actual=actual,
+        axes_ok=not bad_axes,
+        bad_axis_monomials=bad_axes,
+    )
+
+
+# few exponents, so that axis terms and cancelling antidiagonals are common
+_hodge_polys = st.builds(Poly2, st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=8))
+
+
+@given(_hodge_polys, st.one_of(st.none(), st.integers(-10, 10)), st.integers(0, 4))
+def test_hodge_constraints_match_their_definitions(h, chi, bound):
+    if chi is None:  # the stated Euler number is the true one
+        chi = specialize(h, 1, 1)
+    assert hodge_constraints_check(h, chi, bound) == reference_constraints(h, chi, bound)
 
 
 def test_expr_json_fixture_files():
