@@ -282,6 +282,8 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     _check_ints({"p": p, "n": n, "m": m, "order": order})
     if not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
+    if order < 0:
+        raise DomainError("truncation order must be non-negative")
     low = max(0, p - n)
     pulled = dict(enumerate(_lam_rows(low, min(p, m), m, order), low))
     rows = _table(p, p, n, m, order, pulled)[p].values()

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -349,5 +350,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """The process entry of `python -m cyclemotive` and the installed
+    script: main() on sys.argv, then gc.freeze(), so that the collections
+    the interpreter runs at exit skip the objects the call left alive; the
+    operating system reclaims them.  atexit handlers still run and the
+    streams are still flushed.  Other Python code calls main(argv), which
+    leaves the collector alone."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -210,6 +210,7 @@ class Poly2(_TermMap):
         return cls({(1, 1): 1})
 
     def coefficient(self, p: int, q: int) -> int:
+        _check_ints({"p": p, "q": q})
         return self._terms.get((p, q), 0)
 
     def __str__(self) -> str:
@@ -250,6 +251,7 @@ class _OneVariable(_TermMap):
         return cls({0: c})
 
     def coefficient(self, e: int) -> int:
+        _check_ints({"e": e})
         return self._terms.get(e, 0)
 
     def evaluate(self, x: int) -> int:
@@ -418,7 +420,9 @@ class MultiSeries(_TermMap):
         return cls(arity, order, {(0,) * arity: 1})
 
     def coefficient(self, e: Sequence[int]) -> int:
-        return self._terms.get(tuple(e), 0)
+        e = tuple(e)
+        _check_ints({f"e[{i}]": x for i, x in enumerate(e)})
+        return self._terms.get(e, 0)
 
     def to_json(self) -> dict:
         """The series as JSON data: its shape and its [exponents, coefficient]

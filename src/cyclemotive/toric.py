@@ -49,11 +49,15 @@ class Fan(Record):
         computed with the fan's checks on first read.  An invalid fan raises
         FanError on every read: a raised error is not kept."""
         n = self.dim
+        if type(n) is not int:
+            raise FanError(f"ambient dimension {_shown(n)} is not an int")
         if n < 0:
             raise FanError("ambient dimension must be >= 0")
         for ray in self.rays:
             if len(ray) != n:
                 raise FanError(f"ray {_shown(ray)} has wrong length (ambient dimension {n})")
+            if any(type(x) is not int for x in ray):
+                raise FanError(f"ray {_shown(ray)} has an entry that is not an int")
             g = gcd(*ray)
             if g == 0:
                 raise FanError(f"zero ray {_shown(ray)}")
@@ -61,11 +65,14 @@ class Fan(Record):
                 raise FanError(f"ray {_shown(ray)} is not primitive (gcd {g})")
         seen: set[Cone] = set()
         ranks = []
+        count = len(self.rays)
         for cone in self.cones:
             if not cone:
                 raise FanError("empty cone listed (the zero cone is implicit)")
-            if any(i < 0 or i >= len(self.rays) for i in cone):
-                raise FanError(f"cone {_shown(cone)} has a ray index out of range")
+            if not all(type(i) is int and 0 <= i < count for i in cone):
+                if all(type(i) is int for i in cone):
+                    raise FanError(f"cone {_shown(cone)} has a ray index out of range")
+                raise FanError(f"cone {_shown(cone)} has a ray index that is not an int")
             if tuple(sorted(set(cone))) != cone:
                 raise FanError(f"cone {_shown(cone)} is not a strictly increasing index list")
             if cone in seen:
@@ -78,8 +85,9 @@ class Fan(Record):
     def census(self) -> tuple[int, ...]:
         """(d_0, ..., d_n): d_0 = 1 counts the implicit zero cone and d_k
         the listed cones whose ray matrix has rank k."""
+        ranks = self.ranks  # checks the dimension before it is used here
         census = [1] + [0] * self.dim
-        for rank in self.ranks:
+        for rank in ranks:
             census[rank] += 1
         return tuple(census)
 

@@ -429,6 +429,9 @@ def test_product_domain():
         euler_chow_product_formula(4, 1, 1, 3)
     with pytest.raises(DomainError):
         euler_chow_product_recursive(-1, 1, 1, 3)
+    for route in (euler_chow_product_formula, euler_chow_product_recursive):
+        with pytest.raises(DomainError, match="^truncation order must be non-negative$"):
+            route(1, 1, 1, -1)
 
 
 def test_fan_series_matches_chow_series():

@@ -160,6 +160,15 @@ def test_motive_deep_grassmannian(capsys, tmp_path, measure):
     assert run(capsys, "motive", "--measure", measure, str(projective)) == (0, out, "")
 
 
+def test_chow_failed_congruence_exit_code(capsys, monkeypatch):
+    failed = CongruenceReport(3, 1, 6, 131)  # one point more than the count 130
+    monkeypatch.setattr(cli, "chow_congruence_targets", lambda idx, q, m: failed)
+    code, out, err = run(capsys, "chow", "-p", "1", "-d", "1", "-n", "3",
+                         "--congruence", "3,1")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["6", "131 = 1 mod 3 FAIL; 131 = 6 mod 2 FAIL"]
+
+
 def test_chow_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "chow_invariant_recursive", lambda idx: -1)
     code, out, err = run(capsys, "chow", "-p", "1", "-d", "2", "-n", "3",
@@ -893,11 +902,29 @@ def test_fuzzed_input_files_keep_the_exit_code_contract(call):
 # installed entry point
 
 
+def _process(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=TREE_ENV, timeout=60)
+
+
 def test_subprocess_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclemotive", "chow",
-         "-p", "0", "-n", "2", "--series", "3"],
-        capture_output=True, text=True, env=TREE_ENV, timeout=60,
-    )
+    """`python -m cyclemotive` runs cli.run(): main's output and exit code,
+    and an exit that still runs what the interpreter runs at exit."""
+    proc = _process("-m", "cyclemotive", "chow", "-p", "0", "-n", "2", "--series", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1,3,6,10\n", "")
+    proc = _process("-m", "cyclemotive", "chow", "-p", "3", "-n", "1", "--series", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr), proc.stderr
+    # the profiler prints its table when the program exits
+    proc = _process("-m", "cProfile", "-m", "cyclemotive",
+                    "chow", "-p", "0", "-n", "2", "--series", "3")
     assert proc.returncode == 0
-    assert proc.stdout == "1,3,6,10\n"
+    answer, table = proc.stdout.split("\n", 1)
+    assert answer == "1,3,6,10"
+    assert "function calls" in table and "ncalls" in table
+    # run() returns main's code: 4 for a cross-check mismatch
+    probe = ("import sys; from cyclemotive import cli; "
+             "cli.chow_invariant_recursive = lambda idx: -1; sys.exit(cli.run())")
+    proc = _process("-c", probe, "chow", "-p", "1", "-d", "2", "-n", "3", "--method", "both")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "cross-check mismatch: closed 21 != recursive -1\n"

@@ -39,7 +39,7 @@ from cyclemotive.motive import (
     count_at,
     hodge_constraints_check,
 )
-from cyclemotive.ring import LPoly, Poly2, specialize
+from cyclemotive.ring import LPoly, MultiSeries, Poly2, specialize
 from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
 from conftest import load_fan
 
@@ -249,6 +249,10 @@ INDEX_TYPE_CASES = [
     (specialize, (Poly2.uv(), 1.5, 1), "u0 must be an int, got float"),
     (operator.pow, (Poly2.uv(), 2.0), "k must be an int, got float"),
     (operator.pow, (Poly2.uv(), True), "k must be an int, got bool"),
+    (Poly2.uv().coefficient, (1.0, True), "p must be an int, got float"),
+    (Poly2.uv().coefficient, (1, True), "q must be an int, got bool"),
+    (LPoly.L().coefficient, (1.0,), "e must be an int, got float"),
+    (MultiSeries(1, 3, {(1,): 2}).coefficient, ([1.0],), "e[0] must be an int, got float"),
 ]
 
 
@@ -272,7 +276,7 @@ def test_prime_power():
         PrimePower.from_int(12)
     with pytest.raises(DomainError):
         PrimePower.from_int(1)
-    assert [n for n in range(2, 30) if is_prime(n)] == [
+    assert [n for n in range(30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
     # 64-bit bases, by perfect-power detection and Miller-Rabin

@@ -145,6 +145,8 @@ def test_leaf_validation():
         AffineSpace(-1)
     with pytest.raises(DomainError):
         Torus(0)
+    with pytest.raises(DomainError, match="^projective dimension must be >= 0, got -1$"):
+        ProjSpace(-1)
     with pytest.raises(DomainError):
         Grassmannian(3, 2)
     with pytest.raises(DomainError):
@@ -271,6 +273,12 @@ def test_expr_json_errors():
         expr_from_json({"leaf": "proj_space"})
     with pytest.raises(ParseError):
         expr_from_json({"args": [1]})
+
+
+@pytest.mark.parametrize("route", [eval_E, eval_count_poly, expr_to_json])
+def test_routes_refuse_a_non_expression(route):
+    with pytest.raises(UnsupportedError, match="^unknown expression node object$"):
+        route(object())
 
 
 @pytest.mark.parametrize("op", [{}, [], ["product"]])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -222,6 +223,8 @@ def test_negation_and_powers_every_type(ring, data):
     ]:
         assert left == right
         assert hash(left) == hash(right)
+    with pytest.raises(DomainError, match=f"^negative power -1 of a {ring}$"):
+        a ** -1
 
 
 @given(st.dictionaries(st.integers(0, 8), st.integers(-9, 9), max_size=6))
@@ -384,6 +387,15 @@ def test_golden_rendering():
     assert repr(GLUED_CONE) == "Poly2('1+u+v+uv-u^2*v-u*v^2+2u^2*v^2')"
     assert (str(laurent), repr(laurent)) == ("u^-2+3-u", "Laurent1('u^-2+3-u')")
     assert (str(lpoly), repr(lpoly)) == ("1+3L+L^4", "LPoly('1+3L+L^4')")
+    # a series has no text form: its repr is a summary
+    series = MultiSeries(1, 3, {(0,): 1, (2,): 5})
+    assert repr(series) == "MultiSeries(arity=1, order=3, 2 terms)"
+
+
+@pytest.mark.parametrize("combine", [operator.add, operator.mul])
+def test_values_of_two_types_do_not_combine(combine):
+    with pytest.raises(TypeError):
+        combine(Poly2.one(), LPoly.one())
 
 
 def test_parser_tolerates_stars_and_spaces():

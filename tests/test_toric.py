@@ -1,8 +1,11 @@
 """Fan census, toric invariants, and the orbit-closure product series."""
 
 import json
+import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclemotive.errors import DomainError, FanError, ParseError
 from cyclemotive.ring import MultiSeries, expand_inverse_product, parse_poly2, specialize
@@ -19,6 +22,7 @@ from cyclemotive.toric import (
     toric_E_poly,
     toric_lambda,
 )
+from cyclemotive.toric import _int_rank
 
 from conftest import load_fan
 
@@ -98,6 +102,25 @@ def test_validation_rejects_bad_fans():
         affine_fan(0)
 
 
+@pytest.mark.parametrize("fan, message", [
+    (Fan(2, ((1.0, 0), (0, 1)), ((0,), (1,), (0, 1))), "ray (1.0, 0) has an entry that is not an int"),
+    (Fan(2, ((True, 0), (0, 1)), ((0,), (1,))), "ray (True, 0) has an entry that is not an int"),
+    (Fan("2", ((1, 0), (0, 1)), ((0,), (1,))), "ambient dimension '2' is not an int"),
+    (Fan(True, ((1,),), ((0,),)), "ambient dimension True is not an int"),
+    (Fan(2, ((1, 0), (0, 1)), ((0,), (1.0,))), "cone (1.0,) has a ray index that is not an int"),
+    (Fan(2, ((1, 0), (0, 1)), ((0,), (True,))), "cone (True,) has a ray index that is not an int"),
+    (Fan(2, ((1, 0), (0, 1)), ((0,), ("1",))), "cone ('1',) has a ray index that is not an int"),
+], ids=["float-ray-entry", "bool-ray-entry", "str-dimension", "bool-dimension",
+        "float-cone-index", "bool-cone-index", "str-cone-index"])
+def test_library_fans_need_ints(fan, message):
+    """A fan built in Python is held to the types fan_from_json enforces:
+    a float or a bool is refused, not rounded, compared or taken as 1."""
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$"):
+        fan.ranks
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$"):
+        fan.census
+
+
 def test_fan_json_round_trip():
     for fan in ALL_FANS:
         assert fan_from_json(json.loads(json.dumps(fan.to_json()))) == fan
@@ -164,6 +187,12 @@ def test_euler_series_rejects_zero_grading():
         euler_series(P2, 0, order=2, grading=lambda d: (0,))
 
 
+def test_euler_series_grading_needs_a_closure():
+    rays = Fan(2, ((1, 0), (0, 1)), ((0,), (1,)))  # no 2-dimensional cone, so no fixed point
+    with pytest.raises(DomainError, match="^no 0-dimensional invariant subvarieties to grade$"):
+        euler_series(rays, 0, order=2, grading=lambda d: (1,))
+
+
 def _cone_matrices(fan):
     return sorted(tuple(fan.rays[i] for i in cone) for cone in fan.cones)
 
@@ -219,3 +248,41 @@ def test_kept_check_leaves_equality_and_hash_alone():
 def test_fan_json_needs_json_integers(text):
     with pytest.raises(ParseError):
         fan_from_json(json.loads(text))
+
+
+def _determinant(m):
+    """Cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def _minor_rank(rows):
+    """The largest k with a nonzero k x k minor: a rank with no elimination."""
+    width = len(rows[0])
+    for k in range(min(len(rows), width), 0, -1):
+        for picked in combinations(rows, k):
+            for columns in combinations(range(width), k):
+                if _determinant([[row[j] for j in columns] for row in picked]):
+                    return k
+    return 0
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 5 x 6, entries in -3..3; a drawn row may be replaced by an
+    integer combination of the rows above it, so low ranks come up often."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+            rows[i] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(width)]
+    return rows
+
+
+@given(_integer_matrices())
+def test_int_rank_equals_the_minor_rank(rows):
+    assert _int_rank(rows) == _minor_rank(rows)
