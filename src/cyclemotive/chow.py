@@ -1,21 +1,23 @@
 """Invariants of the parameter spaces of effective cycles in projective
-space: closed forms, an independent fixed-point recursion, generating
-series, the product-of-projective-spaces series, irreducible-locus values,
-and finite-field congruence targets.
+space and in a product of two: closed forms, an independent fixed-point
+recursion, generating series, irreducible-locus values, and finite-field
+congruence targets.  Projective n-space is n-space times a point, so the
+single-space subspace count, series and irreducible locus are the m = 0
+case of the product ones, and multidegree_slots is the one index check.
 
 Three routes to the same numbers are kept deliberately separate:
 
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
-  with no binomials at all.  One induction serves both spaces: projective
-  n-space is itself times a point, and _table builds the rows of n-space
-  times m-space bottom-up over n, one row per multidegree slot, one table
-  per call.  A convolution with a 0-cycle row is as many running sums; any
-  other convolution of two rows is two big-integer products of half the
-  packed width (Kronecker substitution at X and -X, see
-  _truncated_product).  The single-space recursion takes only the wanted
-  coefficient at the last step, as one dot product; the product recursion
-  multiplies its last rows out into a series, by its own fold;
+  with no binomials at all.  One induction serves both spaces: _table
+  builds the rows of n-space times m-space bottom-up over n, one row per
+  multidegree slot, one table per call.  A convolution with a 0-cycle row
+  is as many running sums; any other convolution of two rows is two
+  big-integer products of half the packed width (Kronecker substitution
+  at X and -X, see _truncated_product).  The single-space recursion takes
+  only the wanted coefficient at the last step, as one dot product; the
+  product recursion multiplies its last rows out into a series, by its
+  own fold;
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -34,6 +36,24 @@ from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
 
+def multidegree_slots(p: int, n: int, m: int) -> list[tuple[int, int]]:
+    """Component labels (k, l), k+l = p, for p-cycles in the product of
+    projective n-space and projective m-space, in ascending k order: the
+    one check of a cycle index, which every function here that takes one
+    calls."""
+    _check_ints({"p": p, "n": n, "m": m})
+    if min(n, m) < 0 or not 0 <= p <= n + m:
+        raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}" if m == 0
+                          else f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
+    return [(k, p - k) for k in range(max(0, p - m), min(n, p) + 1)]
+
+
+def _subspace_counts(p: int, n: int, m: int) -> list[int]:
+    """Per multidegree slot (k, l), the number of products of a k- and an
+    l-dimensional coordinate subspace, binom(n+1, k+1) * binom(m+1, l+1)."""
+    return [comb(n + 1, k + 1) * comb(m + 1, l + 1) for k, l in multidegree_slots(p, n, m)]
+
+
 class ChowIndex(Record):
     """Cycle dimension p, degree d, ambient projective dimension n."""
 
@@ -42,9 +62,8 @@ class ChowIndex(Record):
     n: int
 
     def __post_init__(self):
-        _check_ints({"p": self.p, "d": self.d, "n": self.n})
-        if not 0 <= self.p <= self.n:
-            raise DomainError(f"need 0 <= p <= n, got p={self.p}, n={self.n}")
+        multidegree_slots(self.p, self.n, 0)
+        _check_ints({"d": self.d})
         if self.d < 0:
             raise DomainError(f"degree must be >= 0, got {self.d}")
 
@@ -52,10 +71,7 @@ class ChowIndex(Record):
 def coordinate_subspace_count(p: int, n: int) -> int:
     """Number of p-dimensional coordinate subspaces of projective n-space,
     binom(n+1, p+1): the exponent in every closed form below."""
-    _check_ints({"p": p, "n": n})
-    if not 0 <= p <= n:
-        raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}")
-    return comb(n + 1, p + 1)
+    return _subspace_counts(p, n, 0)[0]
 
 
 def chow_invariant_closed(idx: ChowIndex) -> int:
@@ -196,8 +212,7 @@ def chow_invariant_recursive(idx: ChowIndex) -> int:
 def chow_series(p: int, n: int, order: int) -> MultiSeries:
     """Degree generating series of the cycle-space Euler numbers: the
     expansion of (1-t)^(-v) with v = coordinate_subspace_count(p, n)."""
-    v = coordinate_subspace_count(p, n)
-    return expand_inverse_product([((1,), v)], arity=1, order=order)
+    return euler_chow_product_formula(p, n, 0, order)
 
 
 def chow_htilde(idx: ChowIndex) -> Laurent1:
@@ -214,42 +229,22 @@ def chow_htilde(idx: ChowIndex) -> Laurent1:
 def irreducible_invariant(p: int, d: int, n: int) -> int:
     """Euler number of the locus of irreducible degree-d subvarieties:
     the count of linear subspaces for d = 1, zero for every higher degree."""
-    _check_ints({"p": p, "d": d, "n": n})
-    if not 0 <= p <= n:
-        raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}")
+    _check_ints({"d": d})
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    if d == 1:
-        return comb(n + 1, p + 1)
-    return 0
+    return irreducible_invariant_product((d,), p, n, 0)
 
 
-def multidegree_slots(p: int, n: int, m: int) -> list[tuple[int, int]]:
-    """Component labels (k, l), k+l = p, for p-cycles in the product of
-    projective n-space and projective m-space, in ascending k order."""
-    _check_ints({"p": p, "n": n, "m": m})
-    if p < 0 or n < 0 or m < 0:
-        raise DomainError("indices must be non-negative")
-    return [(k, p - k) for k in range(max(0, p - m), min(n, p) + 1)]
-
-
-def irreducible_invariant_product(
-    alpha, p: int, n: int, m: int
-) -> int:
+def irreducible_invariant_product(alpha, p: int, n: int, m: int) -> int:
     """Euler number of the irreducible locus in a product of projective
     spaces at multidegree alpha: nonzero only when alpha is the class of a
     single coordinate-subspace product, i.e. a unit vector."""
-    slots = multidegree_slots(p, n, m)
-    if len(alpha) != len(slots):
-        raise DomainError(
-            f"multidegree has {len(alpha)} entries, expected {len(slots)}"
-        )
+    counts = _subspace_counts(p, n, m)
+    if len(alpha) != len(counts):
+        raise DomainError(f"multidegree has {len(alpha)} entries, expected {len(counts)}")
     if any(type(a) is not int or a < 0 for a in alpha):
         raise DomainError("multidegree entries must be non-negative ints")
-    if sum(alpha) != 1:
-        return 0
-    k, l = slots[alpha.index(1)]
-    return comb(n + 1, k + 1) * comb(m + 1, l + 1)
+    return counts[alpha.index(1)] if sum(alpha) == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +256,10 @@ def euler_chow_product_formula(p: int, n: int, m: int, order: int) -> MultiSerie
     of projective spaces, as the closed infinite product: one inverse
     factor per coordinate-subspace product, with multiplicity the number
     of such subvarieties."""
-    if not 0 <= p <= n + m:
-        raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
-    slots = multidegree_slots(p, n, m)
-    factors = []
-    for i, (k, l) in enumerate(slots):
-        exponent = [0] * len(slots)
-        exponent[i] = 1
-        factors.append((tuple(exponent), comb(n + 1, k + 1) * comb(m + 1, l + 1)))
-    return expand_inverse_product(factors, arity=len(slots), order=order)
+    counts = _subspace_counts(p, n, m)
+    arity = len(counts)
+    factors = [((0,) * i + (1,) + (0,) * (arity - 1 - i), c) for i, c in enumerate(counts)]
+    return expand_inverse_product(factors, arity=arity, order=order)
 
 
 def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSeries:
@@ -279,9 +269,8 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
     outer product, truncated at the order.  Every row entry is a count of
     fixed points, at least 1, and the fold keeps every total degree within
     the order, so the map is canonical and wraps with no second check."""
-    _check_ints({"p": p, "n": n, "m": m, "order": order})
-    if not 0 <= p <= n + m:
-        raise DomainError(f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
+    multidegree_slots(p, n, m)
+    _check_ints({"order": order})
     if order < 0:
         raise DomainError("truncation order must be non-negative")
     low = max(0, p - n)

@@ -304,15 +304,24 @@ class HodgeConstraintReport(Record):
     """
 
     fixed_dim_bound: int
-    antidiagonals_ok: bool
     bad_antidiagonals: tuple[int, ...]
-    euler_ok: bool
     euler_expected: int
     euler_actual: int
-    axes_ok: bool
     bad_axis_monomials: tuple[tuple[int, int], ...]
 
-    _derived = ("ok",)
+    _derived = ("antidiagonals_ok", "euler_ok", "axes_ok", "ok")
+
+    @property
+    def antidiagonals_ok(self) -> bool:
+        return not self.bad_antidiagonals
+
+    @property
+    def euler_ok(self) -> bool:
+        return self.euler_actual == self.euler_expected
+
+    @property
+    def axes_ok(self) -> bool:
+        return not self.bad_axis_monomials
 
     @property
     def ok(self) -> bool:
@@ -326,18 +335,12 @@ def hodge_constraints_check(
     if fixed_dim_bound < 0:
         raise DomainError("fixed-point dimension bound must be >= 0")
     sums = quotient_uv_minus1(h).terms
-    bad_anti = tuple(sorted(i for i in sums if abs(i) > fixed_dim_bound))
-    actual_chi = sum(sums.values())
-    bad_axes = tuple(sorted(e for e in quotient_uv(h).terms if e != (0, 0)))
     return HodgeConstraintReport(
         fixed_dim_bound=fixed_dim_bound,
-        antidiagonals_ok=not bad_anti,
-        bad_antidiagonals=bad_anti,
-        euler_ok=actual_chi == chi,
+        bad_antidiagonals=tuple(sorted(i for i in sums if abs(i) > fixed_dim_bound)),
         euler_expected=chi,
-        euler_actual=actual_chi,
-        axes_ok=not bad_axes,
-        bad_axis_monomials=bad_axes,
+        euler_actual=sum(sums.values()),
+        bad_axis_monomials=tuple(sorted(e for e in quotient_uv(h).terms if e != (0, 0))),
     )
 
 

@@ -422,6 +422,8 @@ class MultiSeries(_TermMap):
     def coefficient(self, e: Sequence[int]) -> int:
         e = tuple(e)
         _check_ints({f"e[{i}]": x for i, x in enumerate(e)})
+        if len(e) != self.arity:
+            raise DomainError(f"exponent {e} has wrong arity (want {self.arity})")
         return self._terms.get(e, 0)
 
     def to_json(self) -> dict:

@@ -54,6 +54,8 @@ class Fan(Record):
         if n < 0:
             raise FanError("ambient dimension must be >= 0")
         for ray in self.rays:
+            if type(ray) is not tuple:
+                raise FanError(f"ray {_shown(ray)} must be a tuple, got {type(ray).__name__}")
             if len(ray) != n:
                 raise FanError(f"ray {_shown(ray)} has wrong length (ambient dimension {n})")
             if any(type(x) is not int for x in ray):
@@ -67,6 +69,8 @@ class Fan(Record):
         ranks = []
         count = len(self.rays)
         for cone in self.cones:
+            if type(cone) is not tuple:
+                raise FanError(f"cone {_shown(cone)} must be a tuple, got {type(cone).__name__}")
             if not cone:
                 raise FanError("empty cone listed (the zero cone is implicit)")
             if not all(type(i) is int and 0 <= i < count for i in cone):

@@ -1,6 +1,7 @@
 """Cycle-space invariants: three routes, product series, congruences."""
 
 import math
+import re
 from itertools import accumulate
 
 import pytest
@@ -422,6 +423,35 @@ def test_no_library_series_is_checked_twice(series_checks):
     euler_series(fan, 1, 8)
     euler_series(fan, 1, 8, grading=lambda d: (1,))
     assert series_checks == []
+
+
+@pytest.mark.parametrize("p, n, m, message", [
+    (5, 1, 1, "need 0 <= p <= n+m, got p=5, n=1, m=1"),
+    (-1, 1, 1, "need 0 <= p <= n+m, got p=-1, n=1, m=1"),
+    (0, -1, 2, "need 0 <= p <= n+m, got p=0, n=-1, m=2"),
+    (0, 2, -1, "need 0 <= p <= n+m, got p=0, n=2, m=-1"),
+    (3, 2, 0, "need 0 <= p <= n, got p=3, n=2"),
+    (0, -1, 0, "need 0 <= p <= n, got p=0, n=-1"),
+], ids=["p-above-n+m", "negative-p", "negative-n", "negative-m", "m=0-p-above-n", "m=0-negative-n"])
+def test_one_index_rule(p, n, m, message):
+    """Every function that takes a cycle index refuses a bad one with the
+    message of multidegree_slots; at m = 0 so do the single-space ones."""
+    calls = [
+        lambda: multidegree_slots(p, n, m),
+        lambda: irreducible_invariant_product((), p, n, m),
+        lambda: euler_chow_product_formula(p, n, m, 3),
+        lambda: euler_chow_product_recursive(p, n, m, 3),
+    ]
+    if m == 0:
+        calls += [
+            lambda: coordinate_subspace_count(p, n),
+            lambda: chow_series(p, n, 3),
+            lambda: irreducible_invariant(p, 1, n),
+            lambda: ChowIndex(p, 1, n),
+        ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_product_domain():

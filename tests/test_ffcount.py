@@ -253,6 +253,7 @@ INDEX_TYPE_CASES = [
     (Poly2.uv().coefficient, (1, True), "q must be an int, got bool"),
     (LPoly.L().coefficient, (1.0,), "e must be an int, got float"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ([1.0],), "e[0] must be an int, got float"),
+    (MultiSeries(1, 3, {(1,): 2}).coefficient, ((1, 0),), "exponent (1, 0) has wrong arity (want 1)"),
 ]
 
 

@@ -227,12 +227,9 @@ def reference_constraints(h, chi, bound):
     bad_axes = tuple(sorted((p, q) for p, q in h.terms if (p == 0) != (q == 0)))
     return HodgeConstraintReport(
         fixed_dim_bound=bound,
-        antidiagonals_ok=not bad_anti,
         bad_antidiagonals=bad_anti,
-        euler_ok=actual == chi,
         euler_expected=chi,
         euler_actual=actual,
-        axes_ok=not bad_axes,
         bad_axis_monomials=bad_axes,
     )
 
