@@ -239,6 +239,8 @@ def irreducible_invariant_product(alpha, p: int, n: int, m: int) -> int:
     """Euler number of the irreducible locus in a product of projective
     spaces at multidegree alpha: nonzero only when alpha is the class of a
     single coordinate-subspace product, i.e. a unit vector."""
+    if not isinstance(alpha, (tuple, list)):
+        raise DomainError(f"multidegree must be a tuple or list, got {type(alpha).__name__}")
     counts = _subspace_counts(p, n, m)
     if len(alpha) != len(counts):
         raise DomainError(f"multidegree has {len(alpha)} entries, expected {len(counts)}")

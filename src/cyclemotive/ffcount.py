@@ -129,12 +129,19 @@ def check_field(q: int, m: int) -> None:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
 
 
+def _check_subspace_dims(n: int, k: int, **more: int) -> None:
+    """The one check of a subspace dimension k in an n-space, which both
+    Gaussian routes and the brute-force census call: n, k and the other
+    named indices are ints, and 0 <= k <= n."""
+    _check_ints({"n": n, "k": k, **more})
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
     field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact."""
-    _check_ints({"n": n, "k": k, "q": q})
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_subspace_dims(n, k, q=q)
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
     numerator = 1
@@ -155,9 +162,7 @@ def gaussian_binomial_poly(n: int, k: int) -> LPoly:
     filled bottom-up and lives for this call only: row j holds [j+r, j]
     for r = 0..n-k, starting from [r, 0] = [j, j] = 1.
     """
-    _check_ints({"n": n, "k": k})
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_subspace_dims(n, k)
     row = [LPoly.one()] * (n - k + 1)
     for j in range(1, k + 1):
         q_j = LPoly.monomial(j)
@@ -245,9 +250,7 @@ def rref_cell_census(
     patterns from the free-entry counts, never from a closed form) must not
     exceed the budget, by default 10^6.
     """
-    _check_ints({"k": k, "n": n, "q": q})
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_subspace_dims(n, k, q=q)
     if q > BRUTE_FORCE_MAX_Q:
         raise DomainError(f"brute force is capped at q <= {BRUTE_FORCE_MAX_Q}, got {q}")
     if not is_prime(q):

@@ -19,8 +19,9 @@ its text form.  The two one-variable types share one more body,
 ``_OneVariable``: integer exponents (negative ones only in ``Laurent1``),
 coefficient lookup, exact integer evaluation by Horner's rule, and text in
 ascending powers of their variable.  ``str()`` of a polynomial is its
-canonical text and the only printer, and one regular grammar, stated
-under "Text form" below, reads it back.  A value is checked once, where it
+canonical text and the only printer.  ``parse_poly2`` is the one reader,
+for Z[u,v] only, in the regular grammar stated under "Text form" below;
+the other types are built from term maps.  A value is checked once, where it
 enters from outside: the constructors check every term, and the series
 builders check their factor lists.  Ring arithmetic and the series builders
 wrap maps they built themselves, unchecked.  Everything is computed
@@ -422,8 +423,8 @@ class MultiSeries(_TermMap):
     def coefficient(self, e: Sequence[int]) -> int:
         e = tuple(e)
         _check_ints({f"e[{i}]": x for i, x in enumerate(e)})
-        if len(e) != self.arity:
-            raise DomainError(f"exponent {e} has wrong arity (want {self.arity})")
+        if sum(_exponent_tuple(e, self.arity)) > self.order:
+            raise DomainError(f"exponent {e} is past the truncation order {self.order}")
         return self._terms.get(e, 0)
 
     def to_json(self) -> dict:
@@ -489,7 +490,7 @@ def expand_inverse_product(
 
 
 # ---------------------------------------------------------------------------
-# Text form: canonical rendering and one regular grammar for input
+# Text form: canonical rendering, and one reader, for Z[u,v]
 #
 # Monomials are ordered degree-lex with u before v (total degree ascending,
 # then higher u-exponent first).  On output a '*' separates the u- and
@@ -497,12 +498,12 @@ def expand_inverse_product(
 #
 # Input is a sum of terms.  A term is a run of '+' and '-' signs (an odd
 # number of '-' negates it; only the first term may have none), an optional
-# coefficient in ASCII digits, then any run of '*' and variables, each with
-# an optional exponent '^' digits, or '^-' digits in Laurent1.  A term needs
-# a coefficient or a variable; repeated variables multiply ("uvu" is u^2*v)
-# and repeated monomials add.  Whitespace may stand between any two tokens
-# and at either end.  Every repeated part of _TERM begins with a character
-# other than whitespace, so matching takes linear time.
+# coefficient in ASCII digits, then any run of '*' and the variables u and
+# v, each with an optional exponent '^' digits.  A term needs a coefficient
+# or a variable; repeated variables multiply ("uvu" is u^2*v) and repeated
+# monomials add.  Whitespace may stand between any two tokens and at either
+# end.  Every repeated part of _TERM begins with a character other than
+# whitespace, so matching takes linear time.
 
 
 def _format_terms(ordered: list[tuple[str, int]]) -> str:
@@ -526,7 +527,7 @@ def _uv_monomial(p: int, q: int) -> str:
     return upart + vpart
 
 
-_FACTOR = re.compile(r"([A-Za-z])(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?")
+_FACTOR = re.compile(r"([A-Za-z])(?:\s*\^\s*([0-9]+))?")
 _TERM = re.compile(rf"\s*((?:[+-]\s*)*)(?:([0-9]+)\s*)?((?:(?:\*|{_FACTOR.pattern})\s*)*)")
 
 
@@ -539,12 +540,9 @@ def _int(digits: str) -> int:
         raise ParseError(f"polynomial text holds {_long_integer()}") from None
 
 
-def _parse_terms(
-    text: str, variables: Sequence[str], allow_negative_exponents: bool
-) -> dict:
-    """Read a sum of terms over the given variable names, in the grammar
-    stated under "Text form" above, as a term map keyed by exponent tuples,
-    or by the bare exponent when there is one variable."""
+def parse_poly2(text: str) -> Poly2:
+    """Read a sum of terms in u and v, in the grammar stated under "Text
+    form" above: the one text reader."""
     terms: dict = {}
     pos = 0
     while pos == 0 or pos < len(text):
@@ -555,28 +553,13 @@ def _parse_terms(
             raise ParseError(f"cannot parse {text!r} at position {m.end()}")
         if pos and not signs:
             raise ParseError("missing '+' or '-' between terms")
-        exps = [0] * len(variables)
-        for name, minus, digits in found:
-            if name not in variables:
+        exps = {"u": 0, "v": 0}
+        for name, digits in found:
+            if name not in exps:
                 raise ParseError(f"unknown variable {name!r}")
-            e = _int(minus + (digits or "1"))
-            if e < 0 and not allow_negative_exponents:
-                raise ParseError("negative exponent not allowed here")
-            exps[variables.index(name)] += e
-        key = tuple(exps) if len(exps) > 1 else exps[0]
+            exps[name] += _int(digits or "1")
+        key = (exps["u"], exps["v"])
         sign = -1 if signs.count("-") % 2 else 1
         terms[key] = terms.get(key, 0) + sign * _int(coeff or "1")
         pos = m.end()
-    return terms
-
-
-def parse_poly2(text: str) -> Poly2:
-    return Poly2(_parse_terms(text, ("u", "v"), allow_negative_exponents=False))
-
-
-def parse_laurent1(text: str) -> Laurent1:
-    return Laurent1(_parse_terms(text, ("u",), allow_negative_exponents=True))
-
-
-def parse_lpoly(text: str) -> LPoly:
-    return LPoly(_parse_terms(text, ("L",), allow_negative_exponents=False))
+    return Poly2(terms)

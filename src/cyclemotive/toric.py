@@ -53,6 +53,9 @@ class Fan(Record):
             raise FanError(f"ambient dimension {_shown(n)} is not an int")
         if n < 0:
             raise FanError("ambient dimension must be >= 0")
+        for what, items in (("rays", self.rays), ("cones", self.cones)):
+            if type(items) is not tuple:
+                raise FanError(f"{what} must be a tuple, got {type(items).__name__}")
         for ray in self.rays:
             if type(ray) is not tuple:
                 raise FanError(f"ray {_shown(ray)} must be a tuple, got {type(ray).__name__}")

@@ -15,6 +15,7 @@ from cyclemotive.chow import (
     euler_chow_product_formula,
     euler_chow_product_recursive,
     irreducible_invariant,
+    irreducible_invariant_product,
     multidegree_slots,
 )
 from cyclemotive.errors import BudgetError, DomainError
@@ -228,6 +229,7 @@ INDEX_TYPE_CASES = [
     (ChowIndex, (1, True, 3), "d must be an int, got bool"),
     (coordinate_subspace_count, (1, 3.0), "n must be an int, got float"),
     (irreducible_invariant, (1.0, 1, 3), "p must be an int, got float"),
+    (irreducible_invariant_product, (5, 1, 1, 1), "multidegree must be a tuple or list, got int"),
     (multidegree_slots, (1.5, 1, 1), "p must be an int, got float"),
     (euler_chow_product_formula, (1, 1, 1.0, 3), "m must be an int, got float"),
     (euler_chow_product_recursive, (1, 1.0, 1, 3), "n must be an int, got float"),
@@ -254,6 +256,8 @@ INDEX_TYPE_CASES = [
     (LPoly.L().coefficient, (1.0,), "e must be an int, got float"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ([1.0],), "e[0] must be an int, got float"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ((1, 0),), "exponent (1, 0) has wrong arity (want 1)"),
+    (MultiSeries(1, 3, {(1,): 2}).coefficient, ((-1,),), "negative exponent in (-1,)"),
+    (MultiSeries(1, 3, {(1,): 2}).coefficient, ((9,),), "exponent (9,) is past the truncation order 3"),
 ]
 
 

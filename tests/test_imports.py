@@ -69,3 +69,27 @@ print(sorted(set(sys.modules) - before))
 
 def test_first_library_calls_load_no_module():
     assert fresh_python(FIRST_CALLS) == "[]\n"
+
+
+# perfbench/layertrace.py wraps these names from outside the package; a
+# deletion or a method a class only inherits makes its install() raise.
+TRACER_INSTALL = f"""
+import sys
+sys.path.insert(0, {str(SRC.parent / "perfbench")!r})
+from layertrace import ENTRY_POINTS, Tracer
+
+Tracer().install()
+unwrapped = []
+for layer, names in ENTRY_POINTS.items():
+    home = sys.modules["cyclemotive." + layer]
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        value = vars(getattr(home, owner) if owner else home)[attr]
+        if not hasattr(getattr(value, "__func__", value), "__wrapped__"):
+            unwrapped.append(layer + "." + name)
+print(unwrapped)
+"""
+
+
+def test_benchmark_tracer_wraps_every_entry_point():
+    assert fresh_python(TRACER_INSTALL) == "[]\n"

@@ -112,8 +112,11 @@ def test_validation_rejects_bad_fans():
     (Fan(2, ((1, 0), (0, 1)), ((0,), ("1",))), "cone ('1',) has a ray index that is not an int"),
     (Fan(2, ([1, 0], (0, 1)), ((0,), (1,))), "ray [1, 0] must be a tuple, got list"),
     (Fan(2, ((1, 0), (0, 1)), ([0], [1])), "cone [0] must be a tuple, got list"),
+    (Fan(2, [(1, 0), (0, 1)], ((0,), (1,))), "rays must be a tuple, got list"),
+    (Fan(2, ((1, 0), (0, 1)), [(0,), (1,)]), "cones must be a tuple, got list"),
 ], ids=["float-ray-entry", "bool-ray-entry", "str-dimension", "bool-dimension",
-        "float-cone-index", "bool-cone-index", "str-cone-index", "list-ray", "list-cone"])
+        "float-cone-index", "bool-cone-index", "str-cone-index", "list-ray", "list-cone",
+        "list-rays", "list-cones"])
 def test_library_fans_need_ints(fan, message):
     """A fan built in Python is held to the types fan_from_json enforces:
     a float or a bool is refused, not rounded, compared or taken as 1."""
