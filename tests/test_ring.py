@@ -371,11 +371,23 @@ def test_text_round_trip(a):
 @pytest.mark.parametrize("ring", ["Poly2", "Laurent1", "LPoly"])
 @given(data=st.data())
 def test_str_is_canonical(ring, data):
-    """Equal values print equal text, and unequal values different text."""
+    """Equal values print equal text, however they were built: by
+    arithmetic, or from their term map in any order."""
     values = RINGS[ring][0]
     a, b = data.draw(values), data.draw(values)
+    terms = data.draw(st.permutations(list(a.terms.items())))
     assert str(a + b - b) == str(a)
+    assert str(type(a)(dict(terms))) == str(a)
+
+
+@pytest.mark.parametrize("ring", ["Poly2", "Laurent1", "LPoly"])
+@given(data=st.data())
+def test_str_tells_values_apart(ring, data):
+    """Unequal values print different text."""
+    values = RINGS[ring][0]
+    a, b = data.draw(values), data.draw(values)
     assert (str(a) == str(b)) == (a == b)
+    assert str(a + type(a).constant(1)) != str(a)
 
 
 def test_golden_rendering():
