@@ -219,7 +219,7 @@ def chow_htilde(idx: ChowIndex) -> Laurent1:
     """Image of the cycle space's Hodge polynomial in Z[u, 1/u]: constant,
     equal to the Euler number, reflecting that the Hodge polynomial is a
     polynomial in the product uv."""
-    return Laurent1.constant(chow_invariant_closed(idx))
+    return Laurent1({0: chow_invariant_closed(idx)})
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ def _check_ints(named: dict) -> None:
             raise DomainError(f"{what} must be an int, got {type(value).__name__}")
 
 
+def _check_type(value, cls: type, what: str) -> None:
+    """Refuse with DomainError a value whose type is not exactly `cls`,
+    naming it as `what`."""
+    if type(value) is not cls:
+        raise DomainError(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def _json_int(value, field: str) -> int:
     """A JSON integer taken as it is: floats, strings and booleans are
     refused rather than rounded or converted."""

@@ -163,10 +163,10 @@ def gaussian_binomial_poly(n: int, k: int) -> LPoly:
     for r = 0..n-k, starting from [r, 0] = [j, j] = 1.
     """
     _check_subspace_dims(n, k)
-    row = [LPoly.one()] * (n - k + 1)
+    row = [LPoly({0: 1})] * (n - k + 1)
     for j in range(1, k + 1):
-        q_j = LPoly.monomial(j)
-        next_row = [LPoly.one()]
+        q_j = LPoly({j: 1})
+        next_row = [LPoly({0: 1})]
         for r in range(1, n - k + 1):
             next_row.append(row[r] + q_j * next_row[r - 1])
         row = next_row

@@ -13,12 +13,13 @@ subtracted piece is demanded or checked.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
-from .errors import _ascii_ints, _check_ints, _json_int, _json_ints, _shown
+from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -101,6 +102,7 @@ class ToricFan(MotiveExpr):
     fan: toric.Fan
 
     def __post_init__(self):
+        _check_type(self.fan, toric.Fan, "fan")
         self.fan.census  # an invalid fan raises FanError here
 
 
@@ -108,6 +110,11 @@ class SmoothProjectiveLeaf(MotiveExpr):
     name: str
     e_poly: Poly2
     countable: bool
+
+    def __post_init__(self):
+        _check_type(self.name, str, "name")
+        _check_type(self.e_poly, Poly2, "e_poly")
+        _check_type(self.countable, bool, "countable")
 
 
 class DisjointUnion(MotiveExpr):
@@ -137,20 +144,17 @@ def eval_E(e: MotiveExpr) -> Poly2:
     """Hodge polynomial of the class, computed homomorphically."""
     match e:
         case Point():
-            return Poly2.one()
+            return Poly2({(0, 0): 1})
         case AffineSpace(n):
-            return Poly2.uv() ** n
+            return Poly2({(n, n): 1})
         case Torus(n):
-            return (Poly2.uv() - Poly2.one()) ** n
+            return Poly2({(1, 1): 1, (0, 0): -1}) ** n
         case ProjSpace(n):
             return Poly2({(i, i): 1 for i in range(n + 1)})
         case Grassmannian(k, n):
             return lpoly_to_poly2(gaussian_binomial_poly(n, k))
         case Cellular(cells):
-            total = Poly2.zero()
-            for c in cells:
-                total = total + Poly2.monomial(c, c)
-            return total
+            return sum((Poly2({(c, c): 1}) for c in cells), Poly2())
         case ToricFan(fan):
             return toric.toric_E_poly(fan)
         case SmoothProjectiveLeaf(_, e_poly, _):
@@ -163,7 +167,7 @@ def eval_E(e: MotiveExpr) -> Poly2:
             return eval_E(a) * eval_E(b)
         case Cone(a):
             # vertex point plus a line bundle over the base
-            return Poly2.one() + Poly2.uv() * eval_E(a)
+            return Poly2({(0, 0): 1}) + Poly2({(1, 1): 1}) * eval_E(a)
     raise UnsupportedError(f"unknown expression node {type(e).__name__}")
 
 
@@ -176,25 +180,22 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
     """
     match e:
         case Point():
-            return LPoly.one()
+            return LPoly({0: 1})
         case AffineSpace(n):
-            return LPoly.monomial(n)
+            return LPoly({n: 1})
         case Torus(n):
-            return (LPoly.L() - LPoly.one()) ** n
+            return LPoly({1: 1, 0: -1}) ** n
         case ProjSpace(n):
             return LPoly({i: 1 for i in range(n + 1)})
         case Grassmannian(k, n):
             return gaussian_binomial_poly(n, k)
         case Cellular(cells):
-            total = LPoly.zero()
-            for c in cells:
-                total = total + LPoly.monomial(c)
-            return total
+            return sum((LPoly({c: 1}) for c in cells), LPoly())
         case ToricFan(fan):
-            torus = LPoly.L() - LPoly.one()
-            total = LPoly.zero()
+            torus = LPoly({1: 1, 0: -1})
+            total = LPoly()
             for k, d_k in enumerate(fan.census):
-                total = total + LPoly.constant(d_k) * torus ** (fan.dim - k)
+                total = total + LPoly({0: d_k}) * torus ** (fan.dim - k)
             return total
         case SmoothProjectiveLeaf(name, e_poly, countable):
             converted = lpoly_from_diagonal(e_poly) if countable else None
@@ -208,7 +209,7 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
         case Product(a, b):
             return eval_count_poly(a) * eval_count_poly(b)
         case Cone(a):
-            return LPoly.one() + LPoly.L() * eval_count_poly(a)
+            return LPoly({0: 1}) + LPoly({1: 1}) * eval_count_poly(a)
     raise UnsupportedError(f"unknown expression node {type(e).__name__}")
 
 
@@ -261,26 +262,30 @@ H_BAR = Measure("h-bar")
 COUNT_POLY = Measure("count-poly")
 
 
-def count_at(q: int, m: int = 1) -> Measure:
-    return Measure("count", q=q, m=m)
-
-
 def parse_q_m(text: str, what: str) -> tuple[int, int]:
     """Parse the q[,m] spelling of the field with q^m elements (m defaults
     to 1), each in ASCII digits; `what` names the input in the error
-    message."""
+    message.  A q^m of more digits than the interpreter prints (4300 where
+    it sets no limit) is refused before any work is done with it."""
     parts = text.split(",")
     message = f"{what} expects q[,m], got {_shown(text)}"
     if len(parts) > 2:
         raise ParseError(message)
     q, m = _ascii_ints([*parts, "1"][:2], what, message)
+    limit = sys.get_int_max_str_digits() or 4300
+    bound = 10**limit
+    # q^m >= 2^(m(b-1)) for q of b bits, so q^m is built only when it has
+    # fewer than twice the bits of the bound
+    if m * (q.bit_length() - 1) >= bound.bit_length() or q**m >= bound:
+        raise ParseError(f"{what}: q^m has more than {limit} digits "
+                         f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})")
     return q, m
 
 
 def measure_from_string(text: str) -> Measure:
     """Parse the CLI spelling: one of the plain tags or count:q[,m]."""
     if text.startswith("count:"):
-        return count_at(*parse_q_m(text[len("count:"):], "count measure"))
+        return Measure("count", *parse_q_m(text[len("count:"):], "count measure"))
     return Measure(text)
 
 
@@ -331,6 +336,7 @@ class HodgeConstraintReport(Record):
 def hodge_constraints_check(
     h: Poly2, chi: int, fixed_dim_bound: int
 ) -> HodgeConstraintReport:
+    _check_type(h, Poly2, "h")
     _check_ints({"chi": chi, "fixed_dim_bound": fixed_dim_bound})
     if fixed_dim_bound < 0:
         raise DomainError("fixed-point dimension bound must be >= 0")

@@ -11,21 +11,22 @@ Four value types, all immutable, all over arbitrary-precision integers:
                     coefficients of infinite-product generating series.
 
 All four are thin subclasses of one core, ``_TermMap``: a map from
-exponent key to nonzero ``int``, built from a term map
-``{exponent: coefficient}`` by a single canonicalizing constructor, with a
+exponent key to nonzero ``int``, built one way only, from a term map
+``{exponent: coefficient}``, by a single canonicalizing constructor, with a
 single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
 only its exponent check, its exponent addition (series also truncate) and
 its text form.  The two one-variable types share one more body,
 ``_OneVariable``: integer exponents (negative ones only in ``Laurent1``),
-coefficient lookup, exact integer evaluation by Horner's rule, and text in
-ascending powers of their variable.  ``str()`` of a polynomial is its
-canonical text and the only printer.  ``parse_poly2`` is the one reader,
-for Z[u,v] only, in the regular grammar stated under "Text form" below;
-the other types are built from term maps.  A value is checked once, where it
-enters from outside: the constructors check every term, and the series
-builders check their factor lists.  Ring arithmetic and the series builders
-wrap maps they built themselves, unchecked.  Everything is computed
-exactly; equality is equality of canonical forms.
+coefficient lookup and text in ascending powers of their variable.  Only
+``LPoly`` is evaluated at a point, by Horner's rule.  The ring maps
+(``specialize``, the two quotients and the two changes of variable) take
+exactly their source type.  ``str()`` of a polynomial is its canonical
+text and the only printer.  ``parse_poly2`` is the one reader, for Z[u,v]
+only, in the regular grammar stated under "Text form" below.  A value is
+checked once, where it enters from outside: the constructors check every
+term, and the series builders check their factor lists.  Ring arithmetic
+and the series builders wrap maps they built themselves, unchecked.
+Everything is computed exactly; equality is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError, _check_ints, _long_integer
+from .errors import DomainError, ParseError, _check_ints, _check_type, _long_integer
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -105,9 +106,6 @@ class _TermMap:
     @property
     def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -189,27 +187,6 @@ class Poly2(_TermMap):
     def _add_exponents(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (a[0] + b[0], a[1] + b[1])
 
-    @classmethod
-    def zero(cls) -> "Poly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "Poly2":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, p: int, q: int, c: int = 1) -> "Poly2":
-        return cls({(p, q): c})
-
-    @classmethod
-    def uv(cls) -> "Poly2":
-        """The class of the affine line: the monomial uv."""
-        return cls({(1, 1): 1})
-
     def coefficient(self, p: int, q: int) -> int:
         _check_ints({"p": p, "q": q})
         return self._terms.get((p, q), 0)
@@ -222,6 +199,7 @@ class Poly2(_TermMap):
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
     """Exact evaluation at integer arguments (u0, v0)."""
+    _check_type(a, Poly2, "a")
     _check_ints({"u0": u0, "v0": v0})
     return sum(c * u0**p * v0**q for (p, q), c in a.terms.items())
 
@@ -231,7 +209,8 @@ def specialize(a: Poly2, u0: int, v0: int) -> int:
 
 
 class _OneVariable(_TermMap):
-    """Sparse polynomial in one named variable, keyed by int exponents."""
+    """Sparse polynomial in one named variable, keyed by int exponents, with
+    coefficient lookup and its text; evaluation is LPoly's own."""
 
     __slots__ = ()
     _unit = 0
@@ -247,30 +226,9 @@ class _OneVariable(_TermMap):
             raise DomainError(f"{cls.__name__} exponent {e} is negative")
         return e
 
-    @classmethod
-    def constant(cls, c: int):
-        return cls({0: c})
-
     def coefficient(self, e: int) -> int:
         _check_ints({"e": e})
         return self._terms.get(e, 0)
-
-    def evaluate(self, x: int) -> int:
-        """Exact value at an integer, by Horner's rule on x^(-low) times the
-        polynomial (low the lowest negative exponent), divided back exactly.
-        Raises DomainError when that division leaves a remainder."""
-        _check_ints({"x": x})
-        terms = self._terms
-        low = min(min(terms, default=0), 0)
-        if low and x == 0:
-            raise DomainError(f"cannot evaluate a negative power of {self._variable} at 0")
-        total = 0
-        for e in range(max(terms, default=0), low - 1, -1):
-            total = total * x + terms.get(e, 0)
-        value, remainder = divmod(total, x**-low)
-        if remainder:
-            raise DomainError(f"{self} is not an integer at {self._variable} = {x}")
-        return value
 
     def __str__(self) -> str:
         """Canonical text: ascending powers of the variable."""
@@ -290,6 +248,7 @@ def quotient_uv_minus1(a: Poly2) -> Laurent1:
 
     The homomorphism substitutes v = 1/u, sending u^p v^q to u^(p-q).
     """
+    _check_type(a, Poly2, "a")
     out: dict[int, int] = {}
     for (p, q), c in a.terms.items():
         out[p - q] = out.get(p - q, 0) + c
@@ -303,6 +262,7 @@ def quotient_uv(a: Poly2) -> Poly2:
     the two coordinate axes, so the coefficients of u^p and v^q can be read
     off directly.
     """
+    _check_type(a, Poly2, "a")
     return a._like({(p, q): c for (p, q), c in a.terms.items() if p == 0 or q == 0})
 
 
@@ -319,25 +279,14 @@ class LPoly(_OneVariable):
     _negative_exponents = False
     __mul__ = _TermMap.__mul__  # own entry, as in Poly2
 
-    @classmethod
-    def zero(cls) -> "LPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def L(cls) -> "LPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, n: int, c: int = 1) -> "LPoly":
-        return cls({n: c})
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return max(self._terms, default=-1)
+    def evaluate(self, x: int) -> int:
+        """Exact value at an integer, by Horner's rule."""
+        _check_ints({"x": x})
+        terms = self._terms
+        total = 0
+        for e in range(max(terms, default=0), -1, -1):
+            total = total * x + terms.get(e, 0)
+        return total
 
 
 def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
@@ -346,6 +295,7 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
     Returns None when some monomial has unequal exponents, i.e. the value
     is not a function of the product uv.
     """
+    _check_type(a, Poly2, "a")
     if any(p != q for p, q in a.terms):
         return None
     return LPoly({p: c for (p, _), c in a.terms.items()})
@@ -353,6 +303,7 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
 
 def lpoly_to_poly2(a: LPoly) -> Poly2:
     """Substitute L -> uv."""
+    _check_type(a, LPoly, "a")
     return Poly2({(i, i): c for i, c in a.terms.items()})
 
 
@@ -416,10 +367,6 @@ class MultiSeries(_TermMap):
                 f"order {self.order}/{other.order}"
             )
 
-    @classmethod
-    def one(cls, arity: int, order: int) -> "MultiSeries":
-        return cls(arity, order, {(0,) * arity: 1})
-
     def coefficient(self, e: Sequence[int]) -> int:
         e = tuple(e)
         _check_ints({f"e[{i}]": x for i, x in enumerate(e)})
@@ -463,7 +410,7 @@ def expand_inverse_product(
     check: every coefficient is a sum of products of positive integers,
     and the fold's bound keeps every total degree <= order.
     """
-    one = MultiSeries.one(arity, order)
+    one = MultiSeries(arity, order, {(0,) * arity: 1})
     terms = dict(one.terms)
     for exponent, multiplicity in factors:
         m = _exponent_tuple(exponent, arity)

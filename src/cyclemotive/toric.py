@@ -139,11 +139,11 @@ def toric_E_poly(fan: Fan) -> Poly2:
     Each rank-k cone contributes a torus of dimension n-k, of class
     (uv-1)^(n-k); the sum over the census is the class of the whole variety.
     """
-    torus = Poly2.uv() - Poly2.one()
-    total = Poly2.zero()
+    torus = Poly2({(1, 1): 1, (0, 0): -1})
+    total = Poly2()
     for k, d_k in enumerate(fan.census):
         if d_k:
-            total = total + Poly2.constant(d_k) * torus ** (fan.dim - k)
+            total = total + Poly2({(0, 0): d_k}) * torus ** (fan.dim - k)
     return total
 
 

@@ -131,7 +131,7 @@ def suite_quotients() -> list[dict]:
         _agree("additive group dies mod uv", [()], lambda: affine_image, Poly2),
         _agree("cycle-space image is the constant Euler number", _PDN_GRID,
                lambda p, d, n: chow_htilde(ChowIndex(p, d, n)),
-               lambda p, d, n: Laurent1.constant(_closed(p, d, n))),
+               lambda p, d, n: Laurent1({0: _closed(p, d, n)})),
     ]
 
 

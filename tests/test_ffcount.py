@@ -36,11 +36,22 @@ from cyclemotive.motive import (
     Cellular,
     Grassmannian,
     ProjSpace,
+    Measure,
+    SmoothProjectiveLeaf,
+    ToricFan,
     Torus,
-    count_at,
     hodge_constraints_check,
 )
-from cyclemotive.ring import LPoly, MultiSeries, Poly2, specialize
+from cyclemotive.ring import (
+    LPoly,
+    MultiSeries,
+    Poly2,
+    lpoly_from_diagonal,
+    lpoly_to_poly2,
+    quotient_uv,
+    quotient_uv_minus1,
+    specialize,
+)
 from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
 from conftest import load_fan
 
@@ -209,10 +220,10 @@ def test_budget_override():
     (True, 1, "field size must be an int, got bool"),
 ], ids=["q=6", "m=0", "m=1.5", "q=4.0", "q=True"])
 @pytest.mark.parametrize("field_user", [
-    count_at,
+    lambda q, m: Measure("count", q, m),
     lambda q, m: chow_congruence_targets(ChowIndex(0, 1, 2), q, m),
     lambda q, m: toric_count(P2, q, m),
-], ids=["count_at", "chow_congruence_targets", "toric_count"])
+], ids=["count_at", "chow_congruence_targets", "toric_count"])  # the count measure at q^m
 def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         field_user(q, m)
@@ -244,20 +255,30 @@ INDEX_TYPE_CASES = [
     (Cellular, ((1, 2.0),), "cells[1] must be an int, got float"),
     (invariant_subvarieties, (P1, 1.0), "p must be an int, got float"),
     (euler_series, (P1, 1.0, 3), "p must be an int, got float"),
-    (hodge_constraints_check, (Poly2.one(), 1, 0.5), "fixed_dim_bound must be an int, got float"),
-    (hodge_constraints_check, (Poly2.one(), 1.0, 0), "chi must be an int, got float"),
-    (LPoly.L().evaluate, (2.0,), "x must be an int, got float"),
-    (LPoly.L().evaluate, (2.5,), "x must be an int, got float"),
-    (specialize, (Poly2.uv(), 1.5, 1), "u0 must be an int, got float"),
-    (operator.pow, (Poly2.uv(), 2.0), "k must be an int, got float"),
-    (operator.pow, (Poly2.uv(), True), "k must be an int, got bool"),
-    (Poly2.uv().coefficient, (1.0, True), "p must be an int, got float"),
-    (Poly2.uv().coefficient, (1, True), "q must be an int, got bool"),
-    (LPoly.L().coefficient, (1.0,), "e must be an int, got float"),
+    (hodge_constraints_check, (Poly2({(0, 0): 1}), 1, 0.5), "fixed_dim_bound must be an int, got float"),
+    (hodge_constraints_check, (Poly2({(0, 0): 1}), 1.0, 0), "chi must be an int, got float"),
+    (LPoly({1: 1}).evaluate, (2.0,), "x must be an int, got float"),
+    (LPoly({1: 1}).evaluate, (2.5,), "x must be an int, got float"),
+    (specialize, (Poly2({(1, 1): 1}), 1.5, 1), "u0 must be an int, got float"),
+    (operator.pow, (Poly2({(1, 1): 1}), 2.0), "k must be an int, got float"),
+    (operator.pow, (Poly2({(1, 1): 1}), True), "k must be an int, got bool"),
+    (Poly2({(1, 1): 1}).coefficient, (1.0, True), "p must be an int, got float"),
+    (Poly2({(1, 1): 1}).coefficient, (1, True), "q must be an int, got bool"),
+    (LPoly({1: 1}).coefficient, (1.0,), "e must be an int, got float"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ([1.0],), "e[0] must be an int, got float"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ((1, 0),), "exponent (1, 0) has wrong arity (want 1)"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ((-1,),), "negative exponent in (-1,)"),
     (MultiSeries(1, 3, {(1,): 2}).coefficient, ((9,),), "exponent (9,) is past the truncation order 3"),
+    (quotient_uv_minus1, (MultiSeries(2, 3, {(1, 1): 1}),), "a must be of type Poly2, got MultiSeries"),
+    (quotient_uv, (LPoly({1: 1}),), "a must be of type Poly2, got LPoly"),
+    (specialize, (LPoly({1: 1}), 1, 1), "a must be of type Poly2, got LPoly"),
+    (lpoly_from_diagonal, (LPoly({1: 1}),), "a must be of type Poly2, got LPoly"),
+    (lpoly_to_poly2, (Poly2({(1, 1): 1}),), "a must be of type LPoly, got Poly2"),
+    (hodge_constraints_check, (LPoly({1: 1}), 1, 0), "h must be of type Poly2, got LPoly"),
+    (SmoothProjectiveLeaf, ("x", "1+uv", True), "e_poly must be of type Poly2, got str"),
+    (SmoothProjectiveLeaf, (1, Poly2(), True), "name must be of type str, got int"),
+    (SmoothProjectiveLeaf, ("x", Poly2(), 1), "countable must be of type bool, got int"),
+    (ToricFan, ([1],), "fan must be of type Fan, got list"),
 ]
 
 
@@ -266,7 +287,8 @@ INDEX_TYPE_CASES = [
 ])
 def test_indices_must_be_ints(function, args, message):
     """Every index argument is an int, not merely a number that compares or
-    multiplies like one: 3.0 would give 7.0, True would be taken as 1."""
+    multiplies like one: 3.0 would give 7.0, True would be taken as 1.  Every
+    ring value or record argument is of exactly its type too."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         function(*args)
 

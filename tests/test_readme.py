@@ -1,9 +1,10 @@
-"""README's CLI examples run as written.
+"""README's CLI and Python examples run as written.
 
 Every `cyclemotive ...` line in a README code block is run from the
 repository root, with backslash continuations joined, and must exit 0.
 Where its `# comment` is a value (one word, cut at the first ", "), that
-value must be a line of the output.
+value must be a line of the output.  Every ```python block is executed,
+and its asserts must hold.
 """
 
 import os
@@ -19,12 +20,16 @@ from conftest import SRC
 ROOT = SRC.parent
 
 
+def _blocks(language: str = "[^\n]*") -> list[str]:
+    """The body of each README code block whose fence names `language`."""
+    return re.findall(rf"^```{language}\n(.*?)^```", (ROOT / "README.md").read_text(),
+                      re.MULTILINE | re.DOTALL)
+
+
 def _examples() -> list[tuple[str, str | None]]:
     """(command, expected output line or None) for each README example."""
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(),
-                        re.MULTILINE | re.DOTALL)
     examples = []
-    for block in blocks:
+    for block in _blocks():
         for line in block.replace("\\\n", " ").splitlines():
             if not line.startswith("cyclemotive "):
                 continue
@@ -51,3 +56,10 @@ def test_readme_example_runs(command, value):
     assert proc.returncode == 0, proc.stderr
     if value is not None:
         assert value in proc.stdout.splitlines()
+
+
+def test_readme_python_blocks_run():
+    blocks = _blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
