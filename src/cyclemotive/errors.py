@@ -37,7 +37,8 @@ class FanError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A brute-force enumeration would exceed the configured point budget."""
+    """A computation would exceed its documented budget: the points of a
+    brute-force enumeration, or the term operations of an expression."""
 
 
 def _long_integer() -> str:

@@ -14,11 +14,13 @@ subtracted piece is demanded or checked.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
-from .errors import DomainError, NotCountableError, ParseError, UnsupportedError
+from .errors import (BudgetError, DomainError, NotCountableError, ParseError,
+                     UnsupportedError)
 from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
@@ -154,7 +156,7 @@ def eval_E(e: MotiveExpr) -> Poly2:
         case Grassmannian(k, n):
             return lpoly_to_poly2(gaussian_binomial_poly(n, k))
         case Cellular(cells):
-            return sum((Poly2({(c, c): 1}) for c in cells), Poly2())
+            return Poly2(Counter((c, c) for c in cells))
         case ToricFan(fan):
             return toric.toric_E_poly(fan)
         case SmoothProjectiveLeaf(_, e_poly, _):
@@ -190,7 +192,7 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
         case Grassmannian(k, n):
             return gaussian_binomial_poly(n, k)
         case Cellular(cells):
-            return sum((LPoly({c: 1}) for c in cells), LPoly())
+            return LPoly(Counter(cells))
         case ToricFan(fan):
             torus = LPoly({1: 1, 0: -1})
             total = LPoly()
@@ -289,7 +291,72 @@ def measure_from_string(text: str) -> Measure:
     return Measure(text)
 
 
+# The most term operations eval_measure takes on, as _work bounds them.
+# G(1, 1200), 1 441 202 of them, is the largest class the tests evaluate.
+# The costliest per operation is a leaf built term by term: P^1499998
+# printed as an e-poly takes about 9 s and 710 MiB on a 2-CPU Python 3.11
+# host.  A complete product tree of four levels over G(4, 8) leaves takes
+# under 4 * 10^4.
+_WORK_LIMIT = 1_500_000
+
+
+def _work(e: MotiveExpr) -> tuple[int, int, int, int]:
+    """(d, w, t, work), read off the tree without evaluating it: every
+    exponent (p, q) of the class has p, q <= d and |p - q| <= w, the class
+    has at most t terms, and evaluating it in Z[u, v] or in Z[L] takes at
+    most `work` term operations: term pairs multiplied, plus terms read by
+    an addition or a negation, plus terms given to a constructor."""
+    match e:
+        case Point():
+            return 0, 0, 1, 1
+        case AffineSpace(n):
+            return n, 0, 1, 1
+        case Torus(n):
+            # (uv - 1)^n by repeated squaring: (n + 1)^2 bounds the squarings
+            # and products, which come to about 0.42 n^2 for large n
+            return n, 0, n + 1, (n + 1) ** 2
+        case ProjSpace(n):
+            return n, 0, n + 1, n + 1
+        case Grassmannian(k, n):
+            # the Pascal table's cell (j, r), for j <= k and r <= n - k,
+            # multiplies q^j into j(r - 1) + 1 terms and adds the product to
+            # (j - 1)r + 1 terms; each row starts with two one-term
+            # constructors, and the e-poly takes the d + 1 terms over
+            m, d = n - k, k * (n - k)
+            return d, 0, d + 1, (k * (k + 1) * m * (m - 1) // 2
+                                 + k * (k - 1) * m * (m + 1) // 4 + 4 * d + 2 * k + 2)
+        case Cellular(cells):
+            return cells[-1], 0, len(cells), len(cells)
+        case ToricFan(fan):
+            # a scaled power of uv - 1 of each exponent up to the dimension,
+            # added to a sum of at most dim + 1 terms
+            return fan.dim, 0, fan.dim + 1, (fan.dim + 2) ** 3
+        case SmoothProjectiveLeaf(_, e_poly, _):
+            terms = e_poly.terms
+            return (max((max(pq) for pq in terms), default=0),
+                    max((abs(p - q) for p, q in terms), default=0), len(terms), len(terms))
+        case DisjointUnion(a, b) | Difference(a, b) | Product(a, b):
+            (da, wa, ta, work_a), (db, wb, tb, work_b) = _work(a), _work(b)
+            if type(e) is Product:
+                d, w, t, own = da + db, wa + wb, ta * tb, ta * tb
+            else:
+                # a difference negates b, then adds
+                d, w, t, own = max(da, db), max(wa, wb), ta + tb, ta + 2 * tb
+            return d, w, min(t, (d + 1) * (2 * w + 1)), work_a + work_b + own
+        case Cone(a):
+            # 1 + uv * a: two one-term constructors, t pairs, 1 + t terms added
+            d, w, t, work = _work(a)
+            return d + 1, w, t + 1, work + 2 * t + 3
+    raise UnsupportedError(f"unknown expression node {type(e).__name__}")
+
+
 def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LPoly:
+    """The measure of the class of e.  An expression whose evaluation
+    _work bounds past _WORK_LIMIT term operations is refused with
+    BudgetError before any of it is evaluated."""
+    if _work(e)[3] > _WORK_LIMIT:
+        raise BudgetError(f"evaluating the expression takes more than {_WORK_LIMIT} "
+                          "term operations")
     return _MEASURES[measure.tag](e, measure)
 
 

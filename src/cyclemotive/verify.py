@@ -8,7 +8,10 @@ fixtures so they do not depend on the test tree.
 Every check is one `_agree` call: it compares a route with a reference
 over cases of JSON data, and each failure record has the one shape
 `{"args": [...case], "got", "want"}`.  A check of one computed value has
-the single case `()`.
+the single case `()`.  Both sides compute from the case alone, on objects
+they build themselves, and neither reads a report-only `values` entry;
+tests/test_oracle_audit.py traces the two sides and lists the functions
+they still share.
 """
 
 from __future__ import annotations
@@ -101,34 +104,35 @@ def suite_lawson_yau() -> list[dict]:
 
 
 def suite_series() -> list[dict]:
-    series = {(p, n): chow_series(p, n, 8) for n in range(6) for p in range(n + 1)}
-    cases = [(p, d, n) for p, n in series for d in range(9)]
+    cases = [(p, d, n) for n in range(6) for p in range(n + 1) for d in range(9)]
     return [_agree("series coefficients equal closed form", cases,
-                   lambda p, d, n: series[p, n].coefficient((d,)), _closed)]
+                   lambda p, d, n: chow_series(p, n, d).coefficient((d,)), _closed)]
 
 
 def suite_hodge_remark() -> list[dict]:
-    expr = Difference(DisjointUnion(Cone(ELLIPTIC), ProjSpace(2)), ELLIPTIC)
-    value = eval_E(expr)
-    expected = parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")
-    euler = specialize(value, 1, 1)
-    betti1 = value.coefficient(1, 0) + value.coefficient(0, 1)
-    return [
-        _agree("glued-cone class reproduced", [()], lambda: value, lambda: expected,
-               {"e_poly": value}),
-        _agree("euler number is 4", [()], lambda: euler, lambda: 4, {"euler": euler}),
-        _agree("first virtual betti number is 2", [()], lambda: betti1, lambda: 2,
-               {"betti1": betti1}),
+    def glued_cone():
+        return eval_E(Difference(DisjointUnion(Cone(ELLIPTIC), ProjSpace(2)), ELLIPTIC))
+
+    # (check, key in values, what it reads off the class, the expected value)
+    readings = [
+        ("glued-cone class reproduced", "e_poly", lambda h: h,
+         lambda: parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")),
+        ("euler number is 4", "euler", lambda h: specialize(h, 1, 1), lambda: 4),
+        ("first virtual betti number is 2", "betti1",
+         lambda h: h.coefficient(1, 0) + h.coefficient(0, 1), lambda: 2),
     ]
+    value = glued_cone()
+    return [_agree(name, [()], lambda: read(glued_cone()), expected, {key: read(value)})
+            for name, key, read, expected in readings]
 
 
 def suite_quotients() -> list[dict]:
-    torus_image = eval_measure(Torus(1), H_TILDE)
-    affine_image = eval_measure(AffineSpace(1), H_BAR)
     return [
-        _agree("multiplicative group dies mod uv-1", [()], lambda: torus_image, Laurent1,
-               {"image": torus_image}),
-        _agree("additive group dies mod uv", [()], lambda: affine_image, Poly2),
+        _agree("multiplicative group dies mod uv-1", [()],
+               lambda: eval_measure(Torus(1), H_TILDE), Laurent1,
+               {"image": eval_measure(Torus(1), H_TILDE)}),
+        _agree("additive group dies mod uv", [()],
+               lambda: eval_measure(AffineSpace(1), H_BAR), Poly2),
         _agree("cycle-space image is the constant Euler number", _PDN_GRID,
                lambda p, d, n: chow_htilde(ChowIndex(p, d, n)),
                lambda p, d, n: Laurent1({0: _closed(p, d, n)})),
@@ -153,56 +157,57 @@ def suite_hodge_constraints() -> list[dict]:
     ]
 
 
+_FAN_NAMES = ("p1", "p2", "p3", "p1xp1", "hirzebruch1", "a2")
+
+
+def _stock_fan(name: str) -> Fan:
+    """The named stock fan, built anew on every call."""
+    if name == "hirzebruch1":
+        return Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1)),
+                   ((0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3)))
+    if name == "p1xp1":
+        return product_fan(projective_fan(1), projective_fan(1))
+    return affine_fan(2) if name == "a2" else projective_fan(int(name[1:]))
+
+
 def builtin_fans() -> dict[str, Fan]:
-    hirzebruch = Fan(
-        2,
-        ((1, 0), (0, 1), (-1, 1), (0, -1)),
-        ((0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3)),
-    )
-    return {
-        "p1": projective_fan(1),
-        "p2": projective_fan(2),
-        "p3": projective_fan(3),
-        "p1xp1": product_fan(projective_fan(1), projective_fan(1)),
-        "hirzebruch1": hirzebruch,
-        "a2": affine_fan(2),
-    }
+    return {name: _stock_fan(name) for name in _FAN_NAMES}
 
 
 def suite_toric() -> list[dict]:
-    fans = builtin_fans()
-    values = {
-        name: {"census": fan.census, "lambda": toric_lambda(fan)}
-        for name, fan in fans.items()
-    }
+    # Three cases per fan, each side building the case's fan itself: lambda
+    # and E(1, 1) against the census (q None), and the point count against
+    # the counting polynomial at q = 2 and 3.
+    route_fans = {}
 
-    # Three cases per fan: lambda and E(1, 1) against the census (q None),
-    # and the point count against the counting polynomial at q = 2 and 3.
     def route(name, q):
-        fan = fans[name]
+        fan = route_fans[name] = _stock_fan(name)
         if q is None:
             return [toric_lambda(fan), specialize(toric_E_poly(fan), 1, 1)]
         return toric_count(fan, q)
 
     def reference(name, q):
-        fan = fans[name]
+        fan = _stock_fan(name)
         if q is None:
             return [fan.census[fan.dim]] * 2
         return eval_count_poly(ToricFan(fan)).evaluate(q)
 
-    cases = [(name, q) for name in fans for q in (None, 2, 3)]
-    return [_agree("census, euler number, and point counts agree", cases, route, reference,
-                   values)]
+    cases = [(name, q) for name in _FAN_NAMES for q in (None, 2, 3)]
+    check = _agree("census, euler number, and point counts agree", cases, route, reference)
+    # reported once the check has run, from the fans the route ranked
+    check["values"] = _json({name: {"census": fan.census, "lambda": toric_lambda(fan)}
+                             for name, fan in route_fans.items()})
+    return [check]
 
 
 def suite_euler_chow() -> list[dict]:
-    fans = {n: projective_fan(n) for n in range(1, 4)}
-    projective = [(n, p) for n in fans for p in range(n + 1)]
+    projective = [(n, p) for n in range(1, 4) for p in range(n + 1)]
     products = [(p, n, m, order) for p, n, m in _PNM_GRID for order in range(6)]
     return [
+        # P^n is P^n x P^0: the recursion expands no inverse product
         _agree("fan orbit product equals cycle series on projective fans", projective,
-               lambda n, p: euler_series(fans[n], p, order=6, grading=lambda d: (1,)),
-               lambda n, p: chow_series(p, n, 6)),
+               lambda n, p: euler_series(projective_fan(n), p, order=6, grading=lambda d: (1,)),
+               lambda n, p: euler_chow_product_recursive(p, n, 0, 6)),
         _agree("product recursion equals product formula", products,
                euler_chow_product_recursive, euler_chow_product_formula),
     ]
@@ -288,10 +293,7 @@ def run_suites(names: list[str] | None = None) -> dict:
             raise DomainError(f"unknown suite(s): {', '.join(unknown)}")
         selected = sorted(set(names))
     suites = []
-    all_ok = True
     for name in selected:
         checks = sorted(SUITES[name](), key=lambda c: c["name"])
-        ok = all(c["ok"] for c in checks)
-        all_ok = all_ok and ok
-        suites.append({"suite": name, "ok": ok, "checks": checks})
-    return {"ok": all_ok, "suites": suites}
+        suites.append({"suite": name, "ok": all(c["ok"] for c in checks), "checks": checks})
+    return {"ok": all(s["ok"] for s in suites), "suites": suites}

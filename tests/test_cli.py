@@ -764,6 +764,28 @@ def test_huge_field_is_refused_before_any_work(argv):
     assert one_line_error(proc.stderr)
 
 
+@pytest.mark.parametrize("tree, measure", [
+    ({"leaf": "torus", "n": 20000}, "euler"),
+    ({"leaf": "proj_space", "n": 20000000}, "e-poly"),
+    # each factor is inside the bound, their product is not
+    ({"op": "product", "args": [{"leaf": "proj_space", "n": 5000}] * 2}, "e-poly"),
+    ({"leaf": "grassmannian", "k": 100000, "n": 100001}, "count-poly"),
+    ({"leaf": "grassmannian", "k": 100000000, "n": 100000000}, "count-poly"),
+], ids=["torus", "proj-space", "product", "grassmannian-tall", "grassmannian-long"])
+def test_oversized_expression_is_refused_before_any_work(tmp_path, tree, measure):
+    """eval_measure bounds an expression's work from its tree before it
+    evaluates any of it: the torus ran past a 15 s timeout and the
+    projective space out of memory (a traceback, exit 1)."""
+    expr = tmp_path / "expr.json"
+    expr.write_text(json.dumps(tree))
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", "motive", str(expr),
+                           "--measure", measure],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr)
+    assert "term operations" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("motive", "--measure", "count:2", GLUED_CONE_EXPR),    # elliptic leaf
     ("motive", "--measure", "count-poly", GLUED_CONE_EXPR),

@@ -2,16 +2,20 @@
 
 import json
 import math
+import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclemotive.errors import (
+    BudgetError,
     DomainError,
     NotCountableError,
     ParseError,
     UnsupportedError,
 )
+from cyclemotive import motive, ring
 from cyclemotive.ffcount import grassmannian_count_brute, toric_count
 from cyclemotive.motive import (
     COUNT_POLY,
@@ -357,16 +361,18 @@ leaves = st.one_of(
         st.lists(st.integers(0, 3), min_size=1, max_size=4),
     ),
 )
-countable_exprs = st.recursive(
-    leaves,
-    lambda child: st.one_of(
+
+
+def _nodes(child):
+    return st.one_of(
         st.builds(DisjointUnion, child, child),
         st.builds(Difference, child, child),
         st.builds(Product, child, child),
         st.builds(Cone, child),
-    ),
-    max_leaves=8,
-)
+    )
+
+
+countable_exprs = st.recursive(leaves, _nodes, max_leaves=8)
 
 
 @given(countable_exprs, countable_exprs)
@@ -393,6 +399,125 @@ def test_count_poly_agrees_with_E_route(e):
 @given(countable_exprs)
 def test_expr_json_round_trip(e):
     assert expr_from_json(json.loads(json.dumps(expr_to_json(e)))) == e
+
+
+# ---------------------------------------------------------------------------
+# the work bound eval_measure checks before it evaluates
+
+_FAN_LEAVES = [ToricFan(load_fan(name)) for name in ("p1", "p2", "p1xp1")]
+hodge_exprs = st.recursive(
+    st.one_of(leaves, st.sampled_from([ELLIPTIC, *_FAN_LEAVES]),
+              st.builds(lambda h: SmoothProjectiveLeaf("x", h, False), _hodge_polys)),
+    _nodes, max_leaves=8)
+
+
+@contextmanager
+def _counted_term_operations():
+    """Count, while the block runs, the term operations motive._work
+    bounds: term pairs multiplied, terms read by an addition or a
+    negation, and terms given to a constructor."""
+    count = [0]
+    core = ring._TermMap
+    init, add, neg, mul = core.__init__, core.__add__, core.__neg__, core.__mul__
+
+    def counted_init(self, terms=None):
+        count[0] += len(terms or {})
+        init(self, terms)
+
+    def counted_add(a, b):
+        count[0] += len(a.terms) + len(b.terms)
+        return add(a, b)
+
+    def counted_neg(a):
+        count[0] += len(a.terms)
+        return neg(a)
+
+    def counted_mul(a, b):
+        count[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    # Poly2 and LPoly keep their own __mul__ entry
+    patches = [(core, "__init__", counted_init), (core, "__add__", counted_add),
+               (core, "__neg__", counted_neg), (Poly2, "__mul__", counted_mul),
+               (LPoly, "__mul__", counted_mul)]
+    saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in patches]
+    for cls, name, patch in patches:
+        setattr(cls, name, patch)
+    try:
+        yield count
+    finally:
+        for cls, name, original in saved:
+            setattr(cls, name, original)
+
+
+@given(hodge_exprs)
+def test_work_bounds_hold_for_the_hodge_polynomial(e):
+    """Every exponent (p, q) has p, q <= d and |p - q| <= w, there are at
+    most t <= work terms, and evaluating takes at most `work` term
+    operations."""
+    d, w, t, work = motive._work(e)
+    with _counted_term_operations() as count:
+        terms = eval_E(e).terms
+    assert len(terms) <= t <= work
+    assert count[0] <= work
+    assert all(max(p, q) <= d and abs(p - q) <= w for p, q in terms)
+
+
+@given(countable_exprs)
+def test_work_bounds_hold_for_the_counting_polynomial(e):
+    d, _, t, work = motive._work(e)
+    with _counted_term_operations() as count:
+        terms = eval_count_poly(e).terms
+    assert len(terms) <= t
+    assert count[0] <= work
+    assert all(0 <= k <= d for k in terms)
+
+
+@pytest.mark.parametrize("e", [
+    *(Torus(n) for n in (1, 2, 3, 7, 8, 64, 100, 127, 128, 255, 256)),
+    *(Grassmannian(k, n) for n in range(1, 8) for k in range(1, n + 1)),
+    Grassmannian(1, 40), Grassmannian(39, 40), Grassmannian(20, 40),
+    ProjSpace(30), Cellular((0, 0, 2, 5)), *_FAN_LEAVES, ToricFan(load_fan("p3")),
+], ids=str)
+@pytest.mark.parametrize("evaluate", [eval_E, eval_count_poly])
+def test_a_leaf_is_charged_at_most_three_times_its_work(e, evaluate):
+    """A leaf's charge bounds the term operations either route counts, and
+    is not so loose that the limit turns away what would evaluate."""
+    work = motive._work(e)[3]
+    with _counted_term_operations() as count:
+        evaluate(e)
+    assert count[0] <= work <= 3 * count[0]
+
+
+def test_benchmark_sized_trees_stay_far_inside_the_work_limit():
+    """A complete product tree four levels deep over the largest leaf the
+    benchmark draws, a Grassmannian of dimension 16, under a cone."""
+    def tree(depth):
+        return Grassmannian(4, 8) if depth == 0 else Product(tree(depth - 1), tree(depth - 1))
+
+    assert motive._work(Cone(tree(4)))[3] < motive._WORK_LIMIT / 25
+
+
+@pytest.mark.parametrize("e", [
+    Torus(20000),
+    ProjSpace(20000000),
+    Product(ProjSpace(5000), ProjSpace(5000)),
+    # a Pascal table adding about k^2 / 2 terms, and 10^8 one-term rows
+    Grassmannian(100000, 100001),
+    Grassmannian(10**8, 10**8),
+], ids=["torus", "proj-space", "product", "grassmannian-tall", "grassmannian-long"])
+@pytest.mark.parametrize("measure", [E_POLY, EULER, COUNT_POLY])
+def test_eval_measure_refuses_work_past_the_limit(e, measure):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^evaluating the expression takes more than "
+                                          f"{motive._WORK_LIMIT} term operations$"):
+        eval_measure(e, measure)
+    assert time.perf_counter() - start < 2
+
+
+def test_each_factor_of_a_refused_product_evaluates():
+    assert eval_measure(ProjSpace(5000), EULER) == 5001
+    assert motive._work(ProjSpace(5000))[3] <= motive._WORK_LIMIT
 
 
 def test_expr_json_round_trip_special_leaves():
