@@ -8,7 +8,8 @@ reads or writes JSON text: `_read_json` decodes each input file for the
 library readers, and `_print_answer` writes each answer once.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 unsupported measure or uncountable class, 4 cross-check mismatch.
+3 unsupported measure or uncountable class, 4 cross-check mismatch,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from . import toric
@@ -356,8 +358,20 @@ def run() -> int:
     the interpreter runs at exit skip the objects the call left alive; the
     operating system reclaims them.  atexit handlers still run and the
     streams are still flushed.  Other Python code calls main(argv), which
-    leaves the collector alone."""
-    code = main()
+    leaves the collector alone.
+
+    A reader that closes stdout early, as `| head` does, ends the call
+    with no traceback and status 141 (128 + SIGPIPE), the status a shell
+    reports for a process that SIGPIPE killed: what stdout still holds goes
+    to the null device."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
     gc.freeze()
     return code
 

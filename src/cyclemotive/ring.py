@@ -401,18 +401,25 @@ def expand_inverse_product(
     coefficients a_j of f = (1 - t)^(-c) in one variable t = x^m come from
     its logarithmic derivative f'/f = c/(1 - t), i.e. the Euler-transform
     recurrence j*a_j = c*(a_0 + ... + a_(j-1)) with a_0 = 1 and exact
-    integer division; that list is then folded into the product in one
-    pass.  The cost is linear in the order whatever the multiplicity, and
-    no binomial shortcut is taken, so closed-form coefficient identities
-    remain independent checks.
+    integer division.  The cost of a row is linear in the order whatever
+    the multiplicity, and no binomial shortcut is taken, so closed-form
+    coefficient identities remain independent checks.
+
+    The rows are combined one of two ways, picked from the factor list.
+    When every exponent is a unit vector and no two factors share one,
+    the series is the truncated outer product of the rows, each key
+    growing by one entry per variable (the row [1] where a variable has
+    no factor).  Any other list, with a repeated exponent or one such as
+    (1, 1) or (2, 0), is folded in one factor at a time: only the fold
+    puts two rows on one variable or a row along a diagonal.
 
     The factor list is outside data and is checked here.  The map built
     from it is canonical by construction, so it is wrapped with no second
     check: every coefficient is a sum of products of positive integers,
-    and the fold's bound keeps every total degree <= order.
+    and both paths' bounds keep every total degree <= order.
     """
     one = MultiSeries(arity, order, {(0,) * arity: 1})
-    terms = dict(one.terms)
+    rows = []
     for exponent, multiplicity in factors:
         m = _exponent_tuple(exponent, arity)
         if not any(m):
@@ -427,6 +434,17 @@ def expand_inverse_product(
         for j in range(1, order // step + 1):
             powers.append(multiplicity * running // j)
             running += powers[-1]
+        rows.append((m, step, powers))
+    axes = {m.index(1): powers for m, step, powers in rows if step == 1}
+    if len(axes) == len(rows):
+        terms = {(): 1}
+        for i in range(arity):
+            row = axes.get(i, [1])
+            terms = {e + (j,): c * a for e, c in terms.items()
+                     for j, a in enumerate(row[: order - sum(e) + 1])}
+        return one._like(terms)
+    terms = dict(one.terms)
+    for m, step, powers in rows:
         out: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             key = e

@@ -7,6 +7,7 @@ one subprocess test at the bottom runs the `python -m cyclemotive` entry point.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -279,6 +280,20 @@ def test_verify_all_text_matches_golden(capsys):
     code, out, err = run(capsys, "verify", "--suite", "all")
     assert (code, err) == (0, "")
     assert out == (DATA / "verify_all.txt").read_text()
+
+
+def test_printed_series_match_the_golden_transcript(capsys, monkeypatch):
+    """tests/data/series_all.txt pins what `chow --series` and `toric
+    --euler-series` print, plain and with --json: each `$ cyclemotive ARGS`
+    line is followed by that call's output.  Its gradings reach both
+    expansion paths: the degree grading and the bidegree file give factors
+    on distinct variables, the file with exponents (1, 1) and (2, 0) the fold."""
+    monkeypatch.chdir(SRC.parent)
+    blocks = re.split(r"^\$ cyclemotive (.*)\n", (DATA / "series_all.txt").read_text(),
+                      flags=re.M)
+    assert blocks[0] == "" and len(blocks) == 1 + 2 * 14
+    for args, want in zip(blocks[1::2], blocks[2::2]):
+        assert run(capsys, *args.split()) == (0, want, ""), args
 
 
 def test_unknown_suite_is_refused():
@@ -786,6 +801,23 @@ def test_oversized_expression_is_refused_before_any_work(tmp_path, tree, measure
     assert "term operations" in proc.stderr
 
 
+@pytest.mark.parametrize("tree, measure", [
+    ({"leaf": "proj_space", "n": 2000}, "count:2,14000"),
+    ({"leaf": "proj_space", "n": 999999}, "count:2"),
+], ids=["value-past-the-digit-limit", "horner-past-its-bound"])
+def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
+    """A count is bounded by its polynomial's degree and the bits of q^m
+    before Horner's rule runs: the two ran about 60 s and 54 s before
+    exiting 2 for a result past the digit limit."""
+    expr = tmp_path / "expr.json"
+    expr.write_text(json.dumps(tree))
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", "motive", str(expr),
+                           "--measure", measure],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr)
+
+
 @pytest.mark.parametrize("argv", [
     ("motive", "--measure", "count:2", GLUED_CONE_EXPR),    # elliptic leaf
     ("motive", "--measure", "count-poly", GLUED_CONE_EXPR),
@@ -951,6 +983,24 @@ def test_fuzzed_input_files_keep_the_exit_code_contract(call):
 def _process(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=TREE_ENV, timeout=60)
+
+
+@pytest.mark.parametrize("argv, statuses", [
+    (("verify", "--suite", "all"), (0, 141)),
+    # about 375 KB, more than a pipe holds, so a write meets the closed end
+    (("chow", "-p", "1", "-n", "3", "--series", "20000"), (141,)),
+], ids=["verify", "chow-series"])
+def test_closed_stdout_ends_without_a_traceback(argv, statuses):
+    """A reader that closes stdout early, as `| head -c 10` does, ends the
+    call with no traceback and not with status 1, which means a failed
+    verification; 141 where a write met the closed pipe."""
+    with subprocess.Popen([sys.executable, "-m", "cyclemotive", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=TREE_ENV) as proc:
+        proc.stdout.read(10)
+        proc.stdout.close()
+        status = proc.wait(timeout=30)
+        err = proc.stderr.read()
+    assert (status in statuses, err) == (True, b"")
 
 
 def test_subprocess_entry_point():

@@ -515,6 +515,29 @@ def test_eval_measure_refuses_work_past_the_limit(e, measure):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("e, q, m, message", [
+    # P^2000 at q^m = 2^14000: the value has about 8.4 * 10^6 digits
+    (ProjSpace(2000), 2, 14000, "^count: the value has more than .* digits"),
+    # P^100000 at 2: no digit bound applies at x = 2, and Horner's rule
+    # takes about 3 * 10^8 word products
+    (ProjSpace(100000), 2, 1, "^evaluating the count takes more than "
+                              f"{motive._HORNER_LIMIT} word products$"),
+], ids=["digits", "horner"])
+def test_count_past_its_bound_is_refused_before_horner(monkeypatch, e, q, m, message):
+    def refuse(self, x):
+        raise AssertionError("Horner's rule ran")
+    monkeypatch.setattr(LPoly, "evaluate", refuse)
+    with pytest.raises(BudgetError, match=message):
+        eval_measure(e, Measure("count", q, m))
+
+
+def test_counts_inside_the_bound_are_answered():
+    # 2^14000 + 1 has 4215 digits; (L - 1)^1200 at 2 cancels to 1
+    assert eval_measure(ProjSpace(1), Measure("count", 2, 14000)) == 2**14000 + 1
+    assert eval_measure(Torus(1200), Measure("count", 2)) == 1
+    assert eval_measure(ProjSpace(20000), Measure("count", 2)) == 2**20001 - 1
+
+
 def test_each_factor_of_a_refused_product_evaluates():
     assert eval_measure(ProjSpace(5000), EULER) == 5001
     assert motive._work(ProjSpace(5000))[3] <= motive._WORK_LIMIT

@@ -275,7 +275,19 @@ def test_single_factor_expansion_is_geometric(e, order):
 
 
 @st.composite
-def inverse_products(draw):
+def inverse_products(draw, unit_vectors=False):
+    """(arity, order, factors).  By default up to three factors with small
+    exponents, which may repeat and overlap.  With unit_vectors, factors on
+    distinct variables only: arity 0-6, multiplicities up to 10^6, and
+    orders up to 40 wherever the series keeps at most 2000 terms."""
+    if unit_vectors:
+        arity = draw(st.integers(0, 6))
+        axes = draw(st.lists(st.integers(0, max(arity - 1, 0)), unique=True, max_size=arity))
+        factors = [(tuple(int(i == a) for i in range(arity)), draw(st.integers(1, 10**6)))
+                   for a in axes]
+        k = len(factors)
+        top = max(o for o in range(41) if math.comb(o + k, k) <= 2000)
+        return arity, draw(st.integers(0, top)), factors
     arity = draw(st.integers(1, 3))
     exponents = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).filter(
         lambda m: 1 <= sum(m) <= 3
@@ -286,19 +298,43 @@ def inverse_products(draw):
     return arity, draw(st.integers(0, 10)), factors
 
 
-@given(inverse_products())
-@settings(deadline=None)
-def test_expansion_equals_product_of_geometric_powers(case):
+def geometric_powers(arity, order, factors):
     """Reference: each truncated geometric series raised to its
     multiplicity with MultiSeries multiplication and powering."""
-    arity, order, factors = case
     expected = MultiSeries(arity, order, {(0,) * arity: 1})
     for m, c in factors:
         geometric = MultiSeries(
             arity, order, {tuple(j * x for x in m): 1 for j in range(order // sum(m) + 1)}
         )
         expected = expected * geometric**c
+    return expected
+
+
+@given(inverse_products())
+@settings(deadline=None)
+def test_expansion_equals_product_of_geometric_powers(case):
+    arity, order, factors = case
+    expected = geometric_powers(arity, order, factors)
     assert expand_inverse_product(factors, arity=arity, order=order) == expected
+
+
+@given(inverse_products(unit_vectors=True), st.data())
+@settings(deadline=None)
+def test_both_expansion_paths_give_the_same_series(case, data):
+    """Factors on distinct variables take the outer product; the same
+    product with one multiplicity c split as c1 + c2 over two equal
+    exponents takes the fold, and the two agree."""
+    arity, order, factors = case
+    s = expand_inverse_product(factors, arity=arity, order=order)
+    assert s == geometric_powers(arity, order, factors)
+    assert_canonical(s)
+    splittable = [i for i, (_, c) in enumerate(factors) if c > 1]
+    if splittable:
+        i = data.draw(st.sampled_from(splittable))
+        m, c = factors[i]
+        c1 = data.draw(st.integers(1, c - 1))
+        split = factors[:i] + [(m, c1), (m, c - c1)] + factors[i + 1:]
+        assert expand_inverse_product(split, arity=arity, order=order) == s
 
 
 def assert_canonical(s: MultiSeries) -> None:
