@@ -48,6 +48,16 @@ def _long_integer() -> str:
     return f"an integer longer than sys.get_int_max_str_digits() = {limit} digits"
 
 
+def _digit_limit() -> tuple[int, int, str]:
+    """L, the most digits int() and str() take (4300 where the interpreter
+    sets no limit); the bits of 10^L, so that a value of at least 2 to that
+    power has more than L digits; and the words that say so in a message."""
+    limit = sys.get_int_max_str_digits()
+    digits = limit or 4300
+    return (digits, (10**digits).bit_length(),
+            f"more than {digits} digits (sys.get_int_max_str_digits() = {limit})")
+
+
 def _shown(value) -> str:
     """repr(value) for an error message, cut after 40 characters so that a
     long input still gives a short line.  A string is cut before its repr,

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import log2
 
 from ._record import Record
-from .errors import BudgetError, DomainError, _check_ints
+from .errors import BudgetError, DomainError, _check_ints, _digit_limit
 from .ring import LPoly
 from .toric import Fan
 
@@ -120,13 +120,20 @@ class PrimePower(Record):
         return self.e == 1
 
 
-def check_field(q: int, m: int) -> None:
-    """Check that q and m name the field with q^m elements: q a prime
-    power and m >= 1, each an int (a bool is not one)."""
+def check_field(q: int, m: int) -> int:
+    """q^m, once q and m are checked to name the field with q^m elements:
+    q a prime power and m >= 1, each an int (a bool is not one), and q^m of
+    no more digits than the interpreter prints, refused before it is built."""
     _check_ints({"field size": q, "field extension degree": m})
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
+    limit, bits, past = _digit_limit()
+    # q^m >= 2^(m(b-1)) for q of b bits, so q^m is built only when it has
+    # fewer than twice the bits of 10^limit
+    if m * (q.bit_length() - 1) >= bits or (size := q**m) >= 10**limit:
+        raise DomainError(f"the field size q^m has {past}")
+    return size
 
 
 def _check_subspace_dims(n: int, k: int, **more: int) -> None:
@@ -278,8 +285,7 @@ def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     Orbit decomposition: each rank-k cone contributes an (n-k)-torus with
     (q^m - 1)^(n-k) points.
     """
-    check_field(q, m)
-    size = q**m
+    size = check_field(q, m)
     return sum(
         d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(fan.census)
     )

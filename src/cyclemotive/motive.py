@@ -13,7 +13,6 @@ subtracted piece is demanded or checked.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from collections.abc import Mapping
 
@@ -21,7 +20,7 @@ from . import toric
 from ._record import Record
 from .errors import (BudgetError, DomainError, NotCountableError, ParseError,
                      UnsupportedError)
-from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
+from .errors import _ascii_ints, _check_ints, _check_type, _digit_limit, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -249,11 +248,10 @@ def _count(poly: LPoly, x: int) -> int:
     terms = poly.terms
     d = max(terms, default=0)
     b = x.bit_length()
-    limit = sys.get_int_max_str_digits() or 4300
+    _, bits, past = _digit_limit()
     below = max((abs(c) for e, c in terms.items() if e < d), default=0)
-    if x >= below + 2 and (d - 1) * (b - 1) >= (10**limit).bit_length():
-        raise BudgetError(f"count: the value has more than {limit} digits "
-                          f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})")
+    if x >= below + 2 and (d - 1) * (b - 1) >= bits:
+        raise BudgetError(f"count: the value has {past}")
     s = sum(abs(c) for c in terms.values()).bit_length()
     if d * ((d * b + s) // 64 + 1) * (b // 64 + 1) > _HORNER_LIMIT:
         raise BudgetError(f"evaluating the count takes more than {_HORNER_LIMIT} "
@@ -297,21 +295,12 @@ COUNT_POLY = Measure("count-poly")
 def parse_q_m(text: str, what: str) -> tuple[int, int]:
     """Parse the q[,m] spelling of the field with q^m elements (m defaults
     to 1), each in ASCII digits; `what` names the input in the error
-    message.  A q^m of more digits than the interpreter prints (4300 where
-    it sets no limit) is refused before any work is done with it."""
+    message.  check_field checks the field they name."""
     parts = text.split(",")
     message = f"{what} expects q[,m], got {_shown(text)}"
     if len(parts) > 2:
         raise ParseError(message)
-    q, m = _ascii_ints([*parts, "1"][:2], what, message)
-    limit = sys.get_int_max_str_digits() or 4300
-    bound = 10**limit
-    # q^m >= 2^(m(b-1)) for q of b bits, so q^m is built only when it has
-    # fewer than twice the bits of the bound
-    if m * (q.bit_length() - 1) >= bound.bit_length() or q**m >= bound:
-        raise ParseError(f"{what}: q^m has more than {limit} digits "
-                         f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})")
-    return q, m
+    return tuple(_ascii_ints([*parts, "1"][:2], what, message))
 
 
 def measure_from_string(text: str) -> Measure:

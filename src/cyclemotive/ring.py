@@ -397,29 +397,25 @@ def expand_inverse_product(
     (with repetition, factors of multiplicity c supplying c distinguishable
     copies) whose exponents sum to alpha.
 
-    The expansion is pure series arithmetic.  For each factor the
-    coefficients a_j of f = (1 - t)^(-c) in one variable t = x^m come from
-    its logarithmic derivative f'/f = c/(1 - t), i.e. the Euler-transform
-    recurrence j*a_j = c*(a_0 + ... + a_(j-1)) with a_0 = 1 and exact
-    integer division.  The cost of a row is linear in the order whatever
-    the multiplicity, and no binomial shortcut is taken, so closed-form
-    coefficient identities remain independent checks.
+    The expansion is pure series arithmetic.  Factors with equal exponents
+    are merged, their multiplicities added.  Each distinct exponent m gives
+    one row, the coefficients a_j of f = (1 - t)^(-c), t = x^m, by the
+    Euler-transform recurrence j*a_j = c*(a_0 + ... + a_(j-1)) from
+    f'/f = c/(1 - t), with a_0 = 1 and exact integer division: linear in
+    the order whatever the multiplicity, and with no binomial shortcut, so
+    closed-form coefficient identities remain independent checks.
 
-    The rows are combined one of two ways, picked from the factor list.
-    When every exponent is a unit vector and no two factors share one,
-    the series is the truncated outer product of the rows, each key
-    growing by one entry per variable (the row [1] where a variable has
-    no factor).  Any other list, with a repeated exponent or one such as
-    (1, 1) or (2, 0), is folded in one factor at a time: only the fold
-    puts two rows on one variable or a row along a diagonal.
+    Every list takes one flow: the rows on unit vectors are laid out as the
+    truncated outer product (the row [1] where a variable has no factor),
+    then the rows off the axes, such as (1, 1) or (2, 0), are folded in.
 
     The factor list is outside data and is checked here.  The map built
     from it is canonical by construction, so it is wrapped with no second
     check: every coefficient is a sum of products of positive integers,
-    and both paths' bounds keep every total degree <= order.
+    and both stages' bounds keep every total degree <= order.
     """
-    one = MultiSeries(arity, order, {(0,) * arity: 1})
-    rows = []
+    series = MultiSeries(arity, order)
+    merged: dict[tuple[int, ...], int] = {}
     for exponent, multiplicity in factors:
         m = _exponent_tuple(exponent, arity)
         if not any(m):
@@ -428,31 +424,28 @@ def expand_inverse_product(
             raise DomainError(f"factor multiplicity {multiplicity!r} is not an integer")
         if multiplicity < 1:
             raise DomainError(f"factor multiplicity must be >= 1, got {multiplicity}")
-        step = sum(m)
-        powers = [1]
+        merged[m] = merged.get(m, 0) + multiplicity
+    rows = {}
+    for m, c in merged.items():
+        rows[m] = powers = [1]
         running = 1
-        for j in range(1, order // step + 1):
-            powers.append(multiplicity * running // j)
+        for j in range(1, order // sum(m) + 1):
+            powers.append(c * running // j)
             running += powers[-1]
-        rows.append((m, step, powers))
-    axes = {m.index(1): powers for m, step, powers in rows if step == 1}
-    if len(axes) == len(rows):
-        terms = {(): 1}
-        for i in range(arity):
-            row = axes.get(i, [1])
-            terms = {e + (j,): c * a for e, c in terms.items()
-                     for j, a in enumerate(row[: order - sum(e) + 1])}
-        return one._like(terms)
-    terms = dict(one.terms)
-    for m, step, powers in rows:
+    terms = {(): 1}
+    for i in range(arity):
+        row = rows.pop(tuple(int(j == i) for j in range(arity)), [1])
+        terms = {e + (j,): c * a for e, c in terms.items()
+                 for j, a in enumerate(row[: order - sum(e) + 1])}
+    for m, powers in rows.items():
         out: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             key = e
-            for a in powers[: (order - sum(e)) // step + 1]:
+            for a in powers[: (order - sum(e)) // sum(m) + 1]:
                 out[key] = out.get(key, 0) + c * a
                 key = tuple(map(operator.add, key, m))
         terms = out
-    return one._like(terms)
+    return series._like(terms)
 
 
 # ---------------------------------------------------------------------------

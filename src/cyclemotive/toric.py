@@ -199,11 +199,7 @@ def euler_series(
         if not vectors:
             raise DomainError(f"no {p}-dimensional invariant subvarieties to grade")
         arity = len(vectors[0])
-    multiplicity: dict[tuple[int, ...], int] = {}
-    for v in vectors:
-        multiplicity[v] = multiplicity.get(v, 0) + 1
-    factors = sorted(multiplicity.items())
-    return expand_inverse_product(factors, arity=arity, order=order)
+    return expand_inverse_product([(v, 1) for v in vectors], arity=arity, order=order)
 
 
 # ---------------------------------------------------------------------------

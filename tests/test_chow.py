@@ -24,6 +24,7 @@ from cyclemotive.chow import (
 from cyclemotive import chow
 from cyclemotive.chow import _lam_rows, _truncated_product
 from cyclemotive.errors import DomainError
+from cyclemotive.ffcount import gaussian_binomial_poly
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
 from cyclemotive.ring import Laurent1, expand_inverse_product
 from cyclemotive.toric import euler_series, projective_fan
@@ -504,6 +505,8 @@ def test_congruence_targets_degree_one_grid():
                     r = chow_congruence_targets(ChowIndex(p, 1, n), q, m)
                     assert r.testable
                     assert r.ok, (p, n, q, m)
+                    # the Pascal route shares nothing with the product formula
+                    assert r.actual == gaussian_binomial_poly(n + 1, p + 1).evaluate(q**m)
 
 
 def test_congruence_targets_higher_degree_untestable():

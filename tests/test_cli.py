@@ -286,8 +286,8 @@ def test_printed_series_match_the_golden_transcript(capsys, monkeypatch):
     """tests/data/series_all.txt pins what `chow --series` and `toric
     --euler-series` print, plain and with --json: each `$ cyclemotive ARGS`
     line is followed by that call's output.  Its gradings reach both
-    expansion paths: the degree grading and the bidegree file give factors
-    on distinct variables, the file with exponents (1, 1) and (2, 0) the fold."""
+    expansion stages: the degree grading and the bidegree file give unit
+    vectors, the file with exponents (1, 1) and (2, 0) rows to fold."""
     monkeypatch.chdir(SRC.parent)
     blocks = re.split(r"^\$ cyclemotive (.*)\n", (DATA / "series_all.txt").read_text(),
                       flags=re.M)
@@ -770,8 +770,8 @@ def test_over_long_result_exits_2(capsys, tmp_path, argv, as_json):
     ("chow", "-p", "1", "-n", "3", "-d", "1", "--congruence", "2,1000000000000"),
 ], ids=["toric-count", "motive-count", "chow-congruence"])
 def test_huge_field_is_refused_before_any_work(argv):
-    """A q^m of more digits than can be printed is refused where q[,m] is
-    read, before a count is built from it: building 2^(10^12) runs out of
+    """A q^m of more digits than can be printed is refused by the field
+    check, before a count is built from it: building 2^(10^12) runs out of
     memory or time."""
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
@@ -813,6 +813,26 @@ def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
     expr.write_text(json.dumps(tree))
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", "motive", str(expr),
                            "--measure", measure],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr)
+
+
+def test_degree_one_congruence_counts_the_smaller_grassmannian():
+    """G(3000, 3001) is counted as G(1, 3001): over its own k the count took
+    about 30 s."""
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", "chow", "-p", "2999",
+                           "-n", "3000", "-d", "1", "--congruence", "2"],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].startswith(f"{2**3001 - 1} = 1 mod 2 ok")
+
+
+def test_unprintable_degree_one_congruence_is_refused_before_it_is_counted():
+    """[61, 30] at 2^4000 has about 1.1 * 10^6 digits; counting it ran past
+    a 30 s timeout."""
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", "chow", "-p", "30",
+                           "-n", "60", "-d", "1", "--congruence", "2,4000"],
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)

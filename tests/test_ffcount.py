@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -227,6 +228,21 @@ def test_budget_override():
 def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         field_user(q, m)
+
+
+@pytest.mark.parametrize("call, error", [
+    # eval_measure(Point(), this measure) took 3.9 s to answer 1
+    (lambda: Measure("count", 3, 10**7), DomainError),
+    (lambda: toric_count(projective_fan(2), 2, 10**7), DomainError),
+    (lambda: chow_congruence_targets(ChowIndex(0, 0, 1), 2, 10**7), DomainError),
+    # q^m = 2^4000 prints, but [61, 30] at it is above 2^(4000 * 30 * 31)
+    (lambda: chow_congruence_targets(ChowIndex(30, 1, 60), 2, 4000), BudgetError),
+], ids=["count-measure", "toric_count", "chow_congruence_targets", "degree-one-count"])
+def test_oversized_field_counts_are_refused_before_any_work(call, error):
+    start = time.perf_counter()
+    with pytest.raises(error, match=r"has more than \d+ digits"):
+        call()
+    assert time.perf_counter() - start < 2
 
 
 INDEX_TYPE_CASES = [

@@ -149,6 +149,17 @@ def test_expand_rejects_zero_exponent():
         expand_inverse_product([((1,), 0)], arity=1, order=3)
 
 
+@pytest.mark.parametrize("arity, order, message", [
+    (1, 2.5, "arity 1 and order 2.5 must be integers"),
+    (1.5, 2, "arity 1.5 and order 2 must be integers"),
+    (True, 2, "arity True and order 2 must be integers"),
+    (1, -1, "truncation order must be non-negative"),
+], ids=["float-order", "float-arity", "bool-arity", "negative-order"])
+def test_expand_checks_its_shape_before_its_factors(arity, order, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        expand_inverse_product([((1,), 1)], arity=arity, order=order)
+
+
 exponent_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
 small_polys = st.builds(
     Poly2, st.dictionaries(exponent_pairs, st.integers(-9, 9), max_size=6)
@@ -321,9 +332,9 @@ def test_expansion_equals_product_of_geometric_powers(case):
 @given(inverse_products(unit_vectors=True), st.data())
 @settings(deadline=None)
 def test_both_expansion_paths_give_the_same_series(case, data):
-    """Factors on distinct variables take the outer product; the same
-    product with one multiplicity c split as c1 + c2 over two equal
-    exponents takes the fold, and the two agree."""
+    """Factors on distinct variables match the reference; the same product
+    with one multiplicity c split as c1 + c2 over two equal exponents
+    gives the same series, since the split multiplicities merge."""
     arity, order, factors = case
     s = expand_inverse_product(factors, arity=arity, order=order)
     assert s == geometric_powers(arity, order, factors)
@@ -335,6 +346,20 @@ def test_both_expansion_paths_give_the_same_series(case, data):
         c1 = data.draw(st.integers(1, c - 1))
         split = factors[:i] + [(m, c1), (m, c - c1)] + factors[i + 1:]
         assert expand_inverse_product(split, arity=arity, order=order) == s
+
+
+@given(inverse_products(unit_vectors=True))
+@settings(deadline=None)
+def test_folded_rows_match_the_outer_product(case):
+    """Doubling every exponent of a unit-vector list puts every row off the
+    axes, so the fold builds the whole series; at order 2o it is the outer
+    product's series at order o with every key doubled."""
+    arity, order, factors = case
+    doubled = [(tuple(2 * x for x in m), c) for m, c in factors]
+    s = expand_inverse_product(factors, arity=arity, order=order)
+    folded = expand_inverse_product(doubled, arity=arity, order=2 * order)
+    assert folded.terms == {tuple(2 * x for x in e): c for e, c in s.terms.items()}
+    assert_canonical(folded)
 
 
 def assert_canonical(s: MultiSeries) -> None:
