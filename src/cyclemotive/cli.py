@@ -41,6 +41,7 @@ from .errors import (
     _json_ints,
     _long_integer,
     _shown,
+    metered,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -204,7 +205,7 @@ def cmd_chow(args) -> int:
         if order < 0:
             raise DomainError("series order must be >= 0")
         series = chow_series(p, n, order)
-        answer["series"] = [series.coefficient((e,)) for e in range(order + 1)]
+        answer["series"] = [series.terms.get((e,), 0) for e in range(order + 1)]
 
     if d is None and order is None:
         raise DomainError("nothing to do: pass -d and/or --series")
@@ -340,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return metered(args.func, args)
     except (NotCountableError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

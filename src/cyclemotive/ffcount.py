@@ -24,7 +24,7 @@ from itertools import combinations
 from math import log2
 
 from ._record import Record
-from .errors import BudgetError, DomainError, _check_ints, _digit_limit
+from .errors import BudgetError, DomainError, _check_ints, _digit_limit, charge
 from .ring import LPoly
 from .toric import Fan
 
@@ -166,17 +166,18 @@ def gaussian_binomial_poly(n: int, k: int) -> LPoly:
 
     Independent of gaussian_binomial: no products of q-number quotients
     appear, so agreement of the two routes is a real check.  The table is
-    filled bottom-up and lives for this call only: row j holds [j+r, j]
-    for r = 0..n-k, starting from [r, 0] = [j, j] = 1.
+    filled bottom-up and lives for this call only: one row, which step j
+    turns into [j+r, j] for r = 0..n-k, from [r, 0] = [j, j] = 1.  Its
+    cells and each q^j are charged a unit of work up front.
     """
     _check_subspace_dims(n, k)
-    row = [LPoly({0: 1})] * (n - k + 1)
+    charge((k + 1) * (n - k + 2))
+    one = LPoly({0: 1})
+    row = [one] * (n - k + 1)
     for j in range(1, k + 1):
-        q_j = LPoly({j: 1})
-        next_row = [LPoly({0: 1})]
+        q_j = one._like({j: 1})
         for r in range(1, n - k + 1):
-            next_row.append(row[r] + q_j * next_row[r - 1])
-        row = next_row
+            row[r] = row[r] + q_j * row[r - 1]
     return row[n - k]
 
 

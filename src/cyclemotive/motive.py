@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from . import toric
 from ._record import Record
 from .errors import (BudgetError, DomainError, NotCountableError, ParseError,
-                     UnsupportedError)
+                     UnsupportedError, charge, metered)
 from .errors import _ascii_ints, _check_ints, _check_type, _digit_limit, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
@@ -151,11 +151,13 @@ def eval_E(e: MotiveExpr) -> Poly2:
         case Torus(n):
             return Poly2({(1, 1): 1, (0, 0): -1}) ** n
         case ProjSpace(n):
-            return Poly2({(i, i): 1 for i in range(n + 1)})
+            charge(2 * (n + 1))  # a key pair and an entry per term
+            return Poly2()._like({(i, i): 1 for i in range(n + 1)})
         case Grassmannian(k, n):
             return lpoly_to_poly2(gaussian_binomial_poly(n, k))
         case Cellular(cells):
-            return Poly2(Counter((c, c) for c in cells))
+            charge(2 * len(cells))
+            return Poly2()._like({(c, c): k for c, k in Counter(cells).items()})
         case ToricFan(fan):
             return toric.toric_E_poly(fan)
         case SmoothProjectiveLeaf(_, e_poly, _):
@@ -187,11 +189,13 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
         case Torus(n):
             return LPoly({1: 1, 0: -1}) ** n
         case ProjSpace(n):
-            return LPoly({i: 1 for i in range(n + 1)})
+            charge(n + 1)
+            return LPoly()._like(dict.fromkeys(range(n + 1), 1))
         case Grassmannian(k, n):
             return gaussian_binomial_poly(n, k)
         case Cellular(cells):
-            return LPoly(Counter(cells))
+            charge(len(cells))
+            return LPoly()._like(dict(Counter(cells)))
         case ToricFan(fan):
             torus = LPoly({1: 1, 0: -1})
             total = LPoly()
@@ -229,33 +233,17 @@ _MEASURES = {
     "count": lambda e, measure: _count(eval_count_poly(e), measure.q**measure.m),
 }
 
-# Horner's rule takes d steps for a count polynomial of degree d, each
-# multiplying a running total of at most d*b + s bits by x = q^m of b bits,
-# s the bits of the sum of the coefficients' absolute values.  Schoolbook
-# multiplication bounds a step by the product of the two sizes in 64-bit
-# words.  A count whose coefficients are below x - 1 and whose value
-# prints takes at most about 6.4 * 10^6 of them; P^79000 at q = 2, near
-# the bound, takes about 0.3 s on a 2-CPU Python 3.11 host.
-_HORNER_LIMIT = 2 * 10**8
-
-
 def _count(poly: LPoly, x: int) -> int:
-    """poly at x by Horner's rule, refused with BudgetError before any of it
-    is computed when the value certainly has more digits than the
-    interpreter prints, or when the rule takes more than _HORNER_LIMIT word
-    products.  With c_d the leading coefficient and M the largest |c_e| below
-    it, |poly(x)| > x^(d - 1) whenever x >= M + 2."""
+    """poly at x, refused with BudgetError before any of it is computed
+    when the value certainly has more digits than the interpreter prints.
+    With c_d the leading coefficient and M the largest |c_e| below it,
+    |poly(x)| > x^(d - 1) whenever x >= M + 2."""
     terms = poly.terms
     d = max(terms, default=0)
-    b = x.bit_length()
     _, bits, past = _digit_limit()
     below = max((abs(c) for e, c in terms.items() if e < d), default=0)
-    if x >= below + 2 and (d - 1) * (b - 1) >= bits:
+    if x >= below + 2 and (d - 1) * (x.bit_length() - 1) >= bits:
         raise BudgetError(f"count: the value has {past}")
-    s = sum(abs(c) for c in terms.values()).bit_length()
-    if d * ((d * b + s) // 64 + 1) * (b // 64 + 1) > _HORNER_LIMIT:
-        raise BudgetError(f"evaluating the count takes more than {_HORNER_LIMIT} "
-                          "word products")
     return poly.evaluate(x)
 
 
@@ -310,73 +298,11 @@ def measure_from_string(text: str) -> Measure:
     return Measure(text)
 
 
-# The most term operations eval_measure takes on, as _work bounds them.
-# G(1, 1200), 1 441 202 of them, is the largest class the tests evaluate.
-# The costliest per operation is a leaf built term by term: P^1499998
-# printed as an e-poly takes about 9 s and 710 MiB on a 2-CPU Python 3.11
-# host.  A complete product tree of four levels over G(4, 8) leaves takes
-# under 4 * 10^4.
-_WORK_LIMIT = 1_500_000
-
-
-def _work(e: MotiveExpr) -> tuple[int, int, int, int]:
-    """(d, w, t, work), read off the tree without evaluating it: every
-    exponent (p, q) of the class has p, q <= d and |p - q| <= w, the class
-    has at most t terms, and evaluating it in Z[u, v] or in Z[L] takes at
-    most `work` term operations: term pairs multiplied, plus terms read by
-    an addition or a negation, plus terms given to a constructor."""
-    match e:
-        case Point():
-            return 0, 0, 1, 1
-        case AffineSpace(n):
-            return n, 0, 1, 1
-        case Torus(n):
-            # (uv - 1)^n by repeated squaring: (n + 1)^2 bounds the squarings
-            # and products, which come to about 0.42 n^2 for large n
-            return n, 0, n + 1, (n + 1) ** 2
-        case ProjSpace(n):
-            return n, 0, n + 1, n + 1
-        case Grassmannian(k, n):
-            # the Pascal table's cell (j, r), for j <= k and r <= n - k,
-            # multiplies q^j into j(r - 1) + 1 terms and adds the product to
-            # (j - 1)r + 1 terms; each row starts with two one-term
-            # constructors, and the e-poly takes the d + 1 terms over
-            m, d = n - k, k * (n - k)
-            return d, 0, d + 1, (k * (k + 1) * m * (m - 1) // 2
-                                 + k * (k - 1) * m * (m + 1) // 4 + 4 * d + 2 * k + 2)
-        case Cellular(cells):
-            return cells[-1], 0, len(cells), len(cells)
-        case ToricFan(fan):
-            # a scaled power of uv - 1 of each exponent up to the dimension,
-            # added to a sum of at most dim + 1 terms
-            return fan.dim, 0, fan.dim + 1, (fan.dim + 2) ** 3
-        case SmoothProjectiveLeaf(_, e_poly, _):
-            terms = e_poly.terms
-            return (max((max(pq) for pq in terms), default=0),
-                    max((abs(p - q) for p, q in terms), default=0), len(terms), len(terms))
-        case DisjointUnion(a, b) | Difference(a, b) | Product(a, b):
-            (da, wa, ta, work_a), (db, wb, tb, work_b) = _work(a), _work(b)
-            if type(e) is Product:
-                d, w, t, own = da + db, wa + wb, ta * tb, ta * tb
-            else:
-                # a difference negates b, then adds
-                d, w, t, own = max(da, db), max(wa, wb), ta + tb, ta + 2 * tb
-            return d, w, min(t, (d + 1) * (2 * w + 1)), work_a + work_b + own
-        case Cone(a):
-            # 1 + uv * a: two one-term constructors, t pairs, 1 + t terms added
-            d, w, t, work = _work(a)
-            return d + 1, w, t + 1, work + 2 * t + 3
-    raise UnsupportedError(f"unknown expression node {type(e).__name__}")
-
-
 def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LPoly:
-    """The measure of the class of e.  An expression whose evaluation
-    _work bounds past _WORK_LIMIT term operations is refused with
-    BudgetError before any of it is evaluated."""
-    if _work(e)[3] > _WORK_LIMIT:
-        raise BudgetError(f"evaluating the expression takes more than {_WORK_LIMIT} "
-                          "term operations")
-    return _MEASURES[measure.tag](e, measure)
+    """The measure of the class of e, charged to the open work budget, or
+    to a budget of its own: past it, BudgetError is raised before the
+    work that would overrun it."""
+    return metered(_MEASURES[measure.tag], e, measure)
 
 
 # ---------------------------------------------------------------------------

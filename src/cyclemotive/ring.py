@@ -34,9 +34,10 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
+from math import comb, prod
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError, _check_ints, _check_type, _long_integer
+from .errors import DomainError, ParseError, _check_ints, _check_type, _long_integer, charge
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -78,7 +79,9 @@ class _TermMap:
     _shape: tuple = ()
 
     def __init__(self, terms: Mapping | None = None):
-        self._terms = self._canonical(_mapping(terms).items())
+        terms = _mapping(terms)
+        charge(len(terms))
+        self._terms = self._canonical(terms.items())
 
     def _canonical(self, items: Iterable[tuple[object, object]]) -> dict:
         """Make outside data a term map one term at a time: every exponent
@@ -111,6 +114,7 @@ class _TermMap:
         if type(other) is not type(self):
             return NotImplemented
         self._check_compatible(other)
+        charge(len(self._terms) + len(other._terms))
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -121,6 +125,7 @@ class _TermMap:
         return self._like(out)
 
     def __neg__(self):
+        charge(len(self._terms))
         return self._like({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
@@ -130,10 +135,15 @@ class _TermMap:
         if type(other) is not type(self):
             return NotImplemented
         self._check_compatible(other)
+        a, b = self._terms, other._terms
+        # a unit a pair, and one per 16 products of the coefficients' 64-bit
+        # words, a word or more each: 2^16 is 16 * 64 * 64
+        bits = [64 * len(t) + sum(map(int.bit_length, t.values())) for t in (a, b)]
+        charge(len(a) * len(b) + (bits[0] * bits[1] >> 16))
         add_exponents = self._add_exponents
         out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = add_exponents(e1, e2)
                 if e is not None:
                     out[e] = out.get(e, 0) + c1 * c2
@@ -194,14 +204,14 @@ class Poly2(_TermMap):
 
     def __str__(self) -> str:
         """Canonical text, in the order given under "Text form" below."""
-        ordered = sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-        return _format_terms([(_uv_monomial(p, q), c) for (p, q), c in ordered])
+        return _format_terms(self._terms, lambda e: (e[0] + e[1], -e[0]), _uv_monomial)
 
 
 def specialize(a: Poly2, u0: int, v0: int) -> int:
     """Exact evaluation at integer arguments (u0, v0)."""
     _check_type(a, Poly2, "a")
     _check_ints({"u0": u0, "v0": v0})
+    charge(3 * len(a.terms))  # two powers and a product per term
     return sum(c * u0**p * v0**q for (p, q), c in a.terms.items())
 
 
@@ -233,8 +243,7 @@ class _OneVariable(_TermMap):
 
     def __str__(self) -> str:
         """Canonical text: ascending powers of the variable."""
-        ordered = sorted(self._terms.items())
-        return _format_terms([(_power(self._variable, e), c) for e, c in ordered])
+        return _format_terms(self._terms, None, lambda e: _power(self._variable, e))
 
 
 class Laurent1(_OneVariable):
@@ -281,11 +290,16 @@ class LPoly(_OneVariable):
     __mul__ = _TermMap.__mul__  # own entry, as in Poly2
 
     def evaluate(self, x: int) -> int:
-        """Exact value at an integer, by Horner's rule."""
+        """Exact value at an integer, by Horner's rule: d + 1 steps, each
+        charged a unit of work and one per 16 word products of a total of at
+        most d*b + s bits times x of b bits, s the bits of sum(|c|)."""
         _check_ints({"x": x})
         terms = self._terms
+        d, b = max(terms, default=0), x.bit_length()
+        total_words = (d * b + sum(map(abs, terms.values())).bit_length()) // 64 + 1
+        charge((d + 1) * (1 + total_words * (b // 64 + 1) // 16))
         total = 0
-        for e in range(max(terms, default=0), -1, -1):
+        for e in range(d, -1, -1):
             total = total * x + terms.get(e, 0)
         return total
 
@@ -299,13 +313,13 @@ def lpoly_from_diagonal(a: Poly2) -> LPoly | None:
     _check_type(a, Poly2, "a")
     if any(p != q for p, q in a.terms):
         return None
-    return LPoly({p: c for (p, _), c in a.terms.items()})
+    return LPoly()._like({p: c for (p, _), c in a.terms.items()})
 
 
 def lpoly_to_poly2(a: LPoly) -> Poly2:
     """Substitute L -> uv."""
     _check_type(a, LPoly, "a")
-    return Poly2({(i, i): c for i, c in a.terms.items()})
+    return Poly2()._like({(i, i): c for i, c in a.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +392,7 @@ class MultiSeries(_TermMap):
     def to_json(self) -> dict:
         """The series as JSON data: its shape and its [exponents, coefficient]
         terms in ascending exponent order."""
+        charge(_PRINTED_TERM * len(self._terms))
         terms = [[list(e), c] for e, c in sorted(self._terms.items())]
         return {"arity": self.arity, "order": self.order, "terms": terms}
 
@@ -427,17 +442,24 @@ def expand_inverse_product(
         merged[m] = merged.get(m, 0) + multiplicity
     rows = {}
     for m, c in merged.items():
+        # a_j = binom(c + j - 1, j) has at most min(j, c - 1) * bits(c + j) bits
+        length = order // sum(m) + 1
+        charge(2 * length + length * min(length, c) * (c + length).bit_length() // 2048)
         rows[m] = powers = [1]
         running = 1
-        for j in range(1, order // sum(m) + 1):
+        for j in range(1, length):
             powers.append(c * running // j)
             running += powers[-1]
+    axes = [rows.pop(tuple(int(j == i) for j in range(arity)), [1]) for i in range(arity)]
+    # charged up front: a stage makes a new key of each pair, and no more keys
+    # than the last stage, whose keys are monomials of degree <= order
+    charge(arity * min(prod(map(len, axes)), comb(order + arity, arity)))
     terms = {(): 1}
-    for i in range(arity):
-        row = rows.pop(tuple(int(j == i) for j in range(arity)), [1])
+    for row in axes:
         terms = {e + (j,): c * a for e, c in terms.items()
                  for j, a in enumerate(row[: order - sum(e) + 1])}
     for m, powers in rows.items():
+        charge(len(terms) * len(powers))
         out: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             key = e
@@ -465,12 +487,18 @@ def expand_inverse_product(
 # whitespace, so matching takes linear time.
 
 
-def _format_terms(ordered: list[tuple[str, int]]) -> str:
-    """Join signed terms, leaving a unit coefficient off its monomial and
-    the sign off a positive leading term."""
+# the units of work a printed term is charged: its sort key and its texts
+_PRINTED_TERM = 8
+
+
+def _format_terms(terms: dict, order, spell) -> str:
+    """The signed terms, sorted by `order` of their exponents and each with
+    its monomial spelled by `spell`, joined: a unit coefficient is left off
+    its monomial and the sign off a positive leading term."""
+    charge(_PRINTED_TERM * len(terms))
     text = "".join(
         f"{'-' if c < 0 else '+'}{'' if monomial and abs(c) == 1 else abs(c)}{monomial}"
-        for monomial, c in ordered
+        for monomial, c in ((spell(e), terms[e]) for e in sorted(terms, key=order))
     )
     return text.removeprefix("+") or "0"
 
@@ -479,7 +507,8 @@ def _power(name: str, e: int) -> str:
     return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
-def _uv_monomial(p: int, q: int) -> str:
+def _uv_monomial(e: tuple[int, int]) -> str:
+    p, q = e
     upart, vpart = _power("u", p), _power("v", q)
     if upart and vpart and (p > 1 or q > 1):
         return f"{upart}*{vpart}"

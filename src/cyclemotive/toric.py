@@ -189,11 +189,7 @@ def euler_series(
     descriptors = invariant_subvarieties(fan, p)
     if grading is None:
         arity = len(descriptors)
-        vectors = []
-        for i in range(arity):
-            e = [0] * arity
-            e[i] = 1
-            vectors.append(tuple(e))
+        vectors = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
     else:
         vectors = [tuple(grading(d)) for d in descriptors]
         if not vectors:

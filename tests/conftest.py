@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclemotive import ffcount, ring, toric
+from cyclemotive import errors, ffcount, ring, toric
 from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -21,6 +21,18 @@ def fresh_python(probe: str) -> str:
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def charged(fn, *args):
+    """fn(*args) and the units of work it charged, run inside a budget
+    far too large to refuse it."""
+    left = [10**18]
+    token = errors._left.set(left)
+    try:
+        result = fn(*args)
+    finally:
+        errors._left.reset(token)
+    return result, 10**18 - left[0]
 
 
 def load_fan(name):

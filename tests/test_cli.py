@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclemotive import cli, verify
-from cyclemotive.errors import DomainError
+from cyclemotive.errors import WORK_BUDGET, DomainError
 from cyclemotive.ffcount import CongruenceReport
 from cyclemotive.ring import Laurent1, MultiSeries, Poly2
-from conftest import DATA, SRC
+from conftest import DATA, SRC, charged
 
 P2_EXPR = str(DATA / "p2.json")
 TORUS1_EXPR = str(DATA / "torus1.json")
@@ -280,6 +281,13 @@ def test_verify_all_text_matches_golden(capsys):
     code, out, err = run(capsys, "verify", "--suite", "all")
     assert (code, err) == (0, "")
     assert out == (DATA / "verify_all.txt").read_text()
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])
+def test_verify_all_takes_under_a_tenth_of_the_work_budget(capsys, form):
+    code, units = charged(cli.main, ["verify", "--suite", "all", *form])
+    assert code == 0
+    assert units < WORK_BUDGET / 10
 
 
 def test_printed_series_match_the_golden_transcript(capsys, monkeypatch):
@@ -788,8 +796,8 @@ def test_huge_field_is_refused_before_any_work(argv):
     ({"leaf": "grassmannian", "k": 100000000, "n": 100000000}, "count-poly"),
 ], ids=["torus", "proj-space", "product", "grassmannian-tall", "grassmannian-long"])
 def test_oversized_expression_is_refused_before_any_work(tmp_path, tree, measure):
-    """eval_measure bounds an expression's work from its tree before it
-    evaluates any of it: the torus ran past a 15 s timeout and the
+    """The work meter refuses an expression before the charge that would
+    overrun its budget: the torus ran past a 15 s timeout and the
     projective space out of memory (a traceback, exit 1)."""
     expr = tmp_path / "expr.json"
     expr.write_text(json.dumps(tree))
@@ -798,7 +806,7 @@ def test_oversized_expression_is_refused_before_any_work(tmp_path, tree, measure
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)
-    assert "term operations" in proc.stderr
+    assert "work takes more than its budget" in proc.stderr
 
 
 @pytest.mark.parametrize("tree, measure", [
@@ -816,6 +824,36 @@ def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)
+
+
+def _address_space_cap():
+    """Cap the child's address space at 2 GB, so that a regression fails
+    the test instead of exhausting the host."""
+    cap = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ("chow", "-p", "1", "-n", "3", "-d", "3", "--series", "100000000"),
+    ("toric", str(DATA / "fan_p2.json"), "--euler-series", "1,100000000"),
+    ("chow", "-p", "1", "-n", "3", "-d", "100000000", "--method", "recursive"),
+    ("toric", str(DATA / "fan_p3.json"), "--euler-series",
+     f"1,200,{DATA / 'grading_p3_lines_unit.json'}"),
+    ("chow", "-p", "2", "-n", "4", "-d", "1000000", "--method", "recursive"),
+    ("chow", "-p", "5", "-n", "40", "-d", "3000", "--method", "recursive"),
+], ids=["chow-series", "toric-series", "chow-deep-degree", "toric-series-six-variables",
+        "chow-wide-rows", "chow-big-entries"])
+def test_series_and_recursions_past_the_budget_exit_2(argv):
+    """The series and recursion routes are refused by the work meter before
+    they build what overruns its budget: under a 2 GB cap the first four
+    ended in a MemoryError traceback (exit 1), and the last two ran past a
+    20 s timeout."""
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10,
+                          preexec_fn=_address_space_cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr)
+    assert "work takes more than its budget" in proc.stderr
 
 
 def test_degree_one_congruence_counts_the_smaller_grassmannian():

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from cyclemotive.ffcount import (
     CongruenceReport,
     PrimePower,
     cell_count,
+    check_field,
     gaussian_binomial,
     gaussian_binomial_poly,
     grassmannian_count_brute,
@@ -228,6 +230,24 @@ def test_budget_override():
 def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         field_user(q, m)
+
+
+def test_refusals_follow_the_interpreters_digit_limit():
+    """The digit bound is the interpreter's limit when the check runs, so a
+    limit changed at run time moves it; no limit at all means 4300."""
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        # 2^4000 has 1205 digits
+        with pytest.raises(DomainError, match=r"more than 1000 digits \(.* = 1000\)$"):
+            check_field(2, 4000)
+        sys.set_int_max_str_digits(0)
+        assert check_field(2, 4000) == 2**4000
+        # 2^15000 has 4516 digits
+        with pytest.raises(DomainError, match=r"more than 4300 digits \(.* = 0\)$"):
+            check_field(2, 15000)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 @pytest.mark.parametrize("call, error", [

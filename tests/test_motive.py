@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from contextlib import contextmanager
 
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclemotive.errors import (
+    WORK_BUDGET,
     BudgetError,
     DomainError,
     NotCountableError,
     ParseError,
     UnsupportedError,
 )
-from cyclemotive import motive, ring
+from cyclemotive.errors import charge
+from cyclemotive import errors, motive, ring
 from cyclemotive.ffcount import grassmannian_count_brute, toric_count
 from cyclemotive.motive import (
     COUNT_POLY,
@@ -48,7 +51,9 @@ from cyclemotive.motive import (
 )
 from cyclemotive.ring import LPoly, Laurent1, Poly2, parse_poly2, specialize
 
-from conftest import DATA, load_fan
+from conftest import DATA, charged, load_fan
+
+OVER_BUDGET = f"the work takes more than its budget of {WORK_BUDGET} units"
 
 GLUED_CONE = parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")
 
@@ -402,7 +407,7 @@ def test_expr_json_round_trip(e):
 
 
 # ---------------------------------------------------------------------------
-# the work bound eval_measure checks before it evaluates
+# the work meter, which eval_measure opens a budget on
 
 _FAN_LEAVES = [ToricFan(load_fan(name)) for name in ("p1", "p2", "p1xp1")]
 hodge_exprs = st.recursive(
@@ -413,12 +418,14 @@ hodge_exprs = st.recursive(
 
 @contextmanager
 def _counted_term_operations():
-    """Count, while the block runs, the term operations motive._work
-    bounds: term pairs multiplied, terms read by an addition or a
-    negation, and terms given to a constructor."""
-    count = [0]
+    """Count, while the block runs, the term operations the meter charges
+    for: term pairs multiplied, terms read by an addition or a negation,
+    and terms given to a constructor; and apart from them, the terms of
+    the maps the library wraps unchecked."""
+    count = [0, 0]
     core = ring._TermMap
-    init, add, neg, mul = core.__init__, core.__add__, core.__neg__, core.__mul__
+    init, add, neg, mul, like = (core.__init__, core.__add__, core.__neg__, core.__mul__,
+                                 core._like)
 
     def counted_init(self, terms=None):
         count[0] += len(terms or {})
@@ -436,10 +443,14 @@ def _counted_term_operations():
         count[0] += len(a.terms) * len(b.terms)
         return mul(a, b)
 
+    def counted_like(self, terms):
+        count[1] += len(terms)
+        return like(self, terms)
+
     # Poly2 and LPoly keep their own __mul__ entry
     patches = [(core, "__init__", counted_init), (core, "__add__", counted_add),
                (core, "__neg__", counted_neg), (Poly2, "__mul__", counted_mul),
-               (LPoly, "__mul__", counted_mul)]
+               (LPoly, "__mul__", counted_mul), (core, "_like", counted_like)]
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in patches]
     for cls, name, patch in patches:
         setattr(cls, name, patch)
@@ -452,25 +463,18 @@ def _counted_term_operations():
 
 @given(hodge_exprs)
 def test_work_bounds_hold_for_the_hodge_polynomial(e):
-    """Every exponent (p, q) has p, q <= d and |p - q| <= w, there are at
-    most t <= work terms, and evaluating takes at most `work` term
-    operations."""
-    d, w, t, work = motive._work(e)
+    """The meter is charged before every term operation it is charged for,
+    so the units charged are at least the term operations counted."""
     with _counted_term_operations() as count:
-        terms = eval_E(e).terms
-    assert len(terms) <= t <= work
-    assert count[0] <= work
-    assert all(max(p, q) <= d and abs(p - q) <= w for p, q in terms)
+        _, units = charged(eval_E, e)
+    assert count[0] <= units
 
 
 @given(countable_exprs)
 def test_work_bounds_hold_for_the_counting_polynomial(e):
-    d, _, t, work = motive._work(e)
     with _counted_term_operations() as count:
-        terms = eval_count_poly(e).terms
-    assert len(terms) <= t
-    assert count[0] <= work
-    assert all(0 <= k <= d for k in terms)
+        _, units = charged(eval_count_poly, e)
+    assert count[0] <= units
 
 
 @pytest.mark.parametrize("e", [
@@ -482,11 +486,11 @@ def test_work_bounds_hold_for_the_counting_polynomial(e):
 @pytest.mark.parametrize("evaluate", [eval_E, eval_count_poly])
 def test_a_leaf_is_charged_at_most_three_times_its_work(e, evaluate):
     """A leaf's charge bounds the term operations either route counts, and
-    is not so loose that the limit turns away what would evaluate."""
-    work = motive._work(e)[3]
+    is not so loose that the budget turns away what would evaluate: it is
+    at most three times those operations and the terms built."""
     with _counted_term_operations() as count:
-        evaluate(e)
-    assert count[0] <= work <= 3 * count[0]
+        _, units = charged(evaluate, e)
+    assert count[0] <= units <= 3 * sum(count)
 
 
 def test_benchmark_sized_trees_stay_far_inside_the_work_limit():
@@ -495,7 +499,8 @@ def test_benchmark_sized_trees_stay_far_inside_the_work_limit():
     def tree(depth):
         return Grassmannian(4, 8) if depth == 0 else Product(tree(depth - 1), tree(depth - 1))
 
-    assert motive._work(Cone(tree(4)))[3] < motive._WORK_LIMIT / 25
+    for measure in (E_POLY, EULER, COUNT_POLY):
+        assert charged(eval_measure, Cone(tree(4)), measure)[1] < WORK_BUDGET / 25
 
 
 @pytest.mark.parametrize("e", [
@@ -509,26 +514,32 @@ def test_benchmark_sized_trees_stay_far_inside_the_work_limit():
 @pytest.mark.parametrize("measure", [E_POLY, EULER, COUNT_POLY])
 def test_eval_measure_refuses_work_past_the_limit(e, measure):
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="^evaluating the expression takes more than "
-                                          f"{motive._WORK_LIMIT} term operations$"):
+    with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
         eval_measure(e, measure)
     assert time.perf_counter() - start < 2
 
 
-@pytest.mark.parametrize("e, q, m, message", [
+@pytest.mark.parametrize("e, q, m, message, at_evaluate", [
     # P^2000 at q^m = 2^14000: the value has about 8.4 * 10^6 digits
-    (ProjSpace(2000), 2, 14000, "^count: the value has more than .* digits"),
+    (ProjSpace(2000), 2, 14000, "^count: the value has more than .* digits", False),
     # P^100000 at 2: no digit bound applies at x = 2, and Horner's rule
     # takes about 3 * 10^8 word products
-    (ProjSpace(100000), 2, 1, "^evaluating the count takes more than "
-                              f"{motive._HORNER_LIMIT} word products$"),
+    (ProjSpace(100000), 2, 1, f"^{OVER_BUDGET}$", True),
 ], ids=["digits", "horner"])
-def test_count_past_its_bound_is_refused_before_horner(monkeypatch, e, q, m, message):
-    def refuse(self, x):
-        raise AssertionError("Horner's rule ran")
-    monkeypatch.setattr(LPoly, "evaluate", refuse)
+def test_count_past_its_bound_is_refused_before_horner(monkeypatch, e, q, m, message,
+                                                       at_evaluate):
+    """Refused before the loop of Horner's rule runs: by the digit bound,
+    before LPoly.evaluate is called, or by the charge that opens it."""
+    callers = []
+
+    def spy(units):
+        callers.append(sys._getframe(1).f_code.co_name)
+        charge(units)
+
+    monkeypatch.setattr(ring, "charge", spy)
     with pytest.raises(BudgetError, match=message):
         eval_measure(e, Measure("count", q, m))
+    assert ("evaluate" in callers) == at_evaluate
 
 
 def test_counts_inside_the_bound_are_answered():
@@ -539,8 +550,36 @@ def test_counts_inside_the_bound_are_answered():
 
 
 def test_each_factor_of_a_refused_product_evaluates():
-    assert eval_measure(ProjSpace(5000), EULER) == 5001
-    assert motive._work(ProjSpace(5000))[3] <= motive._WORK_LIMIT
+    value, units = charged(eval_measure, ProjSpace(5000), EULER)
+    assert value == 5001
+    assert units <= WORK_BUDGET / 10
+
+
+def test_a_charge_outside_every_budget_counts_nothing():
+    charge(10**30)
+    assert errors._left.get() is None
+
+
+def test_a_budget_is_opened_once_per_call_and_shared_by_nested_calls():
+    """eval_measure opens a budget only when none is open, so inside one
+    the charges of every call add up; each outermost call starts afresh."""
+    e = ProjSpace(WORK_BUDGET * 6 // 10)  # a unit a term
+    assert len(eval_measure(e, COUNT_POLY).terms) == WORK_BUDGET * 6 // 10 + 1
+    with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
+        errors.metered(lambda: [eval_measure(e, COUNT_POLY) for _ in range(2)])
+    assert errors._left.get() is None
+
+
+def test_a_refused_charge_takes_nothing():
+    left = [10]
+    token = errors._left.set(left)
+    try:
+        with pytest.raises(BudgetError):
+            charge(11)
+        charge(10)
+    finally:
+        errors._left.reset(token)
+    assert left == [0]
 
 
 def test_expr_json_round_trip_special_leaves():
