@@ -31,7 +31,7 @@ from math import comb
 from operator import add, mul
 
 from ._record import Record
-from .errors import BudgetError, DomainError, _check_ints, _digit_limit, charge
+from .errors import DomainError, _check_ints, charge, metered
 from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
@@ -304,8 +304,8 @@ def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceRep
     For d <= 1 the space is a point or a Grassmannian, so the actual count
     is attached and checked; beyond that no enumeration is in reach and the
     report carries the expectations only.  G(k, N) = G(N - k, N) is counted
-    on its smaller side.  [N, k] at x = q^m is at least x^(k(N - k)), so a
-    count past the printable digits is refused with BudgetError first.
+    on its smaller side, charged to the open work budget, or to a budget of
+    its own: a count past it is refused with BudgetError before it starts.
     """
     size = check_field(q, m)
     expected_euler = chow_invariant_closed(idx)
@@ -314,10 +314,7 @@ def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceRep
         note = "degree 0: the empty cycle is a single point"
     elif idx.d == 1:
         k = min(idx.p + 1, idx.n - idx.p)
-        _, bits, past = _digit_limit()
-        if (size.bit_length() - 1) * k * (idx.n + 1 - k) >= bits:
-            raise BudgetError(f"congruence: the count has {past}")
-        actual = gaussian_binomial(idx.n + 1, k, size)
+        actual = metered(gaussian_binomial, idx.n + 1, k, size)
         note = "degree 1: linear cycles form a Grassmannian"
     else:
         actual = None

@@ -40,8 +40,7 @@ class FanError(ValueError):
 
 class BudgetError(RuntimeError):
     """A computation would exceed its budget: the units of work of one
-    call (see charge), the points of a brute-force enumeration, or the
-    digits the interpreter prints."""
+    call (see charge), or the matrices of a brute-force enumeration."""
 
 
 # The work meter.  A unit of work is about 0.25 us on a 2-CPU Python 3.11

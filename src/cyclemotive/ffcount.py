@@ -34,7 +34,7 @@ _PRIME_BOUND = 2**64  # Miller-Rabin with _WITNESSES is exact below this
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
 
-DEFAULT_BUDGET = 10**6
+BRUTE_FORCE_MAX_MATRICES = 10**6
 BRUTE_FORCE_MAX_Q = 7
 
 
@@ -147,10 +147,17 @@ def _check_subspace_dims(n: int, k: int, **more: int) -> None:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
-    field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact."""
+    field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact.  Charged up
+    front, for a numerator of N bits and a denominator of D: a unit a
+    factor, and N(N + D) / 2^18 for the products, at most (N^2 + D^2) / 2
+    bit products, and the one division, (N - D)D, which CPython does in
+    quadratic time."""
     _check_subspace_dims(n, k, q=q)
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
+    b = q.bit_length()
+    num_bits, den_bits = b * (k * n - k * (k - 1) // 2), b * k * (k + 1) // 2
+    charge(2 * k + (num_bits * (num_bits + den_bits) >> 18))
     numerator = 1
     denominator = 1
     for i in range(k):
@@ -247,16 +254,14 @@ def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
             return count
 
 
-def rref_cell_census(
-    k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, ...], int]:
+def rref_cell_census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
     """Brute-force census of k-dim subspaces of F_q^n by pivot pattern.
 
     Enumerates, for every choice of pivot columns, all matrices in reduced
     row echelon form with those pivots; each matrix found is one subspace.
     The work is capped: the number of candidate matrices (summed over
     patterns from the free-entry counts, never from a closed form) must not
-    exceed the budget, by default 10^6.
+    exceed BRUTE_FORCE_MAX_MATRICES.
     """
     _check_subspace_dims(n, k, q=q)
     if q > BRUTE_FORCE_MAX_Q:
@@ -265,18 +270,19 @@ def rref_cell_census(
         raise DomainError(f"brute force needs a prime field size, got {q}")
     patterns = list(combinations(range(n), k))
     work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
-    if work > budget:
+    if work > BRUTE_FORCE_MAX_MATRICES:
         raise BudgetError(
-            f"enumeration needs {work} candidate matrices, budget is {budget}"
+            f"enumeration needs {work} candidate matrices, "
+            f"budget is {BRUTE_FORCE_MAX_MATRICES}"
         )
     return {piv: cell_count(n, piv, q) for piv in patterns}
 
 
-def grassmannian_count_brute(k: int, n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
+def grassmannian_count_brute(k: int, n: int, q: int) -> int:
     """Total number of k-dimensional subspaces of F_q^n, by exhaustive
     enumeration of canonical forms.  The independent oracle for
     gaussian_binomial; see rref_cell_census for the preconditions."""
-    return sum(rref_cell_census(k, n, q, budget).values())
+    return sum(rref_cell_census(k, n, q).values())
 
 
 def toric_count(fan: Fan, q: int, m: int = 1) -> int:

@@ -18,9 +18,8 @@ from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
-from .errors import (BudgetError, DomainError, NotCountableError, ParseError,
-                     UnsupportedError, charge, metered)
-from .errors import _ascii_ints, _check_ints, _check_type, _digit_limit, _json_int, _json_ints, _shown
+from .errors import DomainError, NotCountableError, ParseError, UnsupportedError, charge, metered
+from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
@@ -230,21 +229,8 @@ _MEASURES = {
     "h-tilde": lambda e, measure: quotient_uv_minus1(eval_E(e)),
     "h-bar": lambda e, measure: quotient_uv(eval_E(e)),
     "count-poly": lambda e, measure: eval_count_poly(e),
-    "count": lambda e, measure: _count(eval_count_poly(e), measure.q**measure.m),
+    "count": lambda e, measure: eval_count_poly(e).evaluate(measure.q**measure.m),
 }
-
-def _count(poly: LPoly, x: int) -> int:
-    """poly at x, refused with BudgetError before any of it is computed
-    when the value certainly has more digits than the interpreter prints.
-    With c_d the leading coefficient and M the largest |c_e| below it,
-    |poly(x)| > x^(d - 1) whenever x >= M + 2."""
-    terms = poly.terms
-    d = max(terms, default=0)
-    _, bits, past = _digit_limit()
-    below = max((abs(c) for e, c in terms.items() if e < d), default=0)
-    if x >= below + 2 and (d - 1) * (x.bit_length() - 1) >= bits:
-        raise BudgetError(f"count: the value has {past}")
-    return poly.evaluate(x)
 
 
 class Measure(Record):

@@ -11,6 +11,7 @@ from cyclemotive.toric import fan_from_json
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+OVER_BUDGET = f"the work takes more than its budget of {errors.WORK_BUDGET} units"
 
 
 def fresh_python(probe: str) -> str:

@@ -495,6 +495,10 @@ def test_congruence_targets_degree_one():
     r = chow_congruence_targets(ChowIndex(0, 1, 1), 3, m=2)
     assert r.actual == 10
     assert r.ok
+    # [4, 2] at 2^4000 has 4817 digits: the CLI's printer refuses it
+    x = 2**4000
+    r = chow_congruence_targets(ChowIndex(1, 1, 3), 2, m=4000)
+    assert r.actual == (x**4 - 1) * (x**3 - 1) // ((x**2 - 1) * (x - 1))
 
 
 def test_congruence_targets_degree_one_grid():

@@ -814,9 +814,9 @@ def test_oversized_expression_is_refused_before_any_work(tmp_path, tree, measure
     ({"leaf": "proj_space", "n": 999999}, "count:2"),
 ], ids=["value-past-the-digit-limit", "horner-past-its-bound"])
 def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
-    """A count is bounded by its polynomial's degree and the bits of q^m
-    before Horner's rule runs: the two ran about 60 s and 54 s before
-    exiting 2 for a result past the digit limit."""
+    """The charge that opens Horner's rule refuses both counts before the
+    rule runs: they ran about 60 s and 54 s before exiting 2 for a result
+    past the digit limit."""
     expr = tmp_path / "expr.json"
     expr.write_text(json.dumps(tree))
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", "motive", str(expr),
@@ -824,6 +824,25 @@ def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)
+
+
+@pytest.mark.parametrize("tree, argv", [
+    ({"leaf": "proj_space", "n": 4}, ["--measure", "count:2,4000"]),
+    ({"leaf": "proj_space", "n": 5}, ["--measure", "count:2,4000"]),
+    (None, ["chow", "-p", "1", "-n", "3", "-d", "1", "--congruence", "2,4000"]),
+], ids=["P4", "P5", "congruence"])
+def test_counts_past_the_printed_digits_are_refused_by_the_printer(tmp_path, tree, argv):
+    """The library returns these counts exactly (4817, 6021 and 4817
+    digits); the one message that refuses them is the printer's."""
+    if tree is not None:
+        expr = tmp_path / "expr.json"
+        expr.write_text(json.dumps(tree))
+        argv = ["motive", str(expr), *argv]
+    proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_line_error(proc.stderr)
+    assert proc.stderr.startswith("error: the result holds an integer longer than ")
 
 
 def _address_space_cap():
@@ -868,12 +887,13 @@ def test_degree_one_congruence_counts_the_smaller_grassmannian():
 
 def test_unprintable_degree_one_congruence_is_refused_before_it_is_counted():
     """[61, 30] at 2^4000 has about 1.1 * 10^6 digits; counting it ran past
-    a 30 s timeout."""
+    a 30 s timeout.  The charge that opens gaussian_binomial refuses it."""
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", "chow", "-p", "30",
                            "-n", "60", "-d", "1", "--congruence", "2,4000"],
                           capture_output=True, text=True, env=TREE_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)
+    assert "work takes more than its budget" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

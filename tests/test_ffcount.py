@@ -56,7 +56,7 @@ from cyclemotive.ring import (
     specialize,
 )
 from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
-from conftest import load_fan
+from conftest import OVER_BUDGET, load_fan
 
 P1 = load_fan("p1")
 P2 = load_fan("p2")
@@ -210,11 +210,6 @@ def test_brute_force_preconditions():
         grassmannian_count_brute(3, 12, 2)  # ~4e8 candidates
 
 
-def test_budget_override():
-    with pytest.raises(BudgetError):
-        grassmannian_count_brute(2, 4, 2, budget=10)
-
-
 @pytest.mark.parametrize("q, m, message", [
     (6, 1, "6 is not a prime power"),
     (2, 0, "field extension degree must be >= 1, got 0"),
@@ -250,17 +245,27 @@ def test_refusals_follow_the_interpreters_digit_limit():
         sys.set_int_max_str_digits(default)
 
 
-@pytest.mark.parametrize("call, error", [
+FIELD_TOO_LARGE = r"^the field size q\^m has more than \d+ digits"
+
+
+@pytest.mark.parametrize("call, error, message", [
     # eval_measure(Point(), this measure) took 3.9 s to answer 1
-    (lambda: Measure("count", 3, 10**7), DomainError),
-    (lambda: toric_count(projective_fan(2), 2, 10**7), DomainError),
-    (lambda: chow_congruence_targets(ChowIndex(0, 0, 1), 2, 10**7), DomainError),
-    # q^m = 2^4000 prints, but [61, 30] at it is above 2^(4000 * 30 * 31)
-    (lambda: chow_congruence_targets(ChowIndex(30, 1, 60), 2, 4000), BudgetError),
-], ids=["count-measure", "toric_count", "chow_congruence_targets", "degree-one-count"])
-def test_oversized_field_counts_are_refused_before_any_work(call, error):
+    (lambda: Measure("count", 3, 10**7), DomainError, FIELD_TOO_LARGE),
+    (lambda: toric_count(projective_fan(2), 2, 10**7), DomainError, FIELD_TOO_LARGE),
+    (lambda: chow_congruence_targets(ChowIndex(0, 0, 1), 2, 10**7), DomainError,
+     FIELD_TOO_LARGE),
+    # q^m = 2^4000 is a field, but [61, 30] at it is above 2^(4000 * 30 * 31):
+    # the work meter refuses it before the first product
+    (lambda: chow_congruence_targets(ChowIndex(30, 1, 60), 2, 4000), BudgetError,
+     f"^{OVER_BUDGET}$"),
+    # [3001, 1500] at 2 has about 6.8 * 10^5 digits
+    (lambda: chow_congruence_targets(ChowIndex(1500, 1, 3000), 2), BudgetError,
+     f"^{OVER_BUDGET}$"),
+], ids=["count-measure", "toric_count", "chow_congruence_targets", "degree-one-count",
+        "degree-one-wide"])
+def test_oversized_field_counts_are_refused_before_any_work(call, error, message):
     start = time.perf_counter()
-    with pytest.raises(error, match=r"has more than \d+ digits"):
+    with pytest.raises(error, match=message):
         call()
     assert time.perf_counter() - start < 2
 

@@ -9,7 +9,9 @@ calls count as its caller's, so Python 3.10 to 3.13 give the same sets,
 though 3.12 inlines list, dict and set comprehensions.  A function both
 sides enter is a share unless ALLOWED lists it.  SHARED lists today's shares, each with the ROADMAP item that
 removes it; the audit fails on a new share and on a listed share that has
-gone, so the list can only shrink.
+gone, so the list can only shrink.  PINS lists the checks whose reference
+computes nothing of its own, each with the paper statement it pins, and
+shrinks the same way.
 """
 
 import sys
@@ -52,6 +54,31 @@ SHARED = {
     "census, euler number, and point counts agree": {
         "verify._stock_fan", "toric.projective_fan", "toric.product_fan",
         "toric.affine_fan", "toric.Fan.census", "toric.Fan.ranks", "toric._int_rank"},
+}
+
+
+# check -> the paper statement its reference pins, for the checks whose
+# reference enters no library function outside verify, ALLOWED and SHARED
+PINS = {
+    # the worked example and the two vanishing statements of the abstract
+    "euler number is 4": "the glued cone's Euler number is 4",
+    "first virtual betti number is 2": "the glued cone's first virtual Betti number is 2",
+    "multiplicative group dies mod uv-1": "G_m has class 0 in Z[u,v]/(uv-1)",
+    "additive group dies mod uv": "G_a has class 0 in Z[u,v]/(uv)",
+    # restatements that a second route can replace (ROADMAP item 24)
+    "linear cycle counts reduce to 1 mod q and binomial mod q-1":
+        "a point count is 1 mod q and the Euler number mod q-1 (item 19)",
+    "projective spaces pass all three constraints":
+        "a class with finite fixed locus meets the three constraints (items 4, 19)",
+    "grassmannians pass all three constraints":
+        "a class with finite fixed locus meets the three constraints (items 4, 19)",
+    "product irreducible locus: units and only units count":
+        "only the unit multidegrees carry irreducible cycles (item 6)",
+    "closed form equals binomial":
+        "the Euler number of C_{p,d}(P^n) is binom(binom(n+1, p+1) + d - 1, d)",
+    # its reference enters only the closed form, which SHARED lists (item 3)
+    "cycle-space image is the constant Euler number":
+        "the image of C_{p,d}(P^n) mod uv-1 is its Euler number",
 }
 
 
@@ -108,12 +135,14 @@ def _allowed(name: str) -> bool:
 @pytest.fixture(scope="module")
 def audit():
     """check -> (names of the functions both sides enter outside the
-    allowlist, names of the functions its route enters), over about seven
-    cases per check, spread evenly."""
+    allowlist, names of the functions its route enters, names of the
+    functions its reference enters), over about seven cases per check,
+    spread evenly."""
     names = _function_names()
     real_agree = verify._agree
     shared = defaultdict(set)
     route_work = defaultdict(set)
+    reference_work = defaultdict(set)
 
     def traced_agree(name, cases, route, reference, values=None):
         for case in cases[::max(1, len(cases) // 7)]:
@@ -122,6 +151,7 @@ def audit():
             # code identity, not name: lambdas of one suite share a name
             shared[name] |= {names[c] for c in by_route & by_reference}
             route_work[name] |= {names[c] for c in by_route}
+            reference_work[name] |= {names[c] for c in by_reference}
         return real_agree(name, cases, route, reference, values)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -130,18 +160,33 @@ def audit():
     assert report["ok"]
     checks = {c["name"] for suite in report["suites"] for c in suite["checks"]}
     assert checks == set(shared) == set(route_work) and len(checks) == 18
-    return {check: ({n for n in shared[check] if not _allowed(n)}, route_work[check])
+    return {check: ({n for n in shared[check] if not _allowed(n)}, route_work[check],
+                    reference_work[check])
             for check in checks}
 
 
+def _computes(entered: set) -> bool:
+    """Whether a side enters a library function outside verify and the
+    allowlist."""
+    return any(not n.startswith("verify.") and not _allowed(n) for n in entered)
+
+
 def test_the_two_sides_of_a_check_share_only_the_listed_functions(audit):
-    shares = {check: found for check, (found, _) in audit.items() if found}
+    shares = {check: found for check, (found, _, _) in audit.items() if found}
     assert shares == SHARED
 
 
 def test_every_route_computes_its_value_inside_the_check(audit):
     """A route that only returns a value computed before the check enters
     no library function; every route here enters one beyond the allowed."""
-    idle = [check for check, (_, entered) in audit.items()
-            if not any(not n.startswith("verify.") and not _allowed(n) for n in entered)]
+    idle = [check for check, (_, entered, _) in audit.items() if not _computes(entered)]
     assert idle == []
+
+
+def test_every_reference_computes_its_value_unless_it_pins_the_paper(audit):
+    """A reference that enters no library function of its own, outside
+    verify, the allowlist and its check's shares, restates a value; PINS
+    names each such check with the statement it pins."""
+    idle = {check for check, (_, _, entered) in audit.items()
+            if not _computes(entered - SHARED.get(check, set()))}
+    assert idle == set(PINS)
