@@ -9,15 +9,10 @@ Three routes to the same numbers are kept deliberately separate:
 
 * closed form: a single binomial coefficient;
 * recursion: the degree convolution induced by a torus action, computed
-  with no binomials at all.  One induction serves both spaces: _table
+  with no binomials at all, by one induction for both spaces: _table
   builds the rows of n-space times m-space bottom-up over n, one row per
-  multidegree slot, one table per call.  A convolution with a 0-cycle row
-  is as many running sums; any other convolution of two rows is two
-  big-integer products of half the packed width (Kronecker substitution
-  at X and -X, see _truncated_product).  The single-space recursion takes
-  only the wanted coefficient at the last step, as one dot product; the
-  product recursion multiplies its last rows out into a series, by its
-  own fold;
+  multidegree slot, by running sums and big-integer products
+  (_truncated_product);
 * series: coefficient extraction from (1-t)^(-v), built from its
   logarithmic derivative v/(1-t) by the Euler-transform recurrence.
 
@@ -31,7 +26,7 @@ from math import comb
 from operator import add, mul
 
 from ._record import Record
-from .errors import DomainError, _check_ints, charge, metered
+from .errors import DomainError, _check_ints, charge, metered, product_units
 from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
@@ -87,19 +82,16 @@ def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
     d + 1 non-negative integers, as two half-size big-integer products
     (Kronecker substitution at the two points X and -X).
 
-    Each row is split into its even-index and odd-index entries, and each
-    half is packed into an int, one slot of w bits per entry, so that with
-    Y = 2^w and X = 2^(w/2) the row is a(X) = ae(Y) + X * ao(Y).  Then
-    u = a(X) * b(X) and v = a(-X) * b(-X) are the products of
-    ae + X * ao and ae - X * ao with the same for b, and (u + v) / 2 and
-    (u - v) / (2X) are the even and odd halves of the product row, each
-    packed at Y.  The width w is sized from the products that land in
-    coefficients 0..d only.  With B[j] = max(bits(b[0]), ..., bits(b[j])),
-    a term a[i] * b[e - i] of coefficient e <= d is below
-    2^(bits(a[i]) + B[d - i]), since e - i <= d - i.  Coefficient e sums at
-    most d + 1 such terms, so it is below 2^w for
-    w = max_i (bits(a[i]) + B[d - i]) + bits(d + 1), rounded up to whole
-    bytes: every kept coefficient fits its slot of Y.  All coefficients are
+    Each row's even- and odd-index entries are packed into an int each,
+    one slot of w bits per entry, so that with Y = 2^w and X = 2^(w/2) the
+    row is a(X) = ae(Y) + X * ao(Y).  Then u = a(X) * b(X) and
+    v = a(-X) * b(-X), and (u + v) / 2 and (u - v) / (2X) are the even and
+    odd halves of the product row, each packed at Y.  With
+    B[j] = max(bits(b[0]), ..., bits(b[j])), a term a[i] * b[e - i] of a
+    coefficient e <= d is below 2^(bits(a[i]) + B[d - i]), since
+    e - i <= d - i, and a coefficient sums at most d + 1 terms, so every
+    kept coefficient fits a slot of w = max_i (bits(a[i]) + B[d - i]) +
+    bits(d + 1) bits, rounded up to whole bytes.  All coefficients are
     non-negative, so the ones above d, which may overflow, carry only
     upward, and each half masked to its kept slots holds the kept
     coefficients themselves.
@@ -109,10 +101,9 @@ def _truncated_product(a: list[int], b: list[int], d: int) -> list[int]:
     bits = max(map(add, map(int.bit_length, a), reversed(b_max_bits)))
     width = (bits + (d + 1).bit_length() + 7) // 8
     half = 4 * width  # X = 2^half
-    # the call, four packs and two unpacks of d + 1 entries, and two products
-    # of n-word ints, each about 0.033 * n^1.585 us by Karatsuba's algorithm
-    n = (d // 2 + 1) * width // 8 + 1
-    charge(40 + 6 * (d + 1) + int(n**1.585) // 4)
+    # the call, four packs and two unpacks of d + 1 entries, and u and v
+    size = 8 * width * (d // 2 + 2)  # at least the bits of their factors
+    charge(40 + 6 * (d + 1) + 2 * product_units(size, size))
 
     def pack(row: list[int]) -> int:
         return int.from_bytes(
@@ -310,15 +301,13 @@ def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceRep
     size = check_field(q, m)
     expected_euler = chow_invariant_closed(idx)
     if idx.d == 0:
-        actual = 1
-        note = "degree 0: the empty cycle is a single point"
+        actual, note = 1, "degree 0: the empty cycle is a single point"
     elif idx.d == 1:
         k = min(idx.p + 1, idx.n - idx.p)
         actual = metered(gaussian_binomial, idx.n + 1, k, size)
         note = "degree 1: linear cycles form a Grassmannian"
     else:
-        actual = None
-        note = "untestable at desk scale: no cycle-space enumeration exists here"
+        actual, note = None, "untestable at desk scale: no cycle-space enumeration exists here"
     return CongruenceReport(
         q=q,
         expected_mod_q=1,

@@ -8,7 +8,6 @@ specific class that applies rather than a bare ValueError.
 
 import contextvars
 import sys
-from functools import cache
 
 
 class DomainError(ValueError):
@@ -44,15 +43,17 @@ class BudgetError(RuntimeError):
 
 
 # The work meter.  A unit of work is about 0.25 us on a 2-CPU Python 3.11
-# host, as long as ring arithmetic takes to multiply a term pair.  Each place
-# that builds ring values, series, recursion rows or text charges the units
-# it is about to take before it allocates anything, so a call is refused
-# with BudgetError before it overruns its budget, in memory as in time.
-# G(1, 1200) takes about 1.5 * 10^6 units; no call inside took 2 s.
+# host, as long as ring arithmetic takes to multiply a term pair, or CPython
+# takes for about 250 products of the digits it stores ints in (see
+# product_units).  Each place that builds ring values, series, recursion
+# rows or text charges the units it is about to take before it allocates
+# anything, so a call is refused with BudgetError before it overruns its
+# budget, in memory as in time.  No call inside the budget took 2 s.
 WORK_BUDGET = 2_500_000
 
 # the units left in the open budget, as a one-item list; None outside one
 _left = contextvars.ContextVar("cyclemotive_work_left", default=None)
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 def charge(units: int) -> None:
@@ -76,27 +77,39 @@ def metered(fn, *args):
         _left.reset(token)
 
 
+def digits(bits: int) -> int:
+    """The digits CPython stores an int of `bits` bits in."""
+    return -(-bits // _DIGIT_BITS)
+
+
+def digit_units(a_digits, b_digits) -> int:
+    """The units of a_digits * b_digits digit products, one product taken
+    digit by digit or all products of two lists of ints of those digits."""
+    return int(a_digits * b_digits) // 250
+
+
+def product_units(a_bits: int, b_bits: int) -> int:
+    """The units of one product, priced as CPython multiplies: digit by
+    digit while the shorter operand has at most 70 digits, and past that by
+    Karatsuba's algorithm on pieces of the shorter's size, 6 * short^0.585
+    digit products per digit of the longer; symmetric and non-decreasing."""
+    if a_bits > b_bits:
+        a_bits, b_bits = b_bits, a_bits
+    short = -(-a_bits // _DIGIT_BITS)  # digits(), inline on this hot path
+    return digit_units(-(-b_bits // _DIGIT_BITS), short if short <= 70 else 6 * short**0.585)
+
+
+def division_units(n_bits: int, d_bits: int) -> int:
+    """The units of one division: quotient digits times divisor digits."""
+    d = digits(d_bits)
+    return digit_units(max(0, digits(n_bits) - d + 1), d)
+
+
 def _long_integer() -> str:
     """What int() and str() refuse past the interpreter's digit limit, for
     the messages that report it."""
     limit = sys.get_int_max_str_digits()
     return f"an integer longer than sys.get_int_max_str_digits() = {limit} digits"
-
-
-@cache
-def _bits_of_power_of_ten(digits: int) -> int:
-    return (10**digits).bit_length()
-
-
-def _digit_limit() -> tuple[int, int, str]:
-    """L, the most digits int() and str() take (4300 where the interpreter
-    sets no limit); the bits of 10^L, computed once per L, since the limit
-    may change at run time, so that a value of at least 2 to that power has
-    more than L digits; and the words that say so in a message."""
-    limit = sys.get_int_max_str_digits()
-    digits = limit or 4300
-    return (digits, _bits_of_power_of_ten(digits),
-            f"more than {digits} digits (sys.get_int_max_str_digits() = {limit})")
 
 
 def _shown(value) -> str:

@@ -20,11 +20,12 @@ which decides primality exactly below 2^64.  Larger bases are refused.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
-from math import log2
+from math import log2, prod
 
 from ._record import Record
-from .errors import BudgetError, DomainError, _check_ints, _digit_limit, charge
+from .errors import BudgetError, DomainError, _check_ints, charge, division_units, product_units
 from .ring import LPoly
 from .toric import Fan
 
@@ -128,11 +129,12 @@ def check_field(q: int, m: int) -> int:
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
-    limit, bits, past = _digit_limit()
-    # q^m >= 2^(m(b-1)) for q of b bits, so q^m is built only when it has
-    # fewer than twice the bits of 10^limit
-    if m * (q.bit_length() - 1) >= bits or (size := q**m) >= 10**limit:
-        raise DomainError(f"the field size q^m has {past}")
+    limit = sys.get_int_max_str_digits()
+    digits = limit or 4300  # the most digits int() and str() take
+    # q^m >= 2^(m(b - 1)) for q of b bits, and 2^3.322 > 10
+    if 1000 * m * (q.bit_length() - 1) >= 3322 * digits or (size := q**m) >= 10**digits:
+        raise DomainError(f"the field size q^m has more than {digits} digits "
+                          f"(sys.get_int_max_str_digits() = {limit})")
     return size
 
 
@@ -148,23 +150,20 @@ def _check_subspace_dims(n: int, k: int, **more: int) -> None:
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
     field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact.  Charged up
-    front, for a numerator of N bits and a denominator of D: a unit a
-    factor, and N(N + D) / 2^18 for the products, at most (N^2 + D^2) / 2
-    bit products, and the one division, (N - D)D, which CPython does in
-    quadratic time."""
+    front: a unit a factor, each power and product, and the one division."""
     _check_subspace_dims(n, k, q=q)
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
-    b = q.bit_length()
-    num_bits, den_bits = b * (k * n - k * (k - 1) // 2), b * k * (k + 1) // 2
-    charge(2 * k + (num_bits * (num_bits + den_bits) >> 18))
-    numerator = 1
-    denominator = 1
-    for i in range(k):
-        numerator *= q ** (n - i) - 1
-        denominator *= q ** (k - i) - 1
-    assert numerator % denominator == 0
-    return numerator // denominator
+    b, units, bits = q.bit_length(), 2 * k, [0, 0]  # the numerator's and denominator's
+    for side, top in enumerate((n, k)):
+        for e in range(top, top - k, -1):  # q^e: at most twice its last square
+            units += 2 * product_units(b * e // 2, b * e // 2) + product_units(bits[side], b * e)
+            bits[side] += b * e
+    charge(units + division_units(*bits))
+    numerator, denominator = (prod(q ** (top - i) - 1 for i in range(k)) for top in (n, k))
+    quotient, rest = divmod(numerator, denominator)
+    assert rest == 0
+    return quotient
 
 
 def gaussian_binomial_poly(n: int, k: int) -> LPoly:
@@ -292,10 +291,10 @@ def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     Orbit decomposition: each rank-k cone contributes an (n-k)-torus with
     (q^m - 1)^(n-k) points.
     """
-    size = check_field(q, m)
-    return sum(
-        d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(fan.census)
-    )
+    size, census = check_field(q, m), fan.census
+    b = size.bit_length()  # (size - 1)^e costs at most twice its last square
+    charge(sum(1 + 2 * product_units(b * e // 2, b * e // 2) for e in range(fan.dim + 1)))
+    return sum(d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(census))
 
 
 class CongruenceReport(Record):

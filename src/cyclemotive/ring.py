@@ -11,22 +11,18 @@ Four value types, all immutable, all over arbitrary-precision integers:
                     coefficients of infinite-product generating series.
 
 All four are thin subclasses of one core, ``_TermMap``: a map from
-exponent key to nonzero ``int``, built one way only, from a term map
-``{exponent: coefficient}``, by a single canonicalizing constructor, with a
-single add, neg, sub, mul, pow, eq, hash and repr.  A type contributes
-only its exponent check, its exponent addition (series also truncate) and
-its text form.  The two one-variable types share one more body,
-``_OneVariable``: integer exponents (negative ones only in ``Laurent1``),
-coefficient lookup and text in ascending powers of their variable.  Only
-``LPoly`` is evaluated at a point, by Horner's rule.  The ring maps
-(``specialize``, the two quotients and the two changes of variable) take
-exactly their source type.  ``str()`` of a polynomial is its canonical
-text and the only printer.  ``parse_poly2`` is the one reader, for Z[u,v]
-only, in the regular grammar stated under "Text form" below.  A value is
-checked once, where it enters from outside: the constructors check every
-term, and the series builders check their factor lists.  Ring arithmetic
-and the series builders wrap maps they built themselves, unchecked.
-Everything is computed exactly; equality is equality of canonical forms.
+exponent key to nonzero ``int``, built only from a term map
+``{exponent: coefficient}`` by one canonicalizing constructor, with one
+add, neg, sub, mul, pow, eq, hash and repr.  A type adds only its exponent
+check, its exponent addition (series also truncate) and its text form;
+the two one-variable types share ``_OneVariable``.  Only ``LPoly`` is
+evaluated at a point, by Horner's rule.  The ring maps (``specialize``,
+the two quotients and the two changes of variable) take exactly their
+source type.  ``str()`` is the only printer and ``parse_poly2`` the one
+reader, for Z[u,v] only, in the grammar under "Text form" below.  A value
+is checked once, where it enters from outside: the constructors check
+every term, the series builders their factor lists, and the maps built
+inside are wrapped unchecked.  Equality is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -37,7 +33,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from math import comb, prod
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError, _check_ints, _check_type, _long_integer, charge
+from .errors import (DomainError, ParseError, _check_ints, _check_type, _long_integer, charge,
+                     digit_units, digits, division_units, product_units)
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -136,10 +133,9 @@ class _TermMap:
             return NotImplemented
         self._check_compatible(other)
         a, b = self._terms, other._terms
-        # a unit a pair, and one per 16 products of the coefficients' 64-bit
-        # words, a word or more each: 2^16 is 16 * 64 * 64
-        bits = [64 * len(t) + sum(map(int.bit_length, t.values())) for t in (a, b)]
-        charge(len(a) * len(b) + (bits[0] * bits[1] >> 16))
+        # a unit a pair, and every coefficient product taken digit by digit
+        size = [sum(map(digits, map(int.bit_length, t.values()))) for t in (a, b)]
+        charge(len(a) * len(b) + digit_units(*size))
         add_exponents = self._add_exponents
         out: dict = {}
         for e1, c1 in a.items():
@@ -290,14 +286,13 @@ class LPoly(_OneVariable):
     __mul__ = _TermMap.__mul__  # own entry, as in Poly2
 
     def evaluate(self, x: int) -> int:
-        """Exact value at an integer, by Horner's rule: d + 1 steps, each
-        charged a unit of work and one per 16 word products of a total of at
-        most d*b + s bits times x of b bits, s the bits of sum(|c|)."""
+        """Exact value at an integer by Horner's rule: d + 1 steps, each charged
+        a unit and a product of x, of b bits, by at most d*b + bits(sum|c|) bits."""
         _check_ints({"x": x})
         terms = self._terms
         d, b = max(terms, default=0), x.bit_length()
-        total_words = (d * b + sum(map(abs, terms.values())).bit_length()) // 64 + 1
-        charge((d + 1) * (1 + total_words * (b // 64 + 1) // 16))
+        bits = d * b + sum(map(abs, terms.values())).bit_length()
+        charge((d + 1) * (1 + product_units(bits, b)))
         total = 0
         for e in range(d, -1, -1):
             total = total * x + terms.get(e, 0)
@@ -442,9 +437,12 @@ def expand_inverse_product(
         merged[m] = merged.get(m, 0) + multiplicity
     rows = {}
     for m, c in merged.items():
-        # a_j = binom(c + j - 1, j) has at most min(j, c - 1) * bits(c + j) bits
-        length = order // sum(m) + 1
-        charge(2 * length + length * min(length, c) * (c + length).bit_length() // 2048)
+        # an entry is c times a running sum binom(c + j - 1, j - 1), of at
+        # most min(j, c) * bits(c + j) bits, divided by j
+        length, c_bits = order // sum(m) + 1, c.bit_length()
+        bits = min(length, c) * (c + length).bit_length() + c_bits
+        units = product_units(bits, c_bits) + division_units(bits, length.bit_length())
+        charge(length * (2 + units))
         rows[m] = powers = [1]
         running = 1
         for j in range(1, length):

@@ -20,7 +20,7 @@ from cyclemotive.chow import (
     irreducible_invariant_product,
     multidegree_slots,
 )
-from cyclemotive.errors import BudgetError, DomainError
+from cyclemotive.errors import BudgetError, DomainError, metered
 from cyclemotive.ffcount import (
     CongruenceReport,
     PrimePower,
@@ -55,7 +55,7 @@ from cyclemotive.ring import (
     quotient_uv_minus1,
     specialize,
 )
-from cyclemotive.toric import affine_fan, euler_series, invariant_subvarieties, projective_fan
+from cyclemotive.toric import Fan, affine_fan, euler_series, invariant_subvarieties, projective_fan
 from conftest import OVER_BUDGET, load_fan
 
 P1 = load_fan("p1")
@@ -245,6 +245,27 @@ def test_refusals_follow_the_interpreters_digit_limit():
         sys.set_int_max_str_digits(default)
 
 
+def test_the_digit_limit_is_exact_at_its_boundary():
+    """q^m of exactly the limit's digits is a field size, one more digit is
+    not: 2^14284 has 4300 digits, 2^14285 has 4301, and under a limit of
+    1000, 2^3321 has 1000 digits and 2^3322 has 1001."""
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit, bits in ((default, 14284), (1000, 3321)):
+            sys.set_int_max_str_digits(limit)
+            assert check_field(2, bits) == 2**bits
+            with pytest.raises(DomainError, match=f"more than {limit} digits"):
+                check_field(2, bits + 1)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_a_one_factor_count_is_priced_by_its_digits():
+    """[404771, 1] at 2 is 2^404771 - 1: a price quadratic in the bits of
+    the whole product refused it, though it counts in milliseconds."""
+    assert chow_congruence_targets(ChowIndex(0, 1, 404770), 2).actual == 2**404771 - 1
+
+
 FIELD_TOO_LARGE = r"^the field size q\^m has more than \d+ digits"
 
 
@@ -261,8 +282,15 @@ FIELD_TOO_LARGE = r"^the field size q\^m has more than \d+ digits"
     # [3001, 1500] at 2 has about 6.8 * 10^5 digits
     (lambda: chow_congruence_targets(ChowIndex(1500, 1, 3000), 2), BudgetError,
      f"^{OVER_BUDGET}$"),
+    # one factor, 7^(10^7 + 1) - 1: its power is priced by its squarings
+    (lambda: chow_congruence_targets(ChowIndex(0, 1, 10**7), 7), BudgetError,
+     f"^{OVER_BUDGET}$"),
+    # a 300-dimensional fan's top power of 2^14000 - 1 has 4.2 * 10^6 bits:
+    # unpriced, toric --count took 36 s before the printer refused it
+    (lambda: metered(toric_count, Fan(300, ((1,) + (0,) * 299,), ((0,),)), 2, 14000),
+     BudgetError, f"^{OVER_BUDGET}$"),
 ], ids=["count-measure", "toric_count", "chow_congruence_targets", "degree-one-count",
-        "degree-one-wide"])
+        "degree-one-wide", "degree-one-power", "toric-count-power"])
 def test_oversized_field_counts_are_refused_before_any_work(call, error, message):
     start = time.perf_counter()
     with pytest.raises(error, match=message):

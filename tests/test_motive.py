@@ -584,6 +584,30 @@ def test_a_refused_charge_takes_nothing():
     assert left == [0]
 
 
+def _digits(bits):
+    return -(-bits // sys.int_info.bits_per_digit)
+
+
+_BITS = st.integers(0, 10**7)
+
+
+@given(_BITS, _BITS, _BITS)
+def test_a_product_price_is_symmetric_and_non_decreasing(a, b, more):
+    """Priced as CPython multiplies: digit by digit while the shorter
+    operand has at most 70 digits, 250 digit products a unit."""
+    price = errors.product_units
+    assert price(a, b) == price(b, a)
+    assert price(a, b) <= price(a + more, b) and price(a, b) <= price(a, b + more)
+    if min(_digits(a), _digits(b)) <= 70:
+        assert price(a, b) == _digits(a) * _digits(b) // 250
+
+
+@given(_BITS, _BITS, _BITS)
+def test_a_division_price_is_non_decreasing_in_the_dividend(n, d, more):
+    assert errors.division_units(n, d) <= errors.division_units(n + more, d)
+    assert errors.division_units(n, d) == max(0, _digits(n) - _digits(d) + 1) * _digits(d) // 250
+
+
 def test_expr_json_round_trip_special_leaves():
     fan = load_fan("p1xp1")
     for e in (
