@@ -9,13 +9,13 @@ Two deliberately separate routes to the same numbers:
 
 The enumerator exists to keep the formulas honest, so it never calls them,
 not even to size its own work; its budget is computed from the enumeration
-structure itself.  Its kernel (is_rref, cell_count) lives here and is plain
-Python: one matrix per pivot pattern, stepped in place through every
-assignment of its free entries, with the full predicate run on each.
+structure itself.  Its kernel (is_rref, cell_count) is plain Python, and
+its entries only label the field's elements 0..q-1: it needs no field
+arithmetic and takes every q that check_field admits.
 
-Field sizes are checked by PrimePower.from_int: perfect-power detection by
-integer roots, then a Miller-Rabin test of the base with fixed witnesses,
-which decides primality exactly below 2^64.  Larger bases are refused.
+check_field checks field sizes through PrimePower.from_int: perfect-power
+detection by integer roots, then a Miller-Rabin test of the base with fixed
+witnesses, exact below 2^64.  Larger bases are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
 
 BRUTE_FORCE_MAX_MATRICES = 10**6
-BRUTE_FORCE_MAX_Q = 7
 
 
 def is_prime(n: int) -> bool:
@@ -44,6 +43,7 @@ def is_prime(n: int) -> bool:
     as witnesses.  The least composite that is a strong pseudoprime to all
     of them is about 3.2 * 10^23 (Jaeschke 1993; Jiang and Deng 2014), so
     the answer is exact."""
+    _check_ints({"n": n})
     if n >= _PRIME_BOUND:
         raise DomainError(f"primality is decided only below 2^64, got {n}")
     if n < 2:
@@ -98,6 +98,7 @@ class PrimePower(Record):
 
     @classmethod
     def from_int(cls, q: int) -> "PrimePower":
+        _check_ints({"field size": q})
         if q < 2:
             raise DomainError(f"field size must be >= 2, got {q}")
         # q = p^e with e as large as possible; the root grows as e falls,
@@ -227,12 +228,11 @@ def _free_entries(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
 def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
     """Number of RREF matrices with the given pivot columns, by exhaustion.
 
-    Walks every assignment of the unconstrained entries (those to the
-    right of their row's pivot in non-pivot columns) as an odometer on one
-    matrix, the first free entry turning fastest; each step writes only
-    the entries that change.  The full RREF predicate runs on every
-    matrix, and the ones that pass are counted.  The predicate never fails
-    for well-formed input; checking it per matrix is the point, the count
+    Walks every assignment of the free entries (see _free_entries) as an
+    odometer on one matrix, the first turning fastest; each step writes
+    only the entries that change.  The full RREF predicate runs on every
+    matrix, and the ones that pass are counted: it never fails for
+    well-formed input, and checking it per matrix is the point, the count
     is evidence rather than arithmetic.
     """
     matrix = [[0] * n for _ in pivots]
@@ -258,22 +258,22 @@ def rref_cell_census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
 
     Enumerates, for every choice of pivot columns, all matrices in reduced
     row echelon form with those pivots; each matrix found is one subspace.
-    The work is capped: the number of candidate matrices (summed over
-    patterns from the free-entry counts, never from a closed form) must not
-    exceed BRUTE_FORCE_MAX_MATRICES.
+    Entries only label F_q's elements 0..q-1, so q is any prime power.  The
+    candidate matrices (summed over patterns from the free-entry counts,
+    never from a closed form) must not exceed BRUTE_FORCE_MAX_MATRICES.  The
+    widest pattern, pivots 0..k-1, is sized first, as q^(k(n-k)) cut at the
+    cap's b bits (q^b >= 2^b > cap): no pattern is listed for a census that
+    it alone overruns.
     """
     _check_subspace_dims(n, k, q=q)
-    if q > BRUTE_FORCE_MAX_Q:
-        raise DomainError(f"brute force is capped at q <= {BRUTE_FORCE_MAX_Q}, got {q}")
-    if not is_prime(q):
-        raise DomainError(f"brute force needs a prime field size, got {q}")
-    patterns = list(combinations(range(n), k))
-    work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
+    check_field(q, 1)
+    work = q ** min(k * (n - k), BRUTE_FORCE_MAX_MATRICES.bit_length())
+    if work <= BRUTE_FORCE_MAX_MATRICES:
+        patterns = list(combinations(range(n), k))
+        work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
     if work > BRUTE_FORCE_MAX_MATRICES:
-        raise BudgetError(
-            f"enumeration needs {work} candidate matrices, "
-            f"budget is {BRUTE_FORCE_MAX_MATRICES}"
-        )
+        raise BudgetError(f"enumeration needs at least {work} candidate matrices, "
+                          f"budget is {BRUTE_FORCE_MAX_MATRICES}")
     return {piv: cell_count(n, piv, q) for piv in patterns}
 
 

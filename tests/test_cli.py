@@ -875,6 +875,22 @@ def test_series_and_recursions_past_the_budget_exit_2(argv):
     assert "work takes more than its budget" in proc.stderr
 
 
+def test_oversized_census_is_refused_under_the_address_space_cap():
+    """Each census is refused before its pivot patterns are listed: the 30
+    million patterns of (12, 28, 2), or a copy of range(10^9), would not fit
+    under the 2 GB cap."""
+    code = ("import cyclemotive as cm\n"
+            "for args in ((8, 24, 2), (12, 28, 2), (1, 10**9, 2)):\n"
+            "    try:\n"
+            "        cm.grassmannian_count_brute(*args)\n"
+            "    except cm.BudgetError as e:\n"
+            "        print(e)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=TREE_ENV, timeout=10, preexec_fn=_address_space_cap)
+    refusal = "enumeration needs at least 1048576 candidate matrices, budget is 1000000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 3, "")
+
+
 def test_degree_one_congruence_counts_the_smaller_grassmannian():
     """G(3000, 3001) is counted as G(1, 3001): over its own k the count took
     about 30 s."""

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cyclemotive import ffcount
 from cyclemotive.chow import (
     ChowIndex,
     chow_congruence_targets,
@@ -200,14 +201,69 @@ def test_rref_predicate_each_failure():
 
 
 def test_brute_force_preconditions():
-    with pytest.raises(DomainError):
-        grassmannian_count_brute(1, 3, 4)  # not prime
-    with pytest.raises(DomainError):
-        grassmannian_count_brute(1, 3, 11)  # prime but over the cap
+    assert grassmannian_count_brute(1, 3, 4) == 21  # a prime power, not a prime
+    assert grassmannian_count_brute(1, 3, 11) == 133  # a prime past the old q <= 7
     with pytest.raises(DomainError):
         grassmannian_count_brute(4, 3, 2)  # k > n
     with pytest.raises(BudgetError):
         grassmannian_count_brute(3, 12, 2)  # ~4e8 candidates
+
+
+def test_brute_force_matches_formula_over_prime_powers():
+    """The entries label the field's elements, so the census needs no field
+    arithmetic and counts over F_4, F_8 and F_9 as over a prime field."""
+    cases = [(k, n, 4) for n in range(6) for k in range(n + 1)]
+    cases += [(k, n, q) for q in (8, 9) for n in range(5) for k in range(n + 1)]
+    assert len(cases) == 51
+    for k, n, q in cases:
+        assert grassmannian_count_brute(k, n, q) == gaussian_binomial(n, k, q)
+
+
+@pytest.mark.parametrize("k, n, q", [(8, 24, 2), (12, 28, 2), (1, 10**9, 2)])
+def test_oversized_census_is_refused_before_its_patterns_are_listed(k, n, q):
+    """The widest pivot pattern alone overruns the cap, and is sized before
+    any pattern is listed: listing them took 5.5 s for (8, 24, 2), and for
+    (1, 10^9, 2) copied range(10^9) first."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^enumeration needs at least 1048576 candidate"):
+        grassmannian_count_brute(k, n, q)
+    assert time.perf_counter() - start < 0.5
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_census_is_refused_exactly_when_its_candidates_exceed_the_cap(data):
+    """Refused iff the candidate matrices, summed here from free_positions,
+    exceed the cap; the cap is drawn small, or next to the sum, so that an
+    admitted census stays cheap."""
+    n = data.draw(st.integers(0, 12))
+    k = data.draw(st.integers(0, n))
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
+    work = sum(q ** free_positions(n, pivots) for pivots in itertools.combinations(range(n), k))
+    cap = data.draw(st.one_of(st.integers(1, 3000), st.sampled_from([work - 1, work, work + 1])))
+    assume(cap >= 1 and (work > cap or work <= 3000))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffcount, "BRUTE_FORCE_MAX_MATRICES", cap)
+        if work > cap:
+            with pytest.raises(BudgetError, match=f"^enumeration needs at least \\d+ candidate "
+                                                  f"matrices, budget is {cap}$"):
+                rref_cell_census(k, n, q)
+        else:
+            assert sum(rref_cell_census(k, n, q).values()) == gaussian_binomial(n, k, q)
+
+
+def test_census_checks_its_field_with_check_field():
+    with pytest.raises(DomainError, match="^6 is not a prime power$"):
+        rref_cell_census(1, 3, 6)
+
+
+def test_field_checks_refuse_non_ints():
+    with pytest.raises(DomainError, match="^n must be an int, got float$"):
+        is_prime(7.0)
+    with pytest.raises(DomainError, match="^field size must be an int, got float$"):
+        PrimePower.from_int(2.5)
+    with pytest.raises(DomainError, match="^field size must be an int, got str$"):
+        PrimePower.from_int("7")
 
 
 @pytest.mark.parametrize("q, m, message", [
@@ -409,7 +465,7 @@ def test_prime_power_agrees_with_trial_division(q):
 
 
 def test_census_checks_field_cap_before_primality():
-    with pytest.raises(DomainError, match="capped"):
+    with pytest.raises(DomainError, match="too large"):
         rref_cell_census(1, 2, 10**30 + 57)
 
 
