@@ -38,8 +38,7 @@ class FanError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A computation would exceed its budget: the units of work of one
-    call (see charge), or the matrices of a brute-force enumeration."""
+    """A computation would exceed its budget of units of work (see charge)."""
 
 
 # The work meter.  A unit of work is about 0.25 us on a 2-CPU Python 3.11

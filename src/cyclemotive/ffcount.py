@@ -8,10 +8,10 @@ Two deliberately separate routes to the same numbers:
   one representative per subspace, materializing and checking every matrix.
 
 The enumerator exists to keep the formulas honest, so it never calls them,
-not even to size its own work; its budget is computed from the enumeration
-structure itself.  Its kernel (is_rref, cell_count) is plain Python, and
-its entries only label the field's elements 0..q-1: it needs no field
-arithmetic and takes every q that check_field admits.
+not even to price its own work, which the work meter is charged from the
+enumeration structure itself.  Its kernel (is_rref, cell_count) is plain
+Python, and its entries only label the field's elements 0..q-1: it needs
+no field arithmetic and takes every q that check_field admits.
 
 check_field checks field sizes through PrimePower.from_int: perfect-power
 detection by integer roots, then a Miller-Rabin test of the base with fixed
@@ -25,7 +25,8 @@ from itertools import combinations
 from math import log2, prod
 
 from ._record import Record
-from .errors import BudgetError, DomainError, _check_ints, charge, division_units, product_units
+from .errors import (WORK_BUDGET, DomainError, _check_ints, charge, division_units, metered,
+                     product_units)
 from .ring import LPoly
 from .toric import Fan
 
@@ -34,8 +35,6 @@ KERNEL = "python"  # the enumeration kernel below is pure Python; there is no ot
 _PRIME_BOUND = 2**64  # Miller-Rabin with _WITNESSES is exact below this
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
-
-BRUTE_FORCE_MAX_MATRICES = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -259,21 +258,23 @@ def rref_cell_census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
     Enumerates, for every choice of pivot columns, all matrices in reduced
     row echelon form with those pivots; each matrix found is one subspace.
     Entries only label F_q's elements 0..q-1, so q is any prime power.  The
-    candidate matrices (summed over patterns from the free-entry counts,
-    never from a closed form) must not exceed BRUTE_FORCE_MAX_MATRICES.  The
-    widest pattern, pivots 0..k-1, is sized first, as q^(k(n-k)) cut at the
-    cap's b bits (q^b >= 2^b > cap): no pattern is listed for a census that
-    it alone overruns.
+    work is charged as the patterns are listed, before any matrix is built:
+    n units for the column pool, then per pattern its scan of free entries
+    and its candidates, each a unit plus one per four of its k*n entries.
     """
     _check_subspace_dims(n, k, q=q)
     check_field(q, 1)
-    work = q ** min(k * (n - k), BRUTE_FORCE_MAX_MATRICES.bit_length())
-    if work <= BRUTE_FORCE_MAX_MATRICES:
-        patterns = list(combinations(range(n), k))
-        work = sum(q ** len(_free_entries(n, piv)) for piv in patterns)
-    if work > BRUTE_FORCE_MAX_MATRICES:
-        raise BudgetError(f"enumeration needs at least {work} candidate matrices, "
-                          f"budget is {BRUTE_FORCE_MAX_MATRICES}")
+    return metered(_census, k, n, q)
+
+
+def _census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
+    price, cut = 1 + k * n // 4, WORK_BUDGET.bit_length()  # q^cut > WORK_BUDGET
+    charge(n)  # combinations() copies the column pool
+    patterns = []
+    for pivots in combinations(range(n), k):  # pivots 0..k-1, the widest, first
+        charge(price)
+        charge(q ** min(len(_free_entries(n, pivots)), cut) * price)
+        patterns.append(pivots)
     return {piv: cell_count(n, piv, q) for piv in patterns}
 
 

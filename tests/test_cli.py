@@ -22,7 +22,7 @@ from cyclemotive import cli, verify
 from cyclemotive.errors import WORK_BUDGET, DomainError
 from cyclemotive.ffcount import CongruenceReport
 from cyclemotive.ring import Laurent1, MultiSeries, Poly2
-from conftest import DATA, SRC, charged
+from conftest import DATA, OVER_BUDGET, SRC, charged
 
 P2_EXPR = str(DATA / "p2.json")
 TORUS1_EXPR = str(DATA / "torus1.json")
@@ -876,9 +876,9 @@ def test_series_and_recursions_past_the_budget_exit_2(argv):
 
 
 def test_oversized_census_is_refused_under_the_address_space_cap():
-    """Each census is refused before its pivot patterns are listed: the 30
-    million patterns of (12, 28, 2), or a copy of range(10^9), would not fit
-    under the 2 GB cap."""
+    """Each census is refused by the work meter before its pivot patterns
+    are listed: the 30 million patterns of (12, 28, 2), or a copy of
+    range(10^9), would not fit under the 2 GB cap."""
     code = ("import cyclemotive as cm\n"
             "for args in ((8, 24, 2), (12, 28, 2), (1, 10**9, 2)):\n"
             "    try:\n"
@@ -887,7 +887,7 @@ def test_oversized_census_is_refused_under_the_address_space_cap():
             "        print(e)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=TREE_ENV, timeout=10, preexec_fn=_address_space_cap)
-    refusal = "enumeration needs at least 1048576 candidate matrices, budget is 1000000\n"
+    refusal = OVER_BUDGET + "\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 3, "")
 
 

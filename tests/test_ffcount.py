@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclemotive import ffcount
+from cyclemotive import errors
 from cyclemotive.chow import (
     ChowIndex,
     chow_congruence_targets,
@@ -21,7 +21,7 @@ from cyclemotive.chow import (
     irreducible_invariant_product,
     multidegree_slots,
 )
-from cyclemotive.errors import BudgetError, DomainError, metered
+from cyclemotive.errors import WORK_BUDGET, BudgetError, DomainError, metered
 from cyclemotive.ffcount import (
     CongruenceReport,
     PrimePower,
@@ -57,7 +57,7 @@ from cyclemotive.ring import (
     specialize,
 )
 from cyclemotive.toric import Fan, affine_fan, euler_series, invariant_subvarieties, projective_fan
-from conftest import OVER_BUDGET, load_fan
+from conftest import OVER_BUDGET, charged, load_fan
 
 P1 = load_fan("p1")
 P2 = load_fan("p2")
@@ -221,35 +221,90 @@ def test_brute_force_matches_formula_over_prime_powers():
 
 @pytest.mark.parametrize("k, n, q", [(8, 24, 2), (12, 28, 2), (1, 10**9, 2)])
 def test_oversized_census_is_refused_before_its_patterns_are_listed(k, n, q):
-    """The widest pivot pattern alone overruns the cap, and is sized before
-    any pattern is listed: listing them took 5.5 s for (8, 24, 2), and for
-    (1, 10^9, 2) copied range(10^9) first."""
+    """The widest pivot pattern comes first, and its candidates alone
+    overrun the budget: listing every pattern took 5.5 s for (8, 24, 2),
+    and (1, 10^9, 2) is refused at its column pool, before range(10^9) is
+    copied."""
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="^enumeration needs at least 1048576 candidate"):
+    with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
         grassmannian_count_brute(k, n, q)
     assert time.perf_counter() - start < 0.5
+
+
+def census_units(k, n, q):
+    """The census's price, summed here from free_positions: n for the
+    column pool, then per pattern its scan and its candidates, each at
+    1 + k*n // 4 units."""
+    price = 1 + k * n // 4
+    return n + sum(price * (1 + q ** free_positions(n, pivots))
+                   for pivots in itertools.combinations(range(n), k))
 
 
 @given(st.data())
 @settings(deadline=None)
 def test_census_is_refused_exactly_when_its_candidates_exceed_the_cap(data):
-    """Refused iff the candidate matrices, summed here from free_positions,
-    exceed the cap; the cap is drawn small, or next to the sum, so that an
-    admitted census stays cheap."""
+    """Refused iff its price exceeds the units left, which are drawn small,
+    or next to the price, so that an admitted census stays cheap; an
+    admitted one takes exactly its price."""
     n = data.draw(st.integers(0, 12))
     k = data.draw(st.integers(0, n))
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
-    work = sum(q ** free_positions(n, pivots) for pivots in itertools.combinations(range(n), k))
-    cap = data.draw(st.one_of(st.integers(1, 3000), st.sampled_from([work - 1, work, work + 1])))
-    assume(cap >= 1 and (work > cap or work <= 3000))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ffcount, "BRUTE_FORCE_MAX_MATRICES", cap)
-        if work > cap:
-            with pytest.raises(BudgetError, match=f"^enumeration needs at least \\d+ candidate "
-                                                  f"matrices, budget is {cap}$"):
+    work = census_units(k, n, q)
+    drawn = data.draw(st.one_of(st.integers(0, 3000), st.sampled_from([work - 1, work, work + 1])))
+    units = min(drawn, WORK_BUDGET)
+    assume(work > units or work <= 3000)
+    expected, left = gaussian_binomial(n, k, q), [units]
+    token = errors._left.set(left)
+    try:
+        if work > units:
+            with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
                 rref_cell_census(k, n, q)
         else:
-            assert sum(rref_cell_census(k, n, q).values()) == gaussian_binomial(n, k, q)
+            assert sum(rref_cell_census(k, n, q).values()) == expected
+            assert left == [units - work]
+    finally:
+        errors._left.reset(token)
+
+
+@pytest.mark.parametrize("k, n, q", [(0, 10**7, 2), (20000, 20000, 2), (10**5, 10**5, 2)])
+def test_census_with_a_long_pool_or_a_wide_matrix_is_refused_at_once(k, n, q):
+    """k = 0 copied range(10^7) to answer 1; at k = n the one n x n matrix
+    was scanned and built, 3.2 GB of lists at n = 20000."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
+        grassmannian_count_brute(k, n, q)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_square_census_ends_within_a_second():
+    """Its one 3000 x 3000 matrix took 0.92 s to scan, build and check;
+    the scan and the candidate are each priced from their k*n entries."""
+    start = time.perf_counter()
+    try:
+        assert grassmannian_count_brute(3000, 3000, 2) == 1
+    except BudgetError:
+        pass
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("k, n, q", [(0, 3, 2), (2, 5, 2), (2, 4, 3), (3, 3, 2)])
+def test_a_refused_census_checks_no_matrix(predicate_calls, k, n, q):
+    """Every charge is made while the patterns are listed, the last one
+    included, so a census one unit short never reaches cell_count."""
+    token = errors._left.set([census_units(k, n, q) - 1])
+    try:
+        with pytest.raises(BudgetError):
+            rref_cell_census(k, n, q)
+    finally:
+        errors._left.reset(token)
+    assert predicate_calls == []
+
+
+@pytest.mark.parametrize("k, n, q", [(2, 7, 3), (2, 5, 7), (3, 8, 2)])
+def test_benchmark_censuses_take_at_most_half_the_budget(k, n, q):
+    count, units = charged(grassmannian_count_brute, k, n, q)
+    assert count == gaussian_binomial(n, k, q)
+    assert units == census_units(k, n, q) <= WORK_BUDGET / 2
 
 
 def test_census_checks_its_field_with_check_field():
