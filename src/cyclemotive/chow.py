@@ -26,7 +26,8 @@ from math import comb
 from operator import add, mul
 
 from ._record import Record
-from .errors import DomainError, _check_ints, charge, metered, product_units
+from .errors import (DomainError, _check_ints, binomial_bits, binomial_units, budgeted, charge,
+                     product_units)
 from .ffcount import CongruenceReport, check_field, gaussian_binomial
 from .ring import Laurent1, MultiSeries, expand_inverse_product
 
@@ -40,13 +41,21 @@ def multidegree_slots(p: int, n: int, m: int) -> list[tuple[int, int]]:
     if min(n, m) < 0 or not 0 <= p <= n + m:
         raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}" if m == 0
                           else f"need 0 <= p <= n+m, got p={p}, n={n}, m={m}")
-    return [(k, p - k) for k in range(max(0, p - m), min(n, p) + 1)]
+    ks = range(max(0, p - m), min(n, p) + 1)
+    charge(len(ks))  # a unit a slot, before the list is built
+    return [(k, p - k) for k in ks]
 
 
 def _subspace_counts(p: int, n: int, m: int) -> list[int]:
     """Per multidegree slot (k, l), the number of products of a k- and an
-    l-dimensional coordinate subspace, binom(n+1, k+1) * binom(m+1, l+1)."""
-    return [comb(n + 1, k + 1) * comb(m + 1, l + 1) for k, l in multidegree_slots(p, n, m)]
+    l-dimensional coordinate subspace, binom(n+1, k+1) * binom(m+1, l+1):
+    each slot's two binomials and their product are charged before they run."""
+    counts = []
+    for k, l in multidegree_slots(p, n, m):
+        charge(binomial_units(n + 1, k + 1) + binomial_units(m + 1, l + 1)
+               + product_units(binomial_bits(n + 1, k + 1), binomial_bits(m + 1, l + 1)))
+        counts.append(comb(n + 1, k + 1) * comb(m + 1, l + 1))
+    return counts
 
 
 class ChowIndex(Record):
@@ -63,17 +72,21 @@ class ChowIndex(Record):
             raise DomainError(f"degree must be >= 0, got {self.d}")
 
 
+@budgeted
 def coordinate_subspace_count(p: int, n: int) -> int:
     """Number of p-dimensional coordinate subspaces of projective n-space,
     binom(n+1, p+1): the exponent in every closed form below."""
     return _subspace_counts(p, n, 0)[0]
 
 
+@budgeted
 def chow_invariant_closed(idx: ChowIndex) -> int:
     """Euler number of the space of degree-d effective p-cycles: one
     binomial coefficient, counting degree-d monomials in the coordinate
-    subspaces.  Degree 0 is the empty cycle, a single point."""
+    subspaces, charged before it runs.  Degree 0 is the empty cycle, a
+    single point."""
     v = coordinate_subspace_count(idx.p, idx.n)
+    charge(binomial_units(v + idx.d - 1, idx.d))
     return comb(v + idx.d - 1, idx.d)
 
 
@@ -189,6 +202,7 @@ def _lam_rows(low: int, p: int, n: int, d: int) -> list[list[int]]:
     return [table[k].get(k, [1] + [0] * d) for k in range(low, p + 1)]
 
 
+@budgeted
 def chow_invariant_recursive(idx: ChowIndex) -> int:
     """Same number as chow_invariant_closed, computed purely by the
     hyperplane/cone degree convolution.  No binomials anywhere.
@@ -206,12 +220,14 @@ def chow_invariant_recursive(idx: ChowIndex) -> int:
     return sum(map(mul, inside, reversed(cone)))
 
 
+@budgeted
 def chow_series(p: int, n: int, order: int) -> MultiSeries:
     """Degree generating series of the cycle-space Euler numbers: the
     expansion of (1-t)^(-v) with v = coordinate_subspace_count(p, n)."""
     return euler_chow_product_formula(p, n, 0, order)
 
 
+@budgeted
 def chow_htilde(idx: ChowIndex) -> Laurent1:
     """Image of the cycle space's Hodge polynomial in Z[u, 1/u]: constant,
     equal to the Euler number, reflecting that the Hodge polynomial is a
@@ -223,6 +239,7 @@ def chow_htilde(idx: ChowIndex) -> Laurent1:
 # irreducible loci
 
 
+@budgeted
 def irreducible_invariant(p: int, d: int, n: int) -> int:
     """Euler number of the locus of irreducible degree-d subvarieties:
     the count of linear subspaces for d = 1, zero for every higher degree."""
@@ -232,6 +249,7 @@ def irreducible_invariant(p: int, d: int, n: int) -> int:
     return irreducible_invariant_product((d,), p, n, 0)
 
 
+@budgeted
 def irreducible_invariant_product(alpha, p: int, n: int, m: int) -> int:
     """Euler number of the irreducible locus in a product of projective
     spaces at multidegree alpha: nonzero only when alpha is the class of a
@@ -250,6 +268,7 @@ def irreducible_invariant_product(alpha, p: int, n: int, m: int) -> int:
 # product of two projective spaces
 
 
+@budgeted
 def euler_chow_product_formula(p: int, n: int, m: int, order: int) -> MultiSeries:
     """Series over multidegrees of cycle-space Euler numbers for a product
     of projective spaces, as the closed infinite product: one inverse
@@ -261,6 +280,7 @@ def euler_chow_product_formula(p: int, n: int, m: int, order: int) -> MultiSerie
     return expand_inverse_product(factors, arity=arity, order=order)
 
 
+@budgeted
 def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSeries:
     """The same series, rebuilt by induction on n with no binomials: one
     _table call, seeded with the second factor's rows from one _lam_rows
@@ -287,6 +307,7 @@ def euler_chow_product_recursive(p: int, n: int, m: int, order: int) -> MultiSer
 # congruence targets
 
 
+@budgeted
 def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceReport:
     """Expected residues of the cycle-space point count over the field with
     q^m elements: 1 mod q (one cell is a point) and the Euler number mod
@@ -294,17 +315,16 @@ def chow_congruence_targets(idx: ChowIndex, q: int, m: int = 1) -> CongruenceRep
 
     For d <= 1 the space is a point or a Grassmannian, so the actual count
     is attached and checked; beyond that no enumeration is in reach and the
-    report carries the expectations only.  G(k, N) = G(N - k, N) is counted
-    on its smaller side, charged to the open work budget, or to a budget of
-    its own: a count past it is refused with BudgetError before it starts.
+    report carries the expectations only.  The count is charged to the work
+    budget like every exported call: past it, BudgetError is raised before
+    it starts.
     """
     size = check_field(q, m)
     expected_euler = chow_invariant_closed(idx)
     if idx.d == 0:
         actual, note = 1, "degree 0: the empty cycle is a single point"
     elif idx.d == 1:
-        k = min(idx.p + 1, idx.n - idx.p)
-        actual = metered(gaussian_binomial, idx.n + 1, k, size)
+        actual = gaussian_binomial(idx.n + 1, idx.p + 1, size)
         note = "degree 1: linear cycles form a Grassmannian"
     else:
         actual, note = None, "untestable at desk scale: no cycle-space enumeration exists here"

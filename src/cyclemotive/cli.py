@@ -41,7 +41,7 @@ from .errors import (
     _json_ints,
     _long_integer,
     _shown,
-    metered,
+    budgeted,
 )
 from .ffcount import toric_count
 from .motive import (
@@ -337,11 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@budgeted
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return metered(args.func, args)
+        return args.func(args)
     except (NotCountableError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

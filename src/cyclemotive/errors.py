@@ -2,11 +2,16 @@
 arguments, decoded JSON values and command-line spellings.  JSON text is
 decoded by the CLI only; the library readers take decoded data.
 
+The work meter has one rule: every function the package exports, and the
+CLI's main, is defined under @budgeted, so each call runs inside a budget
+of WORK_BUDGET units, its own or the one its caller opened.
+
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
 """
 
 import contextvars
+import functools
 import sys
 
 
@@ -45,9 +50,10 @@ class BudgetError(RuntimeError):
 # host, as long as ring arithmetic takes to multiply a term pair, or CPython
 # takes for about 250 products of the digits it stores ints in (see
 # product_units).  Each place that builds ring values, series, recursion
-# rows or text charges the units it is about to take before it allocates
-# anything, so a call is refused with BudgetError before it overruns its
-# budget, in memory as in time.  No call inside the budget took 2 s.
+# rows, binomials or text charges the units it is about to take before it
+# allocates anything, so an exported call, which @budgeted runs in a budget
+# of this many units, is refused with BudgetError before it overruns it, in
+# memory as in time.  The one limit: no call inside it took 2 s.
 WORK_BUDGET = 2_500_000
 
 # the units left in the open budget, as a one-item list; None outside one
@@ -66,14 +72,23 @@ def charge(units: int) -> None:
         left[0] -= units
 
 
-def metered(fn, *args):
-    """fn(*args), charged to the budget open in this context, or to a new
-    one of WORK_BUDGET units when none is open."""
-    token = _left.set(_left.get() or [WORK_BUDGET])
-    try:
-        return fn(*args)
-    finally:
-        _left.reset(token)
+def budgeted(fn):
+    """fn, run inside the budget open in this context, or inside a new one
+    of WORK_BUDGET units when none is open: nested calls share the budget
+    of the outermost.  A recursive fn calls its own body, not this wrapper,
+    so that each level costs one frame."""
+
+    @functools.wraps(fn)
+    def within_budget(*args, **kwargs):
+        if _left.get() is not None:
+            return fn(*args, **kwargs)
+        token = _left.set([WORK_BUDGET])
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _left.reset(token)
+
+    return within_budget
 
 
 def digits(bits: int) -> int:
@@ -102,6 +117,22 @@ def division_units(n_bits: int, d_bits: int) -> int:
     """The units of one division: quotient digits times divisor digits."""
     d = digits(d_bits)
     return digit_units(max(0, digits(n_bits) - d + 1), d)
+
+
+def binomial_bits(n: int, k: int) -> int:
+    """A bound on the bits of binom(n, k) for 0 <= k <= n: j (bits(n // j)
+    + 2) with j = min(k, n - k), since binom(n, j) <= (e n / j)^j."""
+    j = min(k, n - k)
+    return j * ((n // j).bit_length() + 2) if j else 1
+
+
+def binomial_units(n: int, k: int) -> int:
+    """The units of math.comb(n, k), from a bound on its result's bits:
+    one product of that size, and ten divisions of it by a divisor of
+    min(k, n - k) bits, which is what its halving recursion was measured
+    to cost on CPython 3.11, division dominating near k = n / 2."""
+    bits, j = binomial_bits(n, k), min(k, n - k)
+    return 1 + product_units(bits, bits) + 10 * division_units(bits + j, j)
 
 
 def _long_integer() -> str:

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import log2, prod
 
 from ._record import Record
-from .errors import (WORK_BUDGET, DomainError, _check_ints, charge, division_units, metered,
+from .errors import (WORK_BUDGET, DomainError, _check_ints, budgeted, charge, division_units,
                      product_units)
 from .ring import LPoly
 from .toric import Fan
@@ -147,13 +147,16 @@ def _check_subspace_dims(n: int, k: int, **more: int) -> None:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+@budgeted
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
-    field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact.  Charged up
-    front: a unit a factor, each power and product, and the one division."""
+    field: prod_{i<k} (q^(n-i) - 1) / (q^(k-i) - 1), exact, taken on the
+    smaller side, [n, k] = [n, n - k].  Charged up front: a unit a factor,
+    each power and product, and the one division."""
     _check_subspace_dims(n, k, q=q)
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
+    k = min(k, n - k)
     b, units, bits = q.bit_length(), 2 * k, [0, 0]  # the numerator's and denominator's
     for side, top in enumerate((n, k)):
         for e in range(top, top - k, -1):  # q^e: at most twice its last square
@@ -166,6 +169,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return quotient
 
 
+@budgeted
 def gaussian_binomial_poly(n: int, k: int) -> LPoly:
     """The same count as a polynomial in the field size, built solely from
     the Pascal-type recursion [n,k] = [n-1,k-1] + q^k [n-1,k].
@@ -252,22 +256,20 @@ def cell_count(n: int, pivots: tuple[int, ...], q: int) -> int:
             return count
 
 
+@budgeted
 def rref_cell_census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
     """Brute-force census of k-dim subspaces of F_q^n by pivot pattern.
 
     Enumerates, for every choice of pivot columns, all matrices in reduced
     row echelon form with those pivots; each matrix found is one subspace.
     Entries only label F_q's elements 0..q-1, so q is any prime power.  The
-    work is charged as the patterns are listed, before any matrix is built:
-    n units for the column pool, then per pattern its scan of free entries
-    and its candidates, each a unit plus one per four of its k*n entries.
+    work is charged to the call's budget as the patterns are listed, before
+    any matrix is built: n units for the column pool, then per pattern its
+    scan of free entries and its candidates, each a unit plus one per four
+    of its k*n entries.
     """
     _check_subspace_dims(n, k, q=q)
     check_field(q, 1)
-    return metered(_census, k, n, q)
-
-
-def _census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
     price, cut = 1 + k * n // 4, WORK_BUDGET.bit_length()  # q^cut > WORK_BUDGET
     charge(n)  # combinations() copies the column pool
     patterns = []
@@ -278,6 +280,7 @@ def _census(k: int, n: int, q: int) -> dict[tuple[int, ...], int]:
     return {piv: cell_count(n, piv, q) for piv in patterns}
 
 
+@budgeted
 def grassmannian_count_brute(k: int, n: int, q: int) -> int:
     """Total number of k-dimensional subspaces of F_q^n, by exhaustive
     enumeration of canonical forms.  The independent oracle for
@@ -285,6 +288,7 @@ def grassmannian_count_brute(k: int, n: int, q: int) -> int:
     return sum(rref_cell_census(k, n, q).values())
 
 
+@budgeted
 def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     """Points of the fan's variety over the field with q^m elements; q
     must be a prime power.

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 
 from . import toric
 from ._record import Record
-from .errors import DomainError, NotCountableError, ParseError, UnsupportedError, charge, metered
+from .errors import DomainError, NotCountableError, ParseError, UnsupportedError, budgeted, charge
 from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
 from .ffcount import check_field, gaussian_binomial_poly
 from .ring import (
@@ -140,8 +140,13 @@ class Cone(MotiveExpr):
 ELLIPTIC = SmoothProjectiveLeaf("elliptic", parse_poly2("1-u-v+uv"), countable=False)
 
 
+@budgeted
 def eval_E(e: MotiveExpr) -> Poly2:
     """Hodge polynomial of the class, computed homomorphically."""
+    return _eval_E(e)
+
+
+def _eval_E(e: MotiveExpr) -> Poly2:
     match e:
         case Point():
             return Poly2({(0, 0): 1})
@@ -162,17 +167,18 @@ def eval_E(e: MotiveExpr) -> Poly2:
         case SmoothProjectiveLeaf(_, e_poly, _):
             return e_poly
         case DisjointUnion(a, b):
-            return eval_E(a) + eval_E(b)
+            return _eval_E(a) + _eval_E(b)
         case Difference(a, b):
-            return eval_E(a) - eval_E(b)
+            return _eval_E(a) - _eval_E(b)
         case Product(a, b):
-            return eval_E(a) * eval_E(b)
+            return _eval_E(a) * _eval_E(b)
         case Cone(a):
             # vertex point plus a line bundle over the base
-            return Poly2({(0, 0): 1}) + Poly2({(1, 1): 1}) * eval_E(a)
+            return Poly2({(0, 0): 1}) + Poly2({(1, 1): 1}) * _eval_E(a)
     raise UnsupportedError(f"unknown expression node {type(e).__name__}")
 
 
+@budgeted
 def eval_count_poly(e: MotiveExpr) -> LPoly:
     """Counting polynomial: the class written in L, the affine-line symbol.
 
@@ -180,6 +186,10 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
     between this route and the Hodge route is a meaningful test.  Raises
     NotCountableError on leaves whose Hodge data is not a polynomial in uv.
     """
+    return _eval_count_poly(e)
+
+
+def _eval_count_poly(e: MotiveExpr) -> LPoly:
     match e:
         case Point():
             return LPoly({0: 1})
@@ -207,13 +217,13 @@ def eval_count_poly(e: MotiveExpr) -> LPoly:
                 raise NotCountableError(name)
             return converted
         case DisjointUnion(a, b):
-            return eval_count_poly(a) + eval_count_poly(b)
+            return _eval_count_poly(a) + _eval_count_poly(b)
         case Difference(a, b):
-            return eval_count_poly(a) - eval_count_poly(b)
+            return _eval_count_poly(a) - _eval_count_poly(b)
         case Product(a, b):
-            return eval_count_poly(a) * eval_count_poly(b)
+            return _eval_count_poly(a) * _eval_count_poly(b)
         case Cone(a):
-            return LPoly({0: 1}) + LPoly({1: 1}) * eval_count_poly(a)
+            return LPoly({0: 1}) + LPoly({1: 1}) * _eval_count_poly(a)
     raise UnsupportedError(f"unknown expression node {type(e).__name__}")
 
 
@@ -277,6 +287,7 @@ def parse_q_m(text: str, what: str) -> tuple[int, int]:
     return tuple(_ascii_ints([*parts, "1"][:2], what, message))
 
 
+@budgeted
 def measure_from_string(text: str) -> Measure:
     """Parse the CLI spelling: one of the plain tags or count:q[,m]."""
     if text.startswith("count:"):
@@ -284,11 +295,11 @@ def measure_from_string(text: str) -> Measure:
     return Measure(text)
 
 
+@budgeted
 def eval_measure(e: MotiveExpr, measure: Measure) -> int | Poly2 | Laurent1 | LPoly:
-    """The measure of the class of e, charged to the open work budget, or
-    to a budget of its own: past it, BudgetError is raised before the
-    work that would overrun it."""
-    return metered(_MEASURES[measure.tag], e, measure)
+    """The measure of the class of e.  Past the work budget, BudgetError is
+    raised before the work that would overrun it."""
+    return _MEASURES[measure.tag](e, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +342,7 @@ class HodgeConstraintReport(Record):
         return self.antidiagonals_ok and self.euler_ok and self.axes_ok
 
 
+@budgeted
 def hodge_constraints_check(
     h: Poly2, chi: int, fixed_dim_bound: int
 ) -> HodgeConstraintReport:
@@ -377,6 +389,7 @@ _OP_NAMES = {cls: op for op, cls in _NODE_OPS.items()}
 _LEAF_KINDS = {cls: kind for kind, (cls, _) in _LEAVES.items()}
 
 
+@budgeted
 def expr_from_json(data: Mapping) -> MotiveExpr:
     """Read an expression tree from decoded JSON data."""
     return _expr_from_data(data)
@@ -433,10 +446,16 @@ def _expr_from_data(data) -> MotiveExpr:
     raise UnsupportedError(f"unknown leaf kind {_shown(kind)}")
 
 
+@budgeted
 def expr_to_json(e: MotiveExpr) -> dict:
+    """The expression tree as JSON data, which expr_from_json reads back."""
+    return _expr_to_data(e)
+
+
+def _expr_to_data(e: MotiveExpr) -> dict:
     cls = type(e)
     if cls in _OP_NAMES:
-        args = [expr_to_json(getattr(e, f)) for f in cls.__match_args__]
+        args = [_expr_to_data(getattr(e, f)) for f in cls.__match_args__]
         return {"op": _OP_NAMES[cls], "args": args}
     if cls in _LEAF_KINDS:
         return {"leaf": _LEAF_KINDS[cls], **e.to_json()}

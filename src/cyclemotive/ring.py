@@ -33,8 +33,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from math import comb, prod
 from types import MappingProxyType
 
-from .errors import (DomainError, ParseError, _check_ints, _check_type, _long_integer, charge,
-                     digit_units, digits, division_units, product_units)
+from .errors import (DomainError, ParseError, _check_ints, _check_type, _long_integer, budgeted,
+                     charge, digit_units, digits, division_units, product_units)
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -203,6 +203,7 @@ class Poly2(_TermMap):
         return _format_terms(self._terms, lambda e: (e[0] + e[1], -e[0]), _uv_monomial)
 
 
+@budgeted
 def specialize(a: Poly2, u0: int, v0: int) -> int:
     """Exact evaluation at integer arguments (u0, v0)."""
     _check_type(a, Poly2, "a")
@@ -249,6 +250,7 @@ class Laurent1(_OneVariable):
     _variable = "u"
 
 
+@budgeted
 def quotient_uv_minus1(a: Poly2) -> Laurent1:
     """Image of a under Z[u,v] -> Z[u,v]/(uv-1) = Z[u,1/u].
 
@@ -261,6 +263,7 @@ def quotient_uv_minus1(a: Poly2) -> Laurent1:
     return Laurent1(out)
 
 
+@budgeted
 def quotient_uv(a: Poly2) -> Poly2:
     """Canonical representative of a modulo the ideal (uv).
 
@@ -395,6 +398,7 @@ class MultiSeries(_TermMap):
         return f"MultiSeries(arity={self.arity}, order={self.order}, {len(self._terms)} terms)"
 
 
+@budgeted
 def expand_inverse_product(
     factors: Sequence[tuple[Sequence[int], int]],
     arity: int,
@@ -425,6 +429,7 @@ def expand_inverse_product(
     and both stages' bounds keep every total degree <= order.
     """
     series = MultiSeries(arity, order)
+    charge(arity * len(factors))  # each factor's exponent is checked entry by entry
     merged: dict[tuple[int, ...], int] = {}
     for exponent, multiplicity in factors:
         m = _exponent_tuple(exponent, arity)
@@ -526,6 +531,7 @@ def _int(digits: str) -> int:
         raise ParseError(f"polynomial text holds {_long_integer()}") from None
 
 
+@budgeted
 def parse_poly2(text: str) -> Poly2:
     """Read a sum of terms in u and v, in the grammar stated under "Text
     form" above: the one text reader."""

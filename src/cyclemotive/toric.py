@@ -27,6 +27,7 @@ from .errors import (
     _json_int,
     _json_ints,
     _shown,
+    budgeted,
 )
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
@@ -122,17 +123,20 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+@budgeted
 def fan_validate(fan: Fan) -> tuple[int, ...]:
     """Check fan invariants and return the census (d_0, ..., d_n); see
     `Fan.census`.  The check runs on the first call for a fan only."""
     return fan.census
 
 
+@budgeted
 def toric_lambda(fan: Fan) -> int:
     """Euler number of the fan's variety: the count of full-rank cones."""
     return fan.census[fan.dim]
 
 
+@budgeted
 def toric_E_poly(fan: Fan) -> Poly2:
     """Hodge polynomial from the orbit decomposition.
 
@@ -155,6 +159,7 @@ class OrbitClosure(Record):
     dim: int
 
 
+@budgeted
 def invariant_subvarieties(fan: Fan, p: int) -> list[OrbitClosure]:
     """The p-dimensional orbit closures, one per cone of rank n - p.
 
@@ -172,6 +177,7 @@ def invariant_subvarieties(fan: Fan, p: int) -> list[OrbitClosure]:
     return [OrbitClosure(cone, p) for cone, rank in zip(fan.cones, ranks) if rank == want]
 
 
+@budgeted
 def euler_series(
     fan: Fan,
     p: int,
@@ -202,6 +208,7 @@ def euler_series(
 # stock fans
 
 
+@budgeted
 def projective_fan(n: int) -> Fan:
     """Fan of n-dimensional projective space: the n standard basis rays plus
     their negated sum, with every proper subset of the rays as a cone.
@@ -216,6 +223,7 @@ def projective_fan(n: int) -> Fan:
     return Fan(n, tuple(rays), tuple(cones))
 
 
+@budgeted
 def affine_fan(n: int) -> Fan:
     """Fan of affine n-space: the positive orthant and all its faces."""
     _check_ints({"n": n})
@@ -226,6 +234,7 @@ def affine_fan(n: int) -> Fan:
     return Fan(n, tuple(rays), tuple(cones))
 
 
+@budgeted
 def product_fan(a: Fan, b: Fan) -> Fan:
     """Fan of the product variety: rays embed in the two factors of the sum
     lattice, and the cones are all sums of a cone from each side."""
@@ -247,6 +256,7 @@ def product_fan(a: Fan, b: Fan) -> Fan:
 # number a JSON integer.  A fan is written back by fan.to_json().
 
 
+@budgeted
 def fan_from_json(data: Mapping) -> Fan:
     """Read and check a fan from decoded JSON data; its census is kept on
     the returned fan."""

@@ -2,9 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+# After a property test fails, hypothesis imports this module to explain
+# the failure, and the libcst it imports warns on import: under -W error
+# that ended the run in INTERNALERROR instead of the falsifying example.
+# Imported once here, with that one warning category ignored for it only.
+# Without libcst the import fails, and hypothesis skips the explanation.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from cyclemotive import errors, ffcount, ring, toric
 from cyclemotive.toric import fan_from_json

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 from itertools import accumulate
 
 import pytest
@@ -23,11 +24,13 @@ from cyclemotive.chow import (
 )
 from cyclemotive import chow
 from cyclemotive.chow import _lam_rows, _truncated_product
-from cyclemotive.errors import DomainError
+from cyclemotive.errors import BudgetError, DomainError
 from cyclemotive.ffcount import gaussian_binomial_poly
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
 from cyclemotive.ring import Laurent1, expand_inverse_product
 from cyclemotive.toric import euler_series, projective_fan
+
+from conftest import OVER_BUDGET
 
 
 def test_coordinate_subspace_count():
@@ -98,6 +101,28 @@ def test_recursion_uses_no_formula(monkeypatch):
         for p in range(n + 1):
             for d in range(11):
                 chow_invariant_recursive(ChowIndex(p, d, n))
+
+
+@pytest.mark.parametrize("call, run", [
+    (lambda: coordinate_subspace_count(500000, 1000000), []),
+    (lambda: chow_invariant_closed(ChowIndex(0, 10**6, 10**6)), [(10**6 + 1, 1), (1, 1)]),
+], ids=["subspace-count", "closed-form"])
+def test_oversized_binomials_are_refused_before_they_run(monkeypatch, call, run):
+    """math.comb is charged from a bound on its result before it runs:
+    uncharged, binom(1000001, 500001) took 8.7 s and the closed form at
+    p = 0, d = n = 10^6 took 31.7 s.  Only the cheap binomials run."""
+    calls = []
+
+    def spy(n, k):
+        calls.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(chow, "comb", spy)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
+        call()
+    assert time.perf_counter() - start < 2
+    assert calls == run
 
 
 @pytest.fixture

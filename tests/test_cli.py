@@ -860,13 +860,15 @@ def _address_space_cap():
      f"1,200,{DATA / 'grading_p3_lines_unit.json'}"),
     ("chow", "-p", "2", "-n", "4", "-d", "1000000", "--method", "recursive"),
     ("chow", "-p", "5", "-n", "40", "-d", "3000", "--method", "recursive"),
+    ("chow", "-p", "0", "-n", "1000000", "-d", "1000000"),
 ], ids=["chow-series", "toric-series", "chow-deep-degree", "toric-series-six-variables",
-        "chow-wide-rows", "chow-big-entries"])
+        "chow-wide-rows", "chow-big-entries", "chow-closed-binomial"])
 def test_series_and_recursions_past_the_budget_exit_2(argv):
-    """The series and recursion routes are refused by the work meter before
-    they build what overruns its budget: under a 2 GB cap the first four
-    ended in a MemoryError traceback (exit 1), and the last two ran past a
-    20 s timeout."""
+    """The series, recursion and closed-form routes are refused by the work
+    meter before they build what overruns its budget: under a 2 GB cap the
+    first four ended in a MemoryError traceback (exit 1), the next two ran
+    past a 20 s timeout, and the closed form's one binomial ran 31.7 s
+    before the printer refused it."""
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
                           capture_output=True, text=True, env=TREE_ENV, timeout=10,
                           preexec_fn=_address_space_cap)
@@ -889,6 +891,36 @@ def test_oversized_census_is_refused_under_the_address_space_cap():
                           env=TREE_ENV, timeout=10, preexec_fn=_address_space_cap)
     refusal = OVER_BUDGET + "\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 3, "")
+
+
+def test_library_calls_past_the_budget_are_refused_under_the_address_space_cap():
+    """Every exported call runs under the work meter, not only the CLI's:
+    under the 2 GB cap the two series ran out of memory, the recursions and
+    the Pascal table ran past 20 s, the torus took 4.7 s to answer, and the
+    subspace count 8.7 s."""
+    code = """
+import time
+import cyclemotive as cm
+calls = [
+    lambda: cm.chow_series(1, 3, 10**8),
+    lambda: cm.euler_series(cm.projective_fan(2), 1, 10**8, lambda d: (1,)),
+    lambda: cm.chow_invariant_recursive(cm.ChowIndex(5, 3000, 40)),
+    lambda: cm.chow_invariant_recursive(cm.ChowIndex(2, 10**6, 4)),
+    lambda: cm.gaussian_binomial_poly(4000, 2000),
+    lambda: cm.eval_E(cm.Torus(3000)),
+    lambda: cm.coordinate_subspace_count(500000, 1000000),
+]
+for call in calls:
+    start = time.perf_counter()
+    try:
+        call()
+    except cm.BudgetError as e:
+        print(e, time.perf_counter() - start < 2)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=TREE_ENV, timeout=30, preexec_fn=_address_space_cap)
+    refusal = OVER_BUDGET + " True\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 7, "")
 
 
 def test_degree_one_congruence_counts_the_smaller_grassmannian():

@@ -73,19 +73,23 @@ def test_first_library_calls_load_no_module():
 
 # perfbench/layertrace.py wraps these names from outside the package; a
 # deletion or a method a class only inherits makes its install() raise.
+# Each name must then hold the tracer's wrapper: the exports carry a
+# __wrapped__ of their own, from the work meter's decorator.
 TRACER_INSTALL = f"""
 import sys
 sys.path.insert(0, {str(SRC.parent / "perfbench")!r})
 from layertrace import ENTRY_POINTS, Tracer
 
-Tracer().install()
+tracer = Tracer()
+traced = tracer.wrap(len, "probe").__code__
+tracer.install()
 unwrapped = []
 for layer, names in ENTRY_POINTS.items():
     home = sys.modules["cyclemotive." + layer]
     for name in names:
         owner, _, attr = name.rpartition(".")
         value = vars(getattr(home, owner) if owner else home)[attr]
-        if not hasattr(getattr(value, "__func__", value), "__wrapped__"):
+        if getattr(value, "__func__", value).__code__ is not traced:
             unwrapped.append(layer + "." + name)
 print(unwrapped)
 """

@@ -5,6 +5,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from types import FunctionType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,8 @@ from cyclemotive.errors import (
     UnsupportedError,
 )
 from cyclemotive.errors import charge
-from cyclemotive import errors, motive, ring
+import cyclemotive
+from cyclemotive import cli, errors, motive, ring
 from cyclemotive.ffcount import grassmannian_count_brute, toric_count
 from cyclemotive.motive import (
     COUNT_POLY,
@@ -568,8 +570,43 @@ def test_a_budget_is_opened_once_per_call_and_shared_by_nested_calls():
     e = ProjSpace(WORK_BUDGET * 6 // 10)  # a unit a term
     assert len(eval_measure(e, COUNT_POLY).terms) == WORK_BUDGET * 6 // 10 + 1
     with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
-        errors.metered(lambda: [eval_measure(e, COUNT_POLY) for _ in range(2)])
+        errors.budgeted(lambda: [eval_measure(e, COUNT_POLY) for _ in range(2)])()
     assert errors._left.get() is None
+
+
+METER = errors.budgeted(len).__code__  # the one wrapper every budgeted function runs
+
+
+def test_every_export_runs_under_the_work_meter():
+    """Which calls are bounded is one rule: every function the package
+    exports, and the CLI's main, is defined under errors.budgeted."""
+    exported = {name: value for name, value in vars(cyclemotive).items()
+                if isinstance(value, FunctionType)}
+    assert {"eval_E", "chow_series", "gaussian_binomial", "toric_count"} <= set(exported)
+    assert [name for name, f in exported.items() if f.__code__ is not METER] == []
+    assert cli.main.__code__ is METER
+
+
+@pytest.mark.parametrize("walk", [eval_E, eval_count_poly, expr_to_json])
+def test_a_recursive_walker_enters_the_meter_once(walk):
+    """The walkers recurse through their bodies, not through the wrapper,
+    so that each level of a deep expression costs one frame."""
+    e = Point()
+    for _ in range(50):
+        e = Cone(e)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is METER:
+            entered.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        walk(e)
+    finally:
+        sys.setprofile(previous)
+    assert len(entered) == 1
 
 
 def test_a_refused_charge_takes_nothing():
@@ -606,6 +643,15 @@ def test_a_product_price_is_symmetric_and_non_decreasing(a, b, more):
 def test_a_division_price_is_non_decreasing_in_the_dividend(n, d, more):
     assert errors.division_units(n, d) <= errors.division_units(n + more, d)
     assert errors.division_units(n, d) == max(0, _digits(n) - _digits(d) + 1) * _digits(d) // 250
+
+
+@given(st.integers(0, 3000), st.integers(0, 3000))
+def test_a_binomial_bit_bound_holds(n, k):
+    """binomial_bits bounds the result that math.comb's price is taken
+    from, on both sides of n / 2."""
+    n, k = max(n, k), min(n, k)
+    assert math.comb(n, k).bit_length() <= errors.binomial_bits(n, k)
+    assert errors.binomial_bits(n, k) == errors.binomial_bits(n, n - k)
 
 
 def test_expr_json_round_trip_special_leaves():

@@ -14,6 +14,7 @@ computes nothing of its own, each with the paper statement it pins, and
 shrinks the same way.
 """
 
+import inspect
 import sys
 from collections import defaultdict
 from types import CodeType, FunctionType
@@ -86,7 +87,10 @@ def _function_names() -> dict:
     """Code object -> 'module.qualname' for every function of the package:
     module functions, methods, properties and the functions nested in
     them, but not comprehensions.  Named from the objects, not from
-    co_qualname, which Python 3.10 lacks."""
+    co_qualname, which Python 3.10 lacks.  A decorated function is named
+    by the body it wraps (its __wrapped__): the wrapper's one code object,
+    which every decorated function shares, keeps the name of the function
+    that defines it."""
     names = {}
 
     def visit(code, qualname):
@@ -106,6 +110,7 @@ def _function_names() -> dict:
             for member in members:
                 for f in (member, *(getattr(member, a, None)
                                     for a in ("__func__", "fget", "func"))):
+                    f = inspect.unwrap(f) if isinstance(f, FunctionType) else f
                     if isinstance(f, FunctionType):
                         visit(f.__code__, f"{short}.{f.__qualname__}")
     return names
