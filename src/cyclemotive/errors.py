@@ -4,7 +4,8 @@ decoded by the CLI only; the library readers take decoded data.
 
 The work meter has one rule: every function the package exports, and the
 CLI's main, is defined under @budgeted, so each call runs inside a budget
-of WORK_BUDGET units, its own or the one its caller opened.
+of WORK_BUDGET units, its own or the one its caller opened.  Products,
+powers, divisions and binomials of big integers are priced here only.
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than a bare ValueError.
@@ -47,13 +48,12 @@ class BudgetError(RuntimeError):
 
 
 # The work meter.  A unit of work is about 0.25 us on a 2-CPU Python 3.11
-# host, as long as ring arithmetic takes to multiply a term pair, or CPython
-# takes for about 250 products of the digits it stores ints in (see
-# product_units).  Each place that builds ring values, series, recursion
-# rows, binomials or text charges the units it is about to take before it
-# allocates anything, so an exported call, which @budgeted runs in a budget
-# of this many units, is refused with BudgetError before it overruns it, in
-# memory as in time.  The one limit: no call inside it took 2 s.
+# host: ring arithmetic multiplying a term pair, or CPython taking about 250
+# products of the digits it stores ints in.  Each place that builds ring
+# values, series, recursion rows, binomials or text charges its units before
+# it allocates anything, so an exported call, which @budgeted runs in a
+# budget of this many units, is refused with BudgetError before it overruns
+# it, in memory as in time.  The one limit: no call inside it took 2 s.
 WORK_BUDGET = 2_500_000
 
 # the units left in the open budget, as a one-item list; None outside one
@@ -111,6 +111,12 @@ def product_units(a_bits: int, b_bits: int) -> int:
         a_bits, b_bits = b_bits, a_bits
     short = -(-a_bits // _DIGIT_BITS)  # digits(), inline on this hot path
     return digit_units(-(-b_bits // _DIGIT_BITS), short if short <= 70 else 6 * short**0.585)
+
+
+def power_units(base: int, e: int) -> int:
+    """The units of base ** e, e >= 0: twice its last squaring; none for 0, 1, -1."""
+    half = base.bit_length() * e // 2 if abs(base) > 1 else 0
+    return 2 * product_units(half, half)
 
 
 def division_units(n_bits: int, d_bits: int) -> int:

@@ -13,20 +13,19 @@ enumeration structure itself.  Its kernel (is_rref, cell_count) is plain
 Python, and its entries only label the field's elements 0..q-1: it needs
 no field arithmetic and takes every q that check_field admits.
 
-check_field checks field sizes through PrimePower.from_int: perfect-power
-detection by integer roots, then a Miller-Rabin test of the base with fixed
-witnesses, exact below 2^64.  Larger bases are refused.
+check_field checks q by perfect-power detection, then a Miller-Rabin test of
+the base with fixed witnesses, exact below 2^64 (larger bases are refused),
+and charges q^m, as every power here, through errors.power_units first.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 from math import log2, prod
 
 from ._record import Record
 from .errors import (WORK_BUDGET, DomainError, _check_ints, budgeted, charge, division_units,
-                     product_units)
+                     power_units, product_units)
 from .ring import LPoly
 from .toric import Fan
 
@@ -121,21 +120,16 @@ class PrimePower(Record):
         return self.e == 1
 
 
+@budgeted
 def check_field(q: int, m: int) -> int:
-    """q^m, once q and m are checked to name the field with q^m elements:
-    q a prime power and m >= 1, each an int (a bool is not one), and q^m of
-    no more digits than the interpreter prints, refused before it is built."""
+    """q^m, charged and built once q and m name the field with q^m elements:
+    q a prime power and m >= 1, each an int (a bool is not one)."""
     _check_ints({"field size": q, "field extension degree": m})
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
-    limit = sys.get_int_max_str_digits()
-    digits = limit or 4300  # the most digits int() and str() take
-    # q^m >= 2^(m(b - 1)) for q of b bits, and 2^3.322 > 10
-    if 1000 * m * (q.bit_length() - 1) >= 3322 * digits or (size := q**m) >= 10**digits:
-        raise DomainError(f"the field size q^m has more than {digits} digits "
-                          f"(sys.get_int_max_str_digits() = {limit})")
-    return size
+    charge(power_units(q, m))
+    return q**m
 
 
 def _check_subspace_dims(n: int, k: int, **more: int) -> None:
@@ -159,8 +153,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     k = min(k, n - k)
     b, units, bits = q.bit_length(), 2 * k, [0, 0]  # the numerator's and denominator's
     for side, top in enumerate((n, k)):
-        for e in range(top, top - k, -1):  # q^e: at most twice its last square
-            units += 2 * product_units(b * e // 2, b * e // 2) + product_units(bits[side], b * e)
+        for e in range(top, top - k, -1):
+            units += power_units(q, e) + product_units(bits[side], b * e)
             bits[side] += b * e
     charge(units + division_units(*bits))
     numerator, denominator = (prod(q ** (top - i) - 1 for i in range(k)) for top in (n, k))
@@ -296,10 +290,9 @@ def toric_count(fan: Fan, q: int, m: int = 1) -> int:
     Orbit decomposition: each rank-k cone contributes an (n-k)-torus with
     (q^m - 1)^(n-k) points.
     """
-    size, census = check_field(q, m), fan.census
-    b = size.bit_length()  # (size - 1)^e costs at most twice its last square
-    charge(sum(1 + 2 * product_units(b * e // 2, b * e // 2) for e in range(fan.dim + 1)))
-    return sum(d_k * (size - 1) ** (fan.dim - k) for k, d_k in enumerate(census))
+    base, census = check_field(q, m) - 1, fan.census
+    charge(sum(1 + power_units(base, e) for e in range(fan.dim + 1)))
+    return sum(d_k * base ** (fan.dim - k) for k, d_k in enumerate(census))
 
 
 class CongruenceReport(Record):

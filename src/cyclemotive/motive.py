@@ -239,7 +239,7 @@ _MEASURES = {
     "h-tilde": lambda e, measure: quotient_uv_minus1(eval_E(e)),
     "h-bar": lambda e, measure: quotient_uv(eval_E(e)),
     "count-poly": lambda e, measure: eval_count_poly(e),
-    "count": lambda e, measure: eval_count_poly(e).evaluate(measure.q**measure.m),
+    "count": lambda e, measure: eval_count_poly(e).evaluate(check_field(measure.q, measure.m)),
 }
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from math import comb, prod
 from types import MappingProxyType
 
 from .errors import (DomainError, ParseError, _check_ints, _check_type, _long_integer, budgeted,
-                     charge, digit_units, digits, division_units, product_units)
+                     charge, digit_units, digits, division_units, power_units, product_units)
 
 # ---------------------------------------------------------------------------
 # the shared core
@@ -205,10 +204,15 @@ class Poly2(_TermMap):
 
 @budgeted
 def specialize(a: Poly2, u0: int, v0: int) -> int:
-    """Exact evaluation at integer arguments (u0, v0)."""
+    """Exact evaluation at integer arguments (u0, v0), charged a unit a term
+    and, unless both are 0, 1 or -1, each term's two powers and two products."""
     _check_type(a, Poly2, "a")
     _check_ints({"u0": u0, "v0": v0})
-    charge(3 * len(a.terms))  # two powers and a product per term
+    bu, bv = (x.bit_length() if abs(x) > 1 else 0 for x in (u0, v0))
+    charge(len(a.terms) + sum(  # c * u0^p, then times v0^q
+        power_units(u0, p) + power_units(v0, q) + product_units(c.bit_length(), p * bu)
+        + product_units(c.bit_length() + p * bu, q * bv)
+        for (p, q), c in (a.terms.items() if bu or bv else ())))
     return sum(c * u0**p * v0**q for (p, q), c in a.terms.items())
 
 
@@ -453,16 +457,18 @@ def expand_inverse_product(
         for j in range(1, length):
             powers.append(c * running // j)
             running += powers[-1]
-    axes = [rows.pop(tuple(int(j == i) for j in range(arity)), [1]) for i in range(arity)]
-    # charged up front: a stage makes a new key of each pair, and no more keys
-    # than the last stage, whose keys are monomials of degree <= order
-    charge(arity * min(prod(map(len, axes)), comb(order + arity, arity)))
-    terms = {(): 1}
-    for row in axes:
+    axes = [[1]] * arity
+    for m in [m for m in rows if sum(m) == 1]:
+        axes[m.index(1)] = rows.pop(m)
+    terms, monomials = {(): 1}, 1
+    for i, row in enumerate(axes, 1):
+        # a key of i entries a pair, and no more keys than monomials of degree <= order
+        monomials = monomials * (order + i) // i
+        charge(i * min(len(terms) * len(row), monomials))
         terms = {e + (j,): c * a for e, c in terms.items()
                  for j, a in enumerate(row[: order - sum(e) + 1])}
     for m, powers in rows.items():
-        charge(len(terms) * len(powers))
+        charge(len(terms) * len(powers) * arity)  # a key of arity entries a pair
         out: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             key = e
