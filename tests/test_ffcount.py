@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 import time
 
 import pytest
@@ -354,6 +355,35 @@ def test_field_checks_refuse_non_ints():
 def test_one_check_for_the_field_with_q_m_elements(field_user, q, m, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         field_user(q, m)
+
+
+def test_a_field_size_is_charged_its_power_not_bounded_by_digits():
+    """q^m is priced by power_units and built whatever the interpreter's
+    digit limit: 2^4000 has 1205 digits, more than a limit of 1000."""
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        assert charged(check_field, 2, 4000) == (2**4000, errors.power_units(2, 4000))
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+@pytest.mark.parametrize("q, m", [(2, 10**6), (3, 4 * 10**5), (2**61 - 1, 3 * 10**4)])
+def test_a_field_size_is_refused_one_unit_short_of_its_power(q, m):
+    """The charge is exact at its boundary: a budget of power_units(q, m)
+    builds q^m, one unit fewer refuses it."""
+    units = errors.power_units(q, m)
+    assert 0 < units <= WORK_BUDGET
+    for left, fits in ((units, True), (units - 1, False)):
+        token = errors._left.set([left])
+        try:
+            if fits:
+                assert check_field(q, m) == q**m
+            else:
+                with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
+                    check_field(q, m)
+        finally:
+            errors._left.reset(token)
 
 
 def test_a_one_factor_count_is_priced_by_its_digits():

@@ -639,6 +639,17 @@ def test_a_product_price_is_symmetric_and_non_decreasing(a, b, more):
         assert price(a, b) == _digits(a) * _digits(b) // 250
 
 
+@given(st.integers(-2**70, 2**70), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_a_power_price_is_twice_its_last_squaring(base, e, more):
+    """None for 0, 1 and -1, whose powers take no digit product; otherwise
+    twice the square of half the bits of base^e, the same for -base, and
+    non-decreasing in e."""
+    price = errors.power_units
+    assert price(base, e) == price(-base, e) <= price(base, e + more)
+    half = base.bit_length() * e // 2
+    assert price(base, e) == (0 if abs(base) <= 1 else 2 * errors.product_units(half, half))
+
+
 @given(_BITS, _BITS, _BITS)
 def test_a_division_price_is_non_decreasing_in_the_dividend(n, d, more):
     assert errors.division_units(n, d) <= errors.division_units(n + more, d)
