@@ -166,8 +166,12 @@ def _table(low: int, p: int, n: int, m: int, d: int,
     as running sums: that row is m + 1 running sums of the empty cycle's
     [1, 0, 0, ...] at j = 0 and m + 1 more per step, so each k = 0 row is
     m + 1 running sums of the row below, and the row (1, 0) is j(m + 1)
-    running sums of its inside row.  Rows with k >= 2 stay products:
-    carrying a count of running sums past k = 1 would be the closed form.
+    running sums of its inside row.  The row (k, 0) at j = k + 1 is the
+    third case: its inside row, slot (k, 0) of k-space, is the cone row
+    raised k times from the base, which is pulled[0], the 0-cycle row of
+    m-space, so it is m + 1 running sums of its cone row.  Other rows with
+    k >= 2 stay products: carrying a count of running sums past k = 1
+    would be the closed form.
     """
     # only the dimensions k >= low - (n - j) are needed above dimension j, and
     # the slots a of dimension k are multidegree_slots(k, j, m), read inline
@@ -186,6 +190,8 @@ def _table(low: int, p: int, n: int, m: int, d: int,
                     step[a] = rows[k - 1][a - 1]
                 elif k == 1:
                     step[a] = _running_sums(rows[k][a], j * (m + 1))
+                elif a == k == j - 1:
+                    step[a] = _running_sums(rows[k - 1][a - 1], m + 1)
                 else:
                     step[a] = _truncated_product(rows[k][a], rows[k - 1][a - 1], d)
         rows = new

@@ -13,9 +13,10 @@ enumeration structure itself.  Its kernel (is_rref, cell_count) is plain
 Python, and its entries only label the field's elements 0..q-1: it needs
 no field arithmetic and takes every q that check_field admits.
 
-check_field checks q by perfect-power detection, then a Miller-Rabin test of
-the base with fixed witnesses, exact below 2^64 (larger bases are refused),
-and charges q^m, as every power here, through errors.power_units first.
+check_field checks q by perfect-power detection, charged to the work meter
+for q past 2^64, then a Miller-Rabin test of the base with fixed witnesses,
+exact below 2^64 (larger bases are refused), and charges q^m, as every power
+here, through errors.power_units first.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ KERNEL = "python"  # the enumeration kernel below is pure Python; there is no ot
 _PRIME_BOUND = 2**64  # Miller-Rabin with _WITNESSES is exact below this
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_CHECK = 2**61 - 1  # a prime modulus for the cheap perfect-power test
+# one exponent's float root and power modulo _ROOT_CHECK, which also
+# bounds a bit's share of q's logarithm and residue
+_EXPONENT_UNITS = 4
 
 
 def is_prime(n: int) -> bool:
@@ -66,24 +70,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _exact_root(q: int, e: int) -> int:
+def _exact_root(q: int, e: int, log_q: float, residue: int) -> int:
     """The integer p > 1 with p^e = q, or 0 if there is none; needs
-    q < 2^(64e).
+    q < 2^(64e), log_q = log2(q) and residue = q % _ROOT_CHECK.
 
     The float guess is within a relative 2^-44 of the root: rounding it is
     exact below 2^40, and above that integer Newton steps taken from just
     over the root fall to its floor.  A residue test skips the full power
-    for most e.
+    for most e.  Each Newton step's power and division of q's size, and the
+    full power, are charged before they run.
     """
-    guess = 2 ** (log2(q) / e)
+    guess = 2 ** (log_q / e)
     if guess < 2**40:
         p = round(guess)
     else:
         p = int(guess * (1 + 2**-40)) + 1
-        while (step := ((e - 1) * p + q // p ** (e - 1)) // e) < p:
+        while True:
+            charge(power_units(p, e - 1)
+                   + division_units(q.bit_length(), p.bit_length() * (e - 1)))
+            step = ((e - 1) * p + q // p ** (e - 1)) // e
+            if step >= p:
+                break
             p = step
-    if p > 1 and pow(p, e, _ROOT_CHECK) == q % _ROOT_CHECK and p**e == q:
-        return p
+    if p > 1 and pow(p, e, _ROOT_CHECK) == residue:
+        charge(power_units(p, e))
+        if p**e == q:
+            return p
     return 0
 
 
@@ -95,24 +107,32 @@ class PrimePower(Record):
     e: int
 
     @classmethod
+    @budgeted
     def from_int(cls, q: int) -> "PrimePower":
         _check_ints({"field size": q})
         if q < 2:
             raise DomainError(f"field size must be >= 2, got {q}")
         # q = p^e with e as large as possible; the root grows as e falls,
-        # so the search stops once it would reach the bound
+        # so the search stops once it would reach the bound.  Below 2^64 it
+        # is word-size work on at most 64 exponents, uncharged like
+        # is_prime; past that its trials grow with q's bits and are charged
+        # up front.  q's logarithm and residue are taken once.
         bits = q.bit_length()
+        if bits > 64:
+            charge(_EXPONENT_UNITS * bits)
+        log_q, residue = log2(q), q % _ROOT_CHECK
         for e in range(bits, 0, -1):
             if bits > 64 * e:
                 raise DomainError(
-                    f"field size {q} is too large: prime powers are checked "
-                    "only for bases below 2^64"
+                    f"field size of {bits} bits is too large: prime powers are "
+                    "checked only for bases below 2^64"
                 )
-            p = _exact_root(q, e)
+            p = _exact_root(q, e, log_q, residue)
             if p:
                 break
         if not is_prime(p):
-            raise DomainError(f"{q} is not a prime power")
+            shown = p if e == 1 else f"{p}^{e}"  # q itself may be too long to format
+            raise DomainError(f"{shown} is not a prime power")
         return cls(q, p, e)
 
     @property
@@ -120,14 +140,19 @@ class PrimePower(Record):
         return self.e == 1
 
 
-@budgeted
-def check_field(q: int, m: int) -> int:
-    """q^m, charged and built once q and m name the field with q^m elements:
-    q a prime power and m >= 1, each an int (a bool is not one)."""
+def _check_field(q: int, m: int) -> None:
+    """The one check that q and m name the field with q^m elements: q a
+    prime power and m >= 1, each an int (a bool is not one)."""
     _check_ints({"field size": q, "field extension degree": m})
     PrimePower.from_int(q)
     if m < 1:
         raise DomainError(f"field extension degree must be >= 1, got {m}")
+
+
+@budgeted
+def check_field(q: int, m: int) -> int:
+    """q^m, charged and built once _check_field admits q and m."""
+    _check_field(q, m)
     charge(power_units(q, m))
     return q**m
 

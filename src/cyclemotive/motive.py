@@ -20,7 +20,7 @@ from . import toric
 from ._record import Record
 from .errors import DomainError, NotCountableError, ParseError, UnsupportedError, budgeted, charge
 from .errors import _ascii_ints, _check_ints, _check_type, _json_int, _json_ints, _shown
-from .ffcount import check_field, gaussian_binomial_poly
+from .ffcount import _check_field, check_field, gaussian_binomial_poly
 from .ring import (
     Laurent1,
     LPoly,
@@ -248,7 +248,8 @@ class Measure(Record):
 
     Tags match the CLI vocabulary: e-poly, euler, h-tilde (image mod uv-1),
     h-bar (image mod uv), count-poly, and count (point count over the field
-    with q^m elements; q must be a prime power).
+    with q^m elements; q must be a prime power, and q^m is charged and built
+    once, when the count is evaluated).
     """
 
     tag: str
@@ -264,7 +265,7 @@ class Measure(Record):
         if self.tag == "count":
             if self.q is None:
                 raise DomainError("count measure needs a field size q")
-            check_field(self.q, self.m)
+            _check_field(self.q, self.m)
         elif self.q is not None or self.m != 1:
             raise DomainError(f"measure {self.tag!r} takes no field size or degree")
 

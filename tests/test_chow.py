@@ -141,15 +141,29 @@ def product_calls(monkeypatch):
 
 def test_zero_and_one_cycles_take_running_sums_only(product_calls):
     """A convolution with a 0-cycle row is taken as running sums, so the
-    recursion for p <= 1 multiplies no rows; p = 2 still does."""
+    recursion for p <= 1 multiplies no rows; p = 2 still does from n = 5."""
     for n in range(7):
         for p in range(min(n, 1) + 1):
             for d in range(11):
                 chow_invariant_recursive(ChowIndex(p, d, n))
     chow_invariant_recursive(ChowIndex(1, 316, 20))
     assert product_calls == []
-    chow_invariant_recursive(ChowIndex(2, 3, 4))
+    chow_invariant_recursive(ChowIndex(2, 3, 5))
     assert product_calls
+
+
+def test_first_cone_convolutions_take_running_sums(product_calls):
+    """The row (k, 0) at ambient dimension k + 1 convolves a 0-cycle row,
+    so it is running sums too: with n <= p + 1 the table multiplies no
+    rows, and at (6, 227, 11) one product per k >= 2 is left out of 24."""
+    for n in range(9):
+        for p in range(max(0, n - 1), n + 1):
+            for d in range(6):
+                chow_invariant_recursive(ChowIndex(p, d, n))
+    chow_invariant_recursive(ChowIndex(6, 400, 7))
+    assert product_calls == []
+    chow_invariant_recursive(ChowIndex(6, 227, 11))
+    assert len(product_calls) == 19
 
 
 def _schoolbook_product(a, b, d):

@@ -797,6 +797,15 @@ def test_a_count_at_a_field_past_the_digit_limit_is_answered(capsys, tmp_path):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_a_count_measure_charges_its_field_once(capsys, tmp_path):
+    """3^2000000 fits the work budget once: the measure's check builds no
+    power, so only the count charges it (charged twice, this exited 2)."""
+    point = tmp_path / "point.json"
+    point.write_text('{"leaf": "point"}')
+    code, out, err = run(capsys, "motive", str(point), "--measure", "count:3,2000000")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 @pytest.mark.parametrize("tree, measure", [
     ({"leaf": "torus", "n": 20000}, "euler"),
     ({"leaf": "proj_space", "n": 20000000}, "e-poly"),

@@ -41,9 +41,11 @@ from cyclemotive.motive import (
     Grassmannian,
     ProjSpace,
     Measure,
+    Point,
     SmoothProjectiveLeaf,
     ToricFan,
     Torus,
+    eval_measure,
     hodge_constraints_check,
 )
 from cyclemotive.ring import (
@@ -393,9 +395,10 @@ def test_a_one_factor_count_is_priced_by_its_digits():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    # q^m itself is priced: eval_measure(Point(), this measure) took 3.9 s to
+    # q^m itself is priced when the count is evaluated: this took 3.9 s to
     # answer 1 before q^m was charged
-    (lambda: Measure("count", 3, 10**7), BudgetError, f"^{OVER_BUDGET}$"),
+    (lambda: eval_measure(Point(), Measure("count", 3, 10**7)), BudgetError,
+     f"^{OVER_BUDGET}$"),
     (lambda: toric_count(projective_fan(2), 2, 10**7), BudgetError, f"^{OVER_BUDGET}$"),
     (lambda: chow_congruence_targets(ChowIndex(0, 0, 1), 2, 10**7), BudgetError,
      f"^{OVER_BUDGET}$"),
@@ -413,8 +416,12 @@ def test_a_one_factor_count_is_priced_by_its_digits():
     # unpriced, toric --count took 36 s before the printer refused it
     (lambda: toric_count(Fan(300, ((1,) + (0,) * 299,), ((0,),)), 2, 14000),
      BudgetError, f"^{OVER_BUDGET}$"),
+    # the perfect-power search took q's logarithm and residue once an
+    # exponent, uncharged: 2^200000 + 1 ran 26.6 s, then raised a bare
+    # ValueError formatting q for its message
+    (lambda: check_field(2**200000 + 1, 1), BudgetError, f"^{OVER_BUDGET}$"),
 ], ids=["count-measure", "toric_count", "chow_congruence_targets", "degree-one-count",
-        "degree-one-wide", "degree-one-power", "toric-count-power"])
+        "degree-one-wide", "degree-one-power", "toric-count-power", "huge-field-size"])
 def test_oversized_field_counts_are_refused_before_any_work(call, error, message):
     start = time.perf_counter()
     with pytest.raises(error, match=message):
@@ -510,8 +517,13 @@ def test_prime_power():
         assert not is_prime(composite)
         with pytest.raises(DomainError, match="not a prime power"):
             PrimePower.from_int(composite)
+    # a power of a composite, too long to format, is named by its root
+    with pytest.raises(DomainError, match="^6\\^10000 is not a prime power$"):
+        PrimePower.from_int(6**10000)
     # bases at or above 2^64 are refused, prime or not
-    for q in (2**64 + 13, (2**64 + 13) ** 2, 10**4000 + 1):
+    # 2^30000 + 1 has more digits than the interpreter prints: the message
+    # gives q's bits, where formatting q raised a bare ValueError
+    for q in (2**64 + 13, (2**64 + 13) ** 2, 10**4000 + 1, 2**30000 + 1):
         with pytest.raises(DomainError, match="below 2\\^64"):
             PrimePower.from_int(q)
     with pytest.raises(DomainError):
