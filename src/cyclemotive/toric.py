@@ -28,6 +28,7 @@ from .errors import (
     _json_ints,
     _shown,
     budgeted,
+    charge,
 )
 from .ring import MultiSeries, Poly2, expand_inverse_product
 
@@ -195,6 +196,7 @@ def euler_series(
     descriptors = invariant_subvarieties(fan, p)
     if grading is None:
         arity = len(descriptors)
+        charge(arity * arity)  # a unit an entry of the unit vectors, before they are built
         vectors = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
     else:
         vectors = [tuple(grading(d)) for d in descriptors]
@@ -205,7 +207,9 @@ def euler_series(
 
 
 # ---------------------------------------------------------------------------
-# stock fans
+# stock fans, each charged before it is built: a unit per four ray entries,
+# taken first, so that it bounds n before 2^n is, then a unit a cone and
+# one per four of the cones' ray indices
 
 
 @budgeted
@@ -216,6 +220,8 @@ def projective_fan(n: int) -> Fan:
     _check_ints({"n": n})
     if n < 0:
         raise DomainError("projective fan needs dimension >= 0")
+    charge((n + 1) * n // 4)
+    charge(2 ** (n + 1) - 2 + (n + 1) * (2**n - 1) // 4)
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if n:
         rays.append(tuple([-1] * n))
@@ -229,6 +235,8 @@ def affine_fan(n: int) -> Fan:
     _check_ints({"n": n})
     if n < 1:
         raise DomainError("affine fan needs dimension >= 1")
+    charge(n * n // 4)
+    charge(2**n - 1 + n * 2 ** (n - 1) // 4)
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     cones = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
     return Fan(n, tuple(rays), tuple(cones))
@@ -239,6 +247,10 @@ def product_fan(a: Fan, b: Fan) -> Fan:
     """Fan of the product variety: rays embed in the two factors of the sum
     lattice, and the cones are all sums of a cone from each side."""
     a.ranks, b.ranks  # both factors must be valid fans
+    charge((len(a.rays) + len(b.rays)) * (a.dim + b.dim) // 4)
+    # each cone of a side, the zero cone too, meets every cone of the other
+    na, nb = len(a.cones) + 1, len(b.cones) + 1
+    charge(na * nb - 1 + (nb * sum(map(len, a.cones)) + na * sum(map(len, b.cones))) // 4)
     rays = [r + (0,) * b.dim for r in a.rays]
     rays += [(0,) * a.dim + r for r in b.rays]
     offset = len(a.rays)

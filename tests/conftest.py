@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -37,15 +38,24 @@ def fresh_python(probe: str) -> str:
     return proc.stdout
 
 
+@contextmanager
+def budget(units):
+    """Run the block inside a work budget of `units`, opened as
+    errors.budgeted opens one, and yield the one-item list of the units
+    left."""
+    left = [units]
+    token = errors._left.set(left)
+    try:
+        yield left
+    finally:
+        errors._left.reset(token)
+
+
 def charged(fn, *args):
     """fn(*args) and the units of work it charged, run inside a budget
     far too large to refuse it."""
-    left = [10**18]
-    token = errors._left.set(left)
-    try:
+    with budget(10**18) as left:
         result = fn(*args)
-    finally:
-        errors._left.reset(token)
     return result, 10**18 - left[0]
 
 

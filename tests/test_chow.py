@@ -24,13 +24,13 @@ from cyclemotive.chow import (
 )
 from cyclemotive import chow
 from cyclemotive.chow import _lam_rows, _truncated_product
-from cyclemotive.errors import BudgetError, DomainError
+from cyclemotive.errors import WORK_BUDGET, BudgetError, DomainError
 from cyclemotive.ffcount import gaussian_binomial_poly
 from cyclemotive.motive import EULER, Grassmannian, eval_measure
 from cyclemotive.ring import Laurent1, expand_inverse_product
 from cyclemotive.toric import euler_series, projective_fan
 
-from conftest import OVER_BUDGET
+from conftest import OVER_BUDGET, budget
 
 
 def test_coordinate_subspace_count():
@@ -82,11 +82,14 @@ def test_recursion_deep_ambient_space():
 def test_recursion_equals_closed_form_benchmark_scale():
     # degrees and ambient dimensions where the packed slots are hundreds of
     # bits wide and the rows hundreds of entries long; at p = 1 (the
-    # benchmark's deepest curves) every row is running sums
+    # benchmark's deepest curves) every row is running sums; at (6, 400, 8)
+    # five rows take their first cone step as running sums and four
+    # multiply.  Both routes share one budget, as under `chow --method both`.
     for p, d, n in [(6, 227, 11), (1, 316, 20), (1, 358, 15), (1, 400, 12),
-                    (3, 400, 6), (5, 257, 10), (0, 400, 20)]:
+                    (3, 400, 6), (5, 257, 10), (0, 400, 20), (3, 311, 10), (6, 400, 8)]:
         idx = ChowIndex(p, d, n)
-        assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
+        with budget(WORK_BUDGET):
+            assert chow_invariant_recursive(idx) == chow_invariant_closed(idx)
 
 
 def test_recursion_uses_no_formula(monkeypatch):

@@ -849,16 +849,19 @@ def test_oversized_count_is_refused_before_horner(tmp_path, tree, measure):
     ({"leaf": "proj_space", "n": 4}, ["--measure", "count:2,4000"]),
     ({"leaf": "proj_space", "n": 5}, ["--measure", "count:2,4000"]),
     (None, ["chow", "-p", "1", "-n", "3", "-d", "1", "--congruence", "2,4000"]),
-], ids=["P4", "P5", "congruence"])
+    (None, ["chow", "-p", "5", "-n", "40", "--series", "1062"]),
+], ids=["P4", "P5", "congruence", "series"])
 def test_counts_past_the_printed_digits_are_refused_by_the_printer(tmp_path, tree, argv):
     """The library returns these counts exactly (4817, 6021 and 4817
-    digits); the one message that refuses them is the printer's."""
+    digits, and a series whose last entries pass 4300); the one message
+    that refuses them is the printer's, under the 2 GB cap."""
     if tree is not None:
         expr = tmp_path / "expr.json"
         expr.write_text(json.dumps(tree))
         argv = ["motive", str(expr), *argv]
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
-                          capture_output=True, text=True, env=TREE_ENV, timeout=10)
+                          capture_output=True, text=True, env=TREE_ENV, timeout=10,
+                          preexec_fn=_address_space_cap)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_line_error(proc.stderr)
     assert proc.stderr.startswith("error: the result holds an integer longer than ")
@@ -880,14 +883,17 @@ def _address_space_cap():
     ("chow", "-p", "2", "-n", "4", "-d", "1000000", "--method", "recursive"),
     ("chow", "-p", "5", "-n", "40", "-d", "3000", "--method", "recursive"),
     ("chow", "-p", "0", "-n", "1000000", "-d", "1000000"),
+    ("chow", "-p", "1500", "-n", "3000", "-d", "1", "--congruence", "2"),
+    ("chow", "-p", "0", "-n", "10000000", "-d", "1", "--congruence", "7"),
 ], ids=["chow-series", "toric-series", "chow-deep-degree", "toric-series-six-variables",
-        "chow-wide-rows", "chow-big-entries", "chow-closed-binomial"])
+        "chow-wide-rows", "chow-big-entries", "chow-closed-binomial",
+        "congruence-wide-grassmannian", "congruence-long-field-power"])
 def test_series_and_recursions_past_the_budget_exit_2(argv):
-    """The series, recursion and closed-form routes are refused by the work
-    meter before they build what overruns its budget: under a 2 GB cap the
-    first four ended in a MemoryError traceback (exit 1), the next two ran
-    past a 20 s timeout, and the closed form's one binomial ran 31.7 s
-    before the printer refused it."""
+    """The series, recursion, closed-form and count routes are refused by
+    the work meter before they build what overruns its budget: under a
+    2 GB cap the first four ended in a MemoryError traceback (exit 1), the
+    next two ran past a 20 s timeout, and the closed form's one binomial
+    ran 31.7 s before the printer refused it."""
     proc = subprocess.run([sys.executable, "-m", "cyclemotive", *argv],
                           capture_output=True, text=True, env=TREE_ENV, timeout=10,
                           preexec_fn=_address_space_cap)
@@ -898,18 +904,20 @@ def test_series_and_recursions_past_the_budget_exit_2(argv):
 
 def test_oversized_census_is_refused_under_the_address_space_cap():
     """Each census is refused by the work meter before its pivot patterns
-    are listed: the 30 million patterns of (12, 28, 2), or a copy of
-    range(10^9), would not fit under the 2 GB cap."""
+    are listed: the 30 million patterns of (12, 28, 2), a copy of
+    range(10^9) or range(10^7), or the one 20000 x 20000 matrix, would not
+    fit under the 2 GB cap."""
     code = ("import cyclemotive as cm\n"
-            "for args in ((8, 24, 2), (12, 28, 2), (1, 10**9, 2)):\n"
+            "for args in ((8, 24, 2), (12, 28, 2), (1, 10**9, 2), (0, 10**7, 2),\n"
+            "             (20000, 20000, 2)):\n"
             "    try:\n"
             "        cm.grassmannian_count_brute(*args)\n"
             "    except cm.BudgetError as e:\n"
             "        print(e)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=TREE_ENV, timeout=10, preexec_fn=_address_space_cap)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=TREE_ENV, timeout=10, preexec_fn=_address_space_cap)
     refusal = OVER_BUDGET + "\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 3, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 5, "")
 
 
 def test_library_calls_past_the_budget_are_refused_under_the_address_space_cap():
@@ -918,7 +926,11 @@ def test_library_calls_past_the_budget_are_refused_under_the_address_space_cap()
     the Pascal table ran past 20 s, the torus took 4.7 s to answer, and the
     subspace count 8.7 s.  The two evaluations, priced at 3 units a term
     whatever their powers, took 2.4 s and 6.6 s to answer, and the product
-    of 1085 variables, priced below the keys its stages copy, 6.9 s."""
+    of 1085 variables, priced below the keys its stages copy, 6.9 s.  A
+    point at count:3,10^7 ran for seconds before its field size was priced,
+    and P^24 and A^25, charged nothing, ended in a MemoryError after 6.9 s
+    and 5.6 s.  P^(10^12) is refused by its rays' charge, before 2^(10^12)
+    is taken for its cones'."""
     code = """
 import time
 import cyclemotive as cm
@@ -933,6 +945,10 @@ calls = [
     lambda: cm.specialize(cm.Poly2({(10**7, 0): 1}), 3, 1),
     lambda: cm.specialize(cm.Poly2({(10**5, 0): 1}), 10**100, 1),
     lambda: cm.euler_chow_product_formula(1084, 1084, 1084, 1),
+    lambda: cm.eval_measure(cm.Point(), cm.Measure("count", 3, 10**7)),
+    lambda: cm.projective_fan(24),
+    lambda: cm.affine_fan(25),
+    lambda: cm.projective_fan(10**12),
 ]
 for call in calls:
     start = time.perf_counter()
@@ -941,10 +957,10 @@ for call in calls:
     except cm.BudgetError as e:
         print(e, time.perf_counter() - start < 2)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=TREE_ENV, timeout=30, preexec_fn=_address_space_cap)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=TREE_ENV, timeout=30, preexec_fn=_address_space_cap)
     refusal = OVER_BUDGET + " True\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 10, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, refusal * 14, "")
 
 
 def test_degree_one_congruence_counts_the_smaller_grassmannian():

@@ -59,7 +59,7 @@ from cyclemotive.ring import (
     specialize,
 )
 from cyclemotive.toric import Fan, affine_fan, euler_series, invariant_subvarieties, projective_fan
-from conftest import OVER_BUDGET, charged, load_fan
+from conftest import OVER_BUDGET, budget, charged, load_fan
 
 P1 = load_fan("p1")
 P2 = load_fan("p2")
@@ -274,17 +274,14 @@ def test_census_is_refused_exactly_when_its_candidates_exceed_the_cap(data):
     drawn = data.draw(st.one_of(st.integers(0, 3000), st.sampled_from([work - 1, work, work + 1])))
     units = min(drawn, WORK_BUDGET)
     assume(work > units or work <= 3000)
-    expected, left = gaussian_binomial(n, k, q), [units]
-    token = errors._left.set(left)
-    try:
+    expected = gaussian_binomial(n, k, q)
+    with budget(units) as left:
         if work > units:
             with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
                 rref_cell_census(k, n, q)
         else:
             assert sum(rref_cell_census(k, n, q).values()) == expected
             assert left == [units - work]
-    finally:
-        errors._left.reset(token)
 
 
 @pytest.mark.parametrize("k, n, q", [(0, 10**7, 2), (20000, 20000, 2), (10**5, 10**5, 2)])
@@ -312,12 +309,8 @@ def test_square_census_ends_within_a_second():
 def test_a_refused_census_checks_no_matrix(predicate_calls, k, n, q):
     """Every charge is made while the patterns are listed, the last one
     included, so a census one unit short never reaches cell_count."""
-    token = errors._left.set([census_units(k, n, q) - 1])
-    try:
-        with pytest.raises(BudgetError):
-            rref_cell_census(k, n, q)
-    finally:
-        errors._left.reset(token)
+    with budget(census_units(k, n, q) - 1), pytest.raises(BudgetError):
+        rref_cell_census(k, n, q)
     assert predicate_calls == []
 
 
@@ -377,15 +370,12 @@ def test_a_field_size_is_refused_one_unit_short_of_its_power(q, m):
     units = errors.power_units(q, m)
     assert 0 < units <= WORK_BUDGET
     for left, fits in ((units, True), (units - 1, False)):
-        token = errors._left.set([left])
-        try:
+        with budget(left):
             if fits:
                 assert check_field(q, m) == q**m
             else:
                 with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
                     check_field(q, m)
-        finally:
-            errors._left.reset(token)
 
 
 def test_a_one_factor_count_is_priced_by_its_digits():

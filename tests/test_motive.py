@@ -53,7 +53,7 @@ from cyclemotive.motive import (
 )
 from cyclemotive.ring import LPoly, Laurent1, Poly2, parse_poly2, specialize
 
-from conftest import DATA, OVER_BUDGET, charged, load_fan
+from conftest import DATA, OVER_BUDGET, budget, charged, load_fan
 
 GLUED_CONE = parse_poly2("1+u+v+uv-u^2*v-u*v^2+2u^2*v^2")
 
@@ -610,14 +610,10 @@ def test_a_recursive_walker_enters_the_meter_once(walk):
 
 
 def test_a_refused_charge_takes_nothing():
-    left = [10]
-    token = errors._left.set(left)
-    try:
+    with budget(10) as left:
         with pytest.raises(BudgetError):
             charge(11)
         charge(10)
-    finally:
-        errors._left.reset(token)
     assert left == [0]
 
 

@@ -2,12 +2,13 @@
 
 import json
 import re
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclemotive.errors import DomainError, FanError, ParseError
+from cyclemotive.errors import BudgetError, DomainError, FanError, ParseError
 from cyclemotive.ring import MultiSeries, expand_inverse_product, parse_poly2, specialize
 from cyclemotive.toric import (
     Fan,
@@ -24,7 +25,7 @@ from cyclemotive.toric import (
 )
 from cyclemotive.toric import _int_rank
 
-from conftest import load_fan
+from conftest import OVER_BUDGET, charged, load_fan
 
 P1 = load_fan("p1")
 P2 = load_fan("p2")
@@ -187,6 +188,22 @@ def test_euler_series_default_grading_is_free():
     assert all(c == 1 for c in s.terms.values())
 
 
+def test_finest_grading_is_charged_before_its_unit_vectors_are_built():
+    """2500 rank-1 cones give 2500 variables, whose unit vectors hold 6.25
+    million entries: they were built, for 1.27 s, before any charge.  The
+    best of three refusals is timed, so that one pause of the host does
+    not fail the test."""
+    fan = Fan(2, tuple((1, k) for k in range(2500)), tuple((i,) for i in range(2500)))
+    fan.ranks
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"^{OVER_BUDGET}$"):
+            euler_series(fan, 1, 1)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+
+
 def test_euler_series_rejects_zero_grading():
     with pytest.raises(DomainError):
         euler_series(P2, 0, order=2, grading=lambda d: (0,))
@@ -196,6 +213,21 @@ def test_euler_series_grading_needs_a_closure():
     rays = Fan(2, ((1, 0), (0, 1)), ((0,), (1,)))  # no 2-dimensional cone, so no fixed point
     with pytest.raises(DomainError, match="^no 0-dimensional invariant subvarieties to grade$"):
         euler_series(rays, 0, order=2, grading=lambda d: (1,))
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: projective_fan(n) for n in range(9)),
+    *(lambda n=n: affine_fan(n) for n in range(1, 9)),
+    lambda: product_fan(P2, A2),
+    lambda: product_fan(P3, HIRZEBRUCH),
+], ids=[*(f"P{n}" for n in range(9)), *(f"A{n}" for n in range(1, 9)), "P2xA2", "P3xF1"])
+def test_stock_fans_are_charged_what_they_build(build):
+    """Each builder charges, before it builds, a unit per four ray entries,
+    a unit a cone and one per four of the cones' ray indices: its counts,
+    taken from the factors or from n alone, are those of the fan built."""
+    fan, units = charged(build)
+    ray_entries = len(fan.rays) * fan.dim
+    assert units == ray_entries // 4 + len(fan.cones) + sum(map(len, fan.cones)) // 4
 
 
 def _cone_matrices(fan):
